@@ -43,14 +43,14 @@ chaos-tests:
 	$(GO) test -race -timeout 10m ./internal/resilience/... ./internal/netsim/... ./internal/storage/...
 	IPLS_STORE=fs $(GO) test -race -timeout 10m ./internal/storage/...
 
-# Membership-churn scenario under the race detector: the ChurnRunner
-# tests (standby takeover, checkpoint bootstrap, repair) plus one full
-# end-to-end run — storage departure, aggregator crash with failover,
-# trainer crash and checkpoint-bootstrapped rejoin.
+# Membership-churn scenario under the race detector: the ScenarioRunner
+# tests (standby takeover, checkpoint bootstrap, repair, window edges)
+# plus one full end-to-end run — storage departure, aggregator crash with
+# failover, trainer crash and checkpoint-bootstrapped rejoin.
 chaos-churn:
-	$(GO) test -race -timeout 10m -run 'Churn|Absent|Standby' ./internal/core
+	$(GO) test -race -timeout 10m -run 'ScenarioRunner|SimChurn|Absent|Standby' ./internal/core
 	$(GO) run -race ./cmd/iplssim -rounds 4 -trainers 8 -partitions 2 -aggregators 1 -storage-nodes 6 \
-		-churn "depart:ipfs-03@iter1,crash:agg-p0-0@iter1,crash:trainer-05@iter1,rejoin:trainer-05@iter2,rejoin:agg-p0-0@iter3"
+		-scenario "depart:ipfs-03@iter1,crash:agg-p0-0@iter1,crash:trainer-05@iter1,rejoin:trainer-05@iter2,rejoin:agg-p0-0@iter3"
 
 # Composed-scenario soak under the race detector: one plan string drives
 # membership churn, a storage slow window, a partition that opens and

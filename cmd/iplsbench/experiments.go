@@ -15,6 +15,7 @@ import (
 	"ipls/internal/ml"
 	"ipls/internal/obs"
 	"ipls/internal/scalar"
+	"ipls/internal/scenario"
 	"ipls/internal/storage"
 )
 
@@ -481,13 +482,13 @@ func buildMLTask(nonIID bool) (*core.Task, *ml.Dataset, error) {
 
 func mb(b int64) float64 { return float64(b) / 1e6 }
 
-// churnExperiment drives an ML task through a churn plan — storage
+// churnExperiment drives an ML task through a scenario plan — storage
 // departures, aggregator crashes and trainer crash/rejoin — and reports
 // convergence together with the repair and failover counters. The default
 // plan exercises every event kind; -churn substitutes another.
 func churnExperiment(planText string, rounds int) error {
 	fmt.Println("== Churn-tolerant training ==")
-	plan, err := storage.ParseChurnPlan(planText)
+	plan, err := scenario.Parse(planText)
 	if err != nil {
 		return err
 	}
@@ -533,7 +534,7 @@ func churnExperiment(planText string, rounds int) error {
 	if err != nil {
 		return err
 	}
-	runner := core.NewChurnRunner(task, net, plan)
+	runner := core.NewScenarioRunner(task, net, plan)
 	runner.SetMetrics(reg)
 	fmt.Printf("plan: %d events over %d rounds\n", len(plan.Events()), rounds)
 	fmt.Printf("%-8s %10s %10s %10s  %s\n", "round", "loss", "accuracy", "applied", "churn")

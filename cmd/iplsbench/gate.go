@@ -8,21 +8,19 @@ import (
 	"time"
 
 	"ipls/internal/core"
-	"ipls/internal/netsim"
 	"ipls/internal/obs"
 	"ipls/internal/scenario"
-	"ipls/internal/storage"
 )
 
-// mustLossWindows compiles a scenario-plan string into the netsim loss
-// windows it schedules — the gate's partition scenario is driven by the
-// same grammar `iplssim -scenario` takes.
-func mustLossWindows(plan string) []netsim.LossWindow {
+// mustParse parses a scenario-plan literal — the gate's churn and
+// partition scenarios are written in the same grammar `iplssim
+// -scenario` takes.
+func mustParse(plan string) *scenario.Plan {
 	p, err := scenario.Parse(plan)
 	if err != nil {
 		panic(err)
 	}
-	return p.LossWindows()
+	return p
 }
 
 // The per-phase benchmark gate: each scenario below runs one protocol
@@ -101,12 +99,8 @@ var gateScenarios = []struct {
 			StorageNodes:            8,
 			BandwidthMbps:           20,
 			FailoverTimeout:         2 * time.Second,
-			Churn: []storage.ChurnEvent{
-				{Kind: storage.ChurnDepart, Node: "ipfs-03"},
-				{Kind: storage.ChurnCrash, Node: "agg-p0-0"},
-				{Kind: storage.ChurnCrash, Node: "trainer-06"},
-				{Kind: storage.ChurnRejoin, Node: "trainer-07"},
-			},
+			Churn: mustParse(
+				"depart:ipfs-03@iter0,crash:agg-p0-0@iter0,crash:trainer-06@iter0,rejoin:trainer-07@iter0").Events(),
 		},
 	},
 	{
@@ -144,8 +138,8 @@ var gateScenarios = []struct {
 			StorageNodes:            8,
 			BandwidthMbps:           20,
 			StorageBandwidthMbps:    200,
-			LinkLoss: mustLossWindows(
-				"partition:mainline|ipfs-02+ipfs-03@400ms..1200ms,slow:trainer-01@0s..800ms:0.25"),
+			LinkLoss: mustParse(
+				"partition:mainline|ipfs-02+ipfs-03@400ms..1200ms,slow:trainer-01@0s..800ms:0.25").LossWindows(),
 		},
 	},
 }

@@ -52,7 +52,7 @@ func run(args []string) error {
 	rounds := fs.Int("rounds", 10, "FL rounds for converge/baseline experiments")
 	churn := fs.String("churn",
 		"depart:ipfs-03@iter1,crash:agg-p0-0@iter1,crash:t5@iter1,rejoin:t5@iter2,rejoin:agg-p0-0@iter3",
-		"churn experiment: plan of KIND:NAME@iterN events (depart|crash|rejoin)")
+		"churn experiment: scenario plan (the grammar of iplssim -scenario)")
 	metricsOut := fs.String("metrics-out", "", "write the run's datapoints and per-experiment wall time to this file as JSON")
 	baseline := fs.String("baseline", "", "gate: check the run's per-phase budgets against this baseline JSON, exiting non-zero on regression")
 	baselineOut := fs.String("baseline-out", "", "gate: record the run's per-phase budgets to this baseline JSON")

@@ -57,8 +57,6 @@ func run(args []string) error {
 		gc          = fs.Bool("gc", false, "after each round, sweep blocks from superseded iterations by keep-set (retains the current round and the churn checkpoint DAG)")
 		screen      = fs.Float64("screen", 0, "drop trainer gradients with L2 norm above this bound (0 = off; incompatible with -verifiable)")
 		scenarioStr = fs.String("scenario", "", "composed fault scenario: comma-separated events over one grammar, e.g. depart:ipfs-03@iter2,crash:trainer-05@iter1,rejoin:trainer-05@iter3,slow:ipfs-00@iter1..2:50ms,flaky:ipfs-02@iter0:0.3,partition:mainline|ipfs-01+trainer-02@iter3..4,corrupt:trainer-01@iter2,late:trainer-03@iter1")
-		faults      = fs.String("faults", "", "alias for -scenario (legacy fault grammar is a subset); comma-appended to it")
-		churn       = fs.String("churn", "", "alias for -scenario (legacy churn grammar is a subset); comma-appended to it")
 		quorum      = fs.Float64("quorum", 0, "quorum fraction in (0,1): aggregators proceed with ceil(q*n) of n gradients after -quorum-wait (incompatible with -verifiable)")
 		quorumWait  = fs.Duration("quorum-wait", 200*time.Millisecond, "how long aggregators wait for stragglers before closing a quorum round")
 		minAccuracy = fs.Float64("min-accuracy", 0, "fail the run if the final model accuracy is below this bound (0 = off; the chaos-soak convergence gate)")
@@ -76,16 +74,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// -churn and -faults stay as aliases: their legacy grammars are
-	// subsets of the scenario grammar, so the three flags concatenate
-	// into one composed plan.
-	var parts []string
-	for _, s := range []string{*scenarioStr, *churn, *faults} {
-		if s != "" {
-			parts = append(parts, s)
-		}
-	}
-	splan, err := scenario.Parse(strings.Join(parts, ","))
+	splan, err := scenario.Parse(*scenarioStr)
 	if err != nil {
 		return err
 	}
@@ -204,7 +193,7 @@ func run(args []string) error {
 	if !splan.Empty() || *quorum > 0 {
 		runner = core.NewScenarioRunner(task, net, splan)
 		runner.SetQuorum(*quorum, *quorumWait)
-		runner.Churn().SetMetrics(reg)
+		runner.SetMetrics(reg)
 	}
 
 	var behaviors map[string]core.Behavior
@@ -335,7 +324,7 @@ func run(args []string) error {
 		if *gc {
 			opts := core.GCOptions{KeepIters: []int{r}}
 			if runner != nil {
-				if ref, ok := runner.Churn().Checkpoint(); ok {
+				if ref, ok := runner.Checkpoint(); ok {
 					opts.KeepRoots = []dag.Ref{ref}
 				}
 			}
@@ -367,15 +356,15 @@ func run(args []string) error {
 		fmt.Printf("byzantine: %d gradient(s) expunged, quarantined: %s\n",
 			stats.Expunged, strings.Join(banned, ", "))
 	}
-	if !splan.FaultPlan().Empty() {
-		var retries, failovers int64
-		for _, op := range []string{"put", "get", "merge_get", "fetch", "publish", "publish_batch", "lookup", "update"} {
-			retries += reg.Counter("rpc_retries_total", "op", op).Value()
-		}
-		for _, op := range []string{"get", "merge_get"} {
-			failovers += reg.Counter("failovers_total", "op", op).Value()
-		}
-		fmt.Printf("resilience: %d retries, %d failovers under the fault plan\n", retries, failovers)
+	var retries, failovers int64
+	for _, op := range []string{"put", "get", "merge_get", "fetch", "publish", "publish_batch", "lookup", "update"} {
+		retries += reg.Counter("rpc_retries_total", "op", op).Value()
+	}
+	for _, op := range []string{"get", "merge_get"} {
+		failovers += reg.Counter("failovers_total", "op", op).Value()
+	}
+	if retries+failovers > 0 {
+		fmt.Printf("resilience: %d retries, %d failovers absorbed\n", retries, failovers)
 	}
 	if runner != nil {
 		fmt.Printf("churn: %d events, %d standby takeovers, %d trainer bootstraps, %d blocks repaired, %d under-replicated\n",

@@ -61,6 +61,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}); err == nil {
 		t.Fatal("expected flag parse error")
 	}
+	// The legacy plan flags are gone: -scenario is the only grammar.
+	for _, flag := range []string{"-faults", "-churn"} {
+		if err := run([]string{flag, "crash:ipfs-01@iter1"}); err == nil {
+			t.Fatalf("%s still accepted", flag)
+		}
+	}
 }
 
 // TestRunExportsTraceAndMetrics drives a simulated multi-node run and

@@ -2,13 +2,10 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
-	"ipls/internal/ml"
 	"ipls/internal/obs"
-	"ipls/internal/storage"
 )
 
 func TestIterationWithAbsentTrainer(t *testing.T) {
@@ -96,155 +93,5 @@ func TestStandbyStaysQuietWhenPartitionHealthy(t *testing.T) {
 	}
 	if d := maxAbsDiff(res.AvgDelta, wantAvg); d > 1e-3 {
 		t.Fatalf("average off by %v", d)
-	}
-}
-
-// newChurnTask builds an ML task over named ipfs storage nodes with
-// replication, sized so churn leaves live capacity.
-func newChurnTask(t *testing.T) (*Task, *storage.Network, *ml.Dataset) {
-	t.Helper()
-	const trainers = 8
-	m := ml.NewLogistic(4, 4)
-	data := ml.Blobs(480, 4, 4, 0.8, 77)
-	names := make([]string, trainers)
-	for i := range names {
-		names[i] = fmt.Sprintf("t%d", i)
-	}
-	stores := make([]string, 6)
-	for i := range stores {
-		stores[i] = fmt.Sprintf("ipfs-%02d", i)
-	}
-	ts := TaskSpec{
-		TaskID:                  "churn-task",
-		ModelDim:                m.Dim(),
-		Partitions:              2,
-		Trainers:                names,
-		AggregatorsPerPartition: 1,
-		StorageNodes:            stores,
-		TTrain:                  400 * time.Millisecond,
-		TSync:                   5 * time.Second,
-		PollInterval:            time.Millisecond,
-	}
-	cfg, err := NewConfig(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, net, _, err := NewLocalStack(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.SetPlacement(storage.PlacementRendezvous)
-	splits, err := data.SplitIID(trainers, 78)
-	if err != nil {
-		t.Fatal(err)
-	}
-	locals := make(map[string]*ml.Dataset, trainers)
-	for i, name := range names {
-		locals[name] = splits[i]
-	}
-	sgd := ml.SGDConfig{LearningRate: 0.3, Epochs: 2, BatchSize: 16}
-	task, err := NewTask(sess, m, locals, sgd, m.Params())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return task, net, data
-}
-
-// TestChurnRunnerEndToEnd is the issue's acceptance scenario: a
-// storage-node departure, an aggregator crash and a trainer crash+rejoin
-// across a multi-round run that still converges, with replication fully
-// repaired and the failover/repair counters nonzero.
-func TestChurnRunnerEndToEnd(t *testing.T) {
-	task, net, data := newChurnTask(t)
-	reg := obs.NewRegistry()
-	task.session.SetMetrics(reg)
-	net.SetMetrics(reg)
-	plan, err := storage.ParseChurnPlan(
-		"depart:ipfs-03@iter1,crash:agg-p0-0@iter1,crash:t5@iter1,rejoin:t5@iter2,rejoin:agg-p0-0@iter3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := NewChurnRunner(task, net, plan)
-	runner.SetMetrics(reg)
-
-	accStart, _, err := task.Evaluate(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for round := 0; round < 4; round++ {
-		metrics, res, applied, err := runner.RunRound(ctx)
-		if err != nil {
-			t.Fatalf("round %d (churn %v): %v", round, applied, err)
-		}
-		if !metrics.Applied {
-			t.Fatalf("round %d not applied (churn %v, incomplete %v)", round, applied, res.Incomplete)
-		}
-		switch round {
-		case 1:
-			if len(applied) != 3 {
-				t.Fatalf("round 1 churn = %v, want 3 events", applied)
-			}
-			rep := res.Takeovers[0]
-			if rep == nil || rep.ExecutedBy != "agg-p1-0" {
-				t.Fatalf("round 1: no standby takeover for partition 0: %+v", res.Takeovers)
-			}
-		case 2:
-			if len(applied) != 1 {
-				t.Fatalf("round 2 churn = %v, want the trainer rejoin", applied)
-			}
-		}
-	}
-	if task.Round() != 4 {
-		t.Fatalf("completed %d rounds, want 4", task.Round())
-	}
-
-	accEnd, _, err := task.Evaluate(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if accEnd < 0.85 || accEnd <= accStart {
-		t.Fatalf("did not converge under churn: %v -> %v", accStart, accEnd)
-	}
-	if got := len(net.UnderReplicated()); got != 0 {
-		t.Fatalf("%d blocks under-replicated after final repair", got)
-	}
-	if got := reg.Gauge("under_replicated_blocks").Value(); got != 0 {
-		t.Fatalf("under_replicated_blocks = %v, want 0", got)
-	}
-	if got := reg.Counter("repair_blocks_total").Value(); got == 0 {
-		t.Fatal("repair_blocks_total = 0, want > 0")
-	}
-	if got := reg.Counter("standby_takeover_total").Value(); got == 0 {
-		t.Fatal("standby_takeover_total = 0, want > 0")
-	}
-	if got := reg.Counter("trainer_bootstraps_total").Value(); got != 1 {
-		t.Fatalf("trainer_bootstraps_total = %d, want 1", got)
-	}
-	if got := reg.Counter("churn_events_total").Value(); got != 5 {
-		t.Fatalf("churn_events_total = %d, want 5", got)
-	}
-	if _, ok := runner.Checkpoint(); !ok {
-		t.Fatal("no checkpoint taken")
-	}
-}
-
-func TestChurnRunnerRejectsUnknownParticipant(t *testing.T) {
-	task, net, _ := newChurnTask(t)
-	plan, err := storage.ParseChurnPlan("crash:nobody@iter0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := NewChurnRunner(task, net, plan)
-	if _, _, _, err := runner.RunRound(context.Background()); err == nil {
-		t.Fatal("unknown participant must fail the round")
-	}
-	plan2, err := storage.ParseChurnPlan("depart:t3@iter0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner2 := NewChurnRunner(task, net, plan2)
-	if _, _, _, err := runner2.RunRound(context.Background()); err == nil {
-		t.Fatal("depart of a non-storage participant must fail")
 	}
 }

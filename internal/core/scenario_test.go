@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,18 +15,20 @@ import (
 	"ipls/internal/storage"
 )
 
-// newScenarioTask is newChurnTask with knobs: verifiable mode and
-// merge-and-download providers, the combination the Byzantine path
+// newScenarioTask builds an ML task over six replicated ipfs-NN storage
+// nodes, sized so churn leaves live capacity. trainerFmt names the eight
+// trainers ("t%d", or iplssim's "trainer-%02d"); verifiable mode plus
+// merge-and-download providers is the combination the Byzantine path
 // needs (detection lives in the BatchVerify fallback of the merged
 // download).
-func newScenarioTask(t *testing.T, verifiable bool, providers int) (*Task, *storage.Network, *directory.Service, *ml.Dataset) {
+func newScenarioTask(t *testing.T, trainerFmt string, verifiable bool, providers int) (*Task, *storage.Network, *directory.Service, *ml.Dataset) {
 	t.Helper()
 	const trainers = 8
 	m := ml.NewLogistic(4, 4)
 	data := ml.Blobs(480, 4, 4, 0.8, 77)
 	names := make([]string, trainers)
 	for i := range names {
-		names[i] = fmt.Sprintf("t%d", i)
+		names[i] = fmt.Sprintf(trainerFmt, i)
 	}
 	stores := make([]string, 6)
 	for i := range stores {
@@ -73,7 +77,7 @@ func newScenarioTask(t *testing.T, verifiable bool, providers int) (*Task, *stor
 // window still complete (replication covers the isolated node's blocks),
 // and when the window closes the network heals and re-replicates.
 func TestScenarioRunnerPartitionOpensAndHeals(t *testing.T) {
-	task, net, _, _ := newScenarioTask(t, false, 0)
+	task, net, _, _ := newScenarioTask(t, "t%d", false, 0)
 	reg := obs.NewRegistry()
 	task.session.SetMetrics(reg)
 	net.SetMetrics(reg)
@@ -82,7 +86,7 @@ func TestScenarioRunnerPartitionOpensAndHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	runner := NewScenarioRunner(task, net, plan)
-	runner.Churn().SetMetrics(reg)
+	runner.SetMetrics(reg)
 
 	ctx := context.Background()
 	for round := 0; round < 4; round++ {
@@ -128,7 +132,7 @@ func TestScenarioRunnerPartitionOpensAndHeals(t *testing.T) {
 // TestScenarioRunnerFinishHealsOpenWindow covers a plan whose partition
 // window outlives the run: Finish must close it.
 func TestScenarioRunnerFinishHealsOpenWindow(t *testing.T) {
-	task, net, _, _ := newScenarioTask(t, false, 0)
+	task, net, _, _ := newScenarioTask(t, "t%d", false, 0)
 	plan, err := scenario.Parse("partition:mainline|ipfs-02@iter1..9")
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +161,7 @@ func TestScenarioRunnerFinishHealsOpenWindow(t *testing.T) {
 // instead of blocking until t_train, and the straggler's delta folds
 // into the next round age-discounted.
 func TestQuorumRoundProceedsAndFoldsLateDelta(t *testing.T) {
-	task, net, _, _ := newScenarioTask(t, false, 0)
+	task, net, _, _ := newScenarioTask(t, "t%d", false, 0)
 	reg := obs.NewRegistry()
 	task.session.SetMetrics(reg)
 	plan, err := scenario.Parse("late:t2@iter0")
@@ -202,7 +206,7 @@ func TestQuorumRoundProceedsAndFoldsLateDelta(t *testing.T) {
 // directory's closure gate counts every expected trainer, so m-of-n
 // rounds cannot coexist with commitment verification.
 func TestQuorumRejectedInVerifiableMode(t *testing.T) {
-	task, net, _, _ := newScenarioTask(t, true, 2)
+	task, net, _, _ := newScenarioTask(t, "t%d", true, 2)
 	runner := NewScenarioRunner(task, net, &scenario.Plan{})
 	runner.SetQuorum(0.5, 10*time.Millisecond)
 	if _, _, _, err := runner.RunRound(context.Background()); err == nil {
@@ -218,7 +222,7 @@ func TestQuorumRejectedInVerifiableMode(t *testing.T) {
 // quarantined — while the honest trainers' rounds keep completing and
 // the model converges.
 func TestCorruptUploadQuarantinedEndToEnd(t *testing.T) {
-	task, net, dir, data := newScenarioTask(t, true, 2)
+	task, net, dir, data := newScenarioTask(t, "t%d", true, 2)
 	reg := obs.NewRegistry()
 	task.session.SetMetrics(reg)
 	plan, err := scenario.Parse("corrupt:t1@iter1..2")
@@ -261,5 +265,320 @@ func TestCorruptUploadQuarantinedEndToEnd(t *testing.T) {
 	}
 	if acc < 0.85 {
 		t.Fatalf("model did not converge despite quarantine: accuracy %v", acc)
+	}
+}
+
+// TestScenarioRunnerMembershipPlans feeds the membership plan strings the
+// tree used to hand to the deleted churn/fault parsers through
+// scenario.Parse and the runner, pinning what the old churn-runner
+// tests pinned: the per-round applied strings, every round applied, the
+// round-1 standby takeover, the failover/bootstrap/repair counters, a
+// checkpoint, and convergence with replication whole at the end.
+func TestScenarioRunnerMembershipPlans(t *testing.T) {
+	cases := []struct {
+		name       string
+		trainerFmt string
+		plan       string
+		applied    [][]string // per round; a trailing "…" matches any suffix
+		takeoverAt int        // round whose partition-0 takeover is checked (-1: none)
+		takeovers  int64
+		bootstraps int64
+		events     int64
+	}{
+		{
+			// core/churn_test.go's acceptance plan, also iplsbench churn's default.
+			name:       "churn-runner-end-to-end",
+			trainerFmt: "t%d",
+			plan:       "depart:ipfs-03@iter1,crash:agg-p0-0@iter1,crash:t5@iter1,rejoin:t5@iter2,rejoin:agg-p0-0@iter3",
+			applied: [][]string{
+				nil,
+				{"depart ipfs-03 (blocks lost)", "crash agg-p0-0 (partition 0 aggregator)", "crash t5 (trainer)"},
+				{"rejoin t5 (trainer, bootstrapped 20 params from checkpoint …"},
+				{"rejoin agg-p0-0 (aggregator back in rotation)"},
+			},
+			takeoverAt: 1, takeovers: 2, bootstraps: 1, events: 5,
+		},
+		{
+			// The Makefile's chaos-churn plan, under iplssim's trainer names.
+			name:       "make-chaos-churn",
+			trainerFmt: "trainer-%02d",
+			plan:       "depart:ipfs-03@iter1,crash:agg-p0-0@iter1,crash:trainer-05@iter1,rejoin:trainer-05@iter2,rejoin:agg-p0-0@iter3",
+			applied: [][]string{
+				nil,
+				{"depart ipfs-03 (blocks lost)", "crash agg-p0-0 (partition 0 aggregator)", "crash trainer-05 (trainer)"},
+				{"rejoin trainer-05 (trainer, bootstrapped 20 params from checkpoint …"},
+				{"rejoin agg-p0-0 (aggregator back in rotation)"},
+			},
+			takeoverAt: 1, takeovers: 2, bootstraps: 1, events: 5,
+		},
+		{
+			// README's former -churn example: the aggregator never rejoins,
+			// so the standby serves partition 0 from round 1 to the end.
+			name:       "readme-churn",
+			trainerFmt: "t%d",
+			plan:       "depart:ipfs-03@iter2,crash:agg-p0-0@iter1,crash:t5@iter1,rejoin:t5@iter3",
+			applied: [][]string{
+				nil,
+				{"crash agg-p0-0 (partition 0 aggregator)", "crash t5 (trainer)"},
+				{"depart ipfs-03 (blocks lost)"},
+				{"rejoin t5 (trainer, bootstrapped 20 params from checkpoint …"},
+			},
+			takeoverAt: 1, takeovers: 3, bootstraps: 1, events: 4,
+		},
+		{
+			// The storage-node half of README's former -faults example and
+			// of storage/faults_test.go: crash, then recover (the alias of
+			// rejoin) with the datastore intact.
+			name:       "storage-crash-recover",
+			trainerFmt: "t%d",
+			plan:       "crash:ipfs-01@iter1,recover:ipfs-01@iter2",
+			applied: [][]string{
+				nil,
+				{"crash ipfs-01"},
+				{"rejoin ipfs-01 (datastore intact)"},
+				nil,
+			},
+			takeoverAt: -1, events: 2,
+		},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			task, net, _, data := newScenarioTask(t, tc.trainerFmt, false, 0)
+			reg := obs.NewRegistry()
+			task.session.SetMetrics(reg)
+			net.SetMetrics(reg)
+			plan, err := scenario.Parse(tc.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner := NewScenarioRunner(task, net, plan)
+			runner.SetMetrics(reg)
+
+			accStart, _, err := task.Evaluate(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			for round, want := range tc.applied {
+				metrics, res, applied, err := runner.RunRound(ctx)
+				if err != nil {
+					t.Fatalf("round %d (%v): %v", round, applied, err)
+				}
+				if !metrics.Applied || metrics.Round != round {
+					t.Fatalf("round %d: metrics %+v (applied %v, incomplete %v)", round, metrics, applied, res.Incomplete)
+				}
+				if !sameApplied(applied, want) {
+					t.Fatalf("round %d applied %q, want %q", round, applied, want)
+				}
+				if round == tc.takeoverAt {
+					if rep := res.Takeovers[0]; rep == nil || rep.ExecutedBy != "agg-p1-0" {
+						t.Fatalf("round %d: no standby takeover for partition 0: %+v", round, res.Takeovers)
+					}
+				}
+			}
+			if task.Round() != len(tc.applied) {
+				t.Fatalf("completed %d rounds, want %d", task.Round(), len(tc.applied))
+			}
+			accEnd, _, err := task.Evaluate(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if accEnd < 0.85 || accEnd <= accStart {
+				t.Fatalf("did not converge under churn: %v -> %v", accStart, accEnd)
+			}
+			if got := len(net.UnderReplicated()); got != 0 {
+				t.Fatalf("%d blocks under-replicated after final repair", got)
+			}
+			if got := reg.Gauge("under_replicated_blocks").Value(); got != 0 {
+				t.Fatalf("under_replicated_blocks = %v, want 0", got)
+			}
+			if got := reg.Counter("repair_blocks_total").Value(); got == 0 {
+				t.Fatal("repair_blocks_total = 0, want > 0")
+			}
+			if got := reg.Counter("standby_takeover_total").Value(); got != tc.takeovers {
+				t.Fatalf("standby_takeover_total = %d, want %d", got, tc.takeovers)
+			}
+			if got := reg.Counter("trainer_bootstraps_total").Value(); got != tc.bootstraps {
+				t.Fatalf("trainer_bootstraps_total = %d, want %d", got, tc.bootstraps)
+			}
+			if got := reg.Counter("churn_events_total").Value(); got != tc.events {
+				t.Fatalf("churn_events_total = %d, want %d", got, tc.events)
+			}
+			if _, ok := runner.Checkpoint(); !ok {
+				t.Fatal("no checkpoint taken")
+			}
+		})
+	}
+}
+
+// sameApplied compares applied descriptions against expectations; a
+// want ending in "…" matches any string with that prefix (checkpoint
+// CIDs vary with the model).
+func sameApplied(got, want []string) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if prefix, ok := strings.CutSuffix(want[i], "…"); ok {
+			if !strings.HasPrefix(got[i], prefix) {
+				return false
+			}
+		} else if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestScenarioRunnerStorageMembership is storage's old ApplyStorage test
+// against the runner, on the same plan string: a departed node rejoins
+// empty, a crashed one recovers with its datastore, role events are told
+// apart from storage events, and the closing trainer rejoin — which the
+// old parser accepted unexamined — is rejected because trainer-05 never
+// crashed.
+func TestScenarioRunnerStorageMembership(t *testing.T) {
+	task, net, _, _ := newScenarioTask(t, "trainer-%02d", false, 0)
+	plan, err := scenario.Parse(
+		"depart:ipfs-03@iter0,crash:ipfs-02@iter0,crash:agg-p0-0@iter0," +
+			"rejoin:ipfs-02@iter1,rejoin:ipfs-03@iter1,rejoin:trainer-05@iter1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := net.Put(ctx, "ipfs-02", []byte("keeper")); err != nil {
+		t.Fatal(err)
+	}
+	runner := NewScenarioRunner(task, net, plan)
+
+	_, _, applied, err := runner.RunRound(ctx)
+	if err != nil {
+		t.Fatalf("round 0 (%v): %v", applied, err)
+	}
+	want := []string{"depart ipfs-03 (blocks lost)", "crash ipfs-02", "crash agg-p0-0 (partition 0 aggregator)"}
+	if !sameApplied(applied, want) {
+		t.Fatalf("round 0 applied %q, want %q", applied, want)
+	}
+	if _, err := net.Put(ctx, "ipfs-03", []byte("x")); !errors.Is(err, storage.ErrNodeDeparted) {
+		t.Fatalf("put on departed ipfs-03: %v, want ErrNodeDeparted", err)
+	}
+	if _, err := net.Put(ctx, "ipfs-02", []byte("x")); !errors.Is(err, storage.ErrNodeDown) {
+		t.Fatalf("put on crashed ipfs-02: %v, want ErrNodeDown", err)
+	}
+
+	_, _, applied, err = runner.RunRound(ctx)
+	if err == nil || !strings.Contains(err.Error(), "never crashed") {
+		t.Fatalf("round 1: err %v, want the trainer-05 rejoin rejected", err)
+	}
+	want = []string{"rejoin ipfs-02 (datastore intact)", "rejoin ipfs-03 (empty datastore)"}
+	if !sameApplied(applied, want) {
+		t.Fatalf("round 1 applied %q, want %q", applied, want)
+	}
+	crashed, _ := net.Node("ipfs-02")
+	if crashed.StoredBlocks() == 0 {
+		t.Fatal("ipfs-02 should have recovered with its datastore intact")
+	}
+	rejoined, _ := net.Node("ipfs-03")
+	if rejoined.StoredBlocks() != 0 {
+		t.Fatal("ipfs-03 should have rejoined empty")
+	}
+	for _, id := range []string{"ipfs-02", "ipfs-03"} {
+		if _, err := net.Put(ctx, id, []byte("back")); err != nil {
+			t.Fatalf("put on rejoined %s: %v", id, err)
+		}
+	}
+}
+
+func TestScenarioRunnerRejectsUnknownParticipant(t *testing.T) {
+	task, net, _, _ := newScenarioTask(t, "t%d", false, 0)
+	for _, tc := range []struct {
+		plan string
+		net  *storage.Network
+		why  string
+	}{
+		{"crash:nobody@iter0", net, "unknown participant must fail the round"},
+		{"depart:t3@iter0", net, "depart of a non-storage participant must fail"},
+		{"crash:ipfs-02@iter0", nil, "without a network, storage nodes are unknown participants"},
+	} {
+		plan, err := scenario.Parse(tc.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := NewScenarioRunner(task, tc.net, plan).RunRound(context.Background()); err == nil {
+			t.Fatal(tc.why)
+		}
+	}
+}
+
+// TestScenarioRunnerSlowWindowSemantics pins the window reading that bit
+// iplssim's old -faults alias: an @iterN slow event is in force for
+// round N only (the deleted parser read it as "from N onward"), and
+// @iterN..M for rounds N through M. The second plan stops inside its
+// window, so Finish must clear the fault instead of leaving ipfs-00
+// degraded for the network's next user.
+func TestScenarioRunnerSlowWindowSemantics(t *testing.T) {
+	const delay = 50 * time.Millisecond
+	for _, tc := range []struct {
+		plan    string
+		rounds  int
+		slow    []bool     // after each round: is ipfs-00 still slowed?
+		applied [][]string // per round
+		finish  []string
+	}{
+		{
+			plan:    "slow:ipfs-00@iter1:50ms",
+			rounds:  3,
+			slow:    []bool{false, true, false},
+			applied: [][]string{nil, {"slow ipfs-00 by 50ms"}, {"slow ipfs-00 by 0s"}},
+		},
+		{
+			plan:    "slow:ipfs-00@iter1..3:50ms",
+			rounds:  3,
+			slow:    []bool{false, true, true},
+			applied: [][]string{nil, {"slow ipfs-00 by 50ms"}, nil},
+			finish:  []string{"slow ipfs-00 by 0s"},
+		},
+	} {
+		tc := tc
+		t.Run(tc.plan, func(t *testing.T) {
+			t.Parallel()
+			task, net, _, _ := newScenarioTask(t, "t%d", false, 0)
+			plan, err := scenario.Parse(tc.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner := NewScenarioRunner(task, net, plan)
+			ctx := context.Background()
+			slowed := func() bool {
+				start := time.Now()
+				if _, err := net.Put(ctx, "ipfs-00", []byte("probe")); err != nil {
+					t.Fatal(err)
+				}
+				return time.Since(start) >= delay
+			}
+			for round := 0; round < tc.rounds; round++ {
+				metrics, _, applied, err := runner.RunRound(ctx)
+				if err != nil || !metrics.Applied {
+					t.Fatalf("round %d (%v): applied=%v err=%v", round, applied, metrics.Applied, err)
+				}
+				if !sameApplied(applied, tc.applied[round]) {
+					t.Fatalf("round %d applied %q, want %q", round, applied, tc.applied[round])
+				}
+				if got := slowed(); got != tc.slow[round] {
+					t.Fatalf("after round %d: ipfs-00 slowed = %v, want %v", round, got, tc.slow[round])
+				}
+			}
+			undone, err := runner.Finish(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameApplied(undone, tc.finish) {
+				t.Fatalf("Finish undid %q, want %q", undone, tc.finish)
+			}
+			if slowed() {
+				t.Fatal("Finish left ipfs-00 slowed")
+			}
+		})
 	}
 }

@@ -1264,7 +1264,7 @@ type IterationOptions struct {
 	// Quorum, in (0,1), lets aggregators close their gradient wait with
 	// ceil(Quorum·n) of the n expected gradients once QuorumWait has
 	// passed — a round degrades to m-of-n instead of idling out t_train
-	// on stragglers. Stragglers miss the round here; ChurnRunner folds
+	// on stragglers. Stragglers miss the round here; Task folds
 	// their deltas into the next round with an age-discounted weight.
 	// Quorum is invalid in verifiable mode: the directory's gradient-set
 	// closure gate holds global updates until every expected gradient

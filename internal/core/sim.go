@@ -7,7 +7,7 @@ import (
 
 	"ipls/internal/netsim"
 	"ipls/internal/obs"
-	"ipls/internal/storage"
+	"ipls/internal/scenario"
 )
 
 // SimConfig parameterizes a virtual-time protocol run over the netsim
@@ -64,18 +64,19 @@ type SimConfig struct {
 	// zero defaults to 1s.
 	QuorumWait time.Duration
 	// LinkLoss schedules capacity-degradation windows on simulated links
-	// (netsim.ParseLossWindow describes the textual form). Node names
-	// follow the simulation's own scheme: trainer-00, agg-p0-0, ipfs-00.
+	// (scenario.Plan.LossWindows compiles them from a plan's timed
+	// windows). Node names follow the simulation's own scheme:
+	// trainer-00, agg-p0-0, ipfs-00.
 	LinkLoss []netsim.LossWindow
-	// Churn applies membership events to the single simulated iteration
-	// (event iteration numbers are ignored). Departed or crashed storage
+	// Churn applies a plan's membership events (depart/crash/rejoin) to
+	// the single simulated iteration (event windows are ignored). Departed or crashed storage
 	// nodes drop out of placement for the whole run, a crashed
 	// aggregator's role is executed by a live standby after
 	// FailoverTimeout, crashed trainers miss the iteration (their
 	// gradients count as missed), and a rejoining trainer first
 	// downloads the model checkpoint from storage before uploading.
 	// Node names follow the simulation's scheme above.
-	Churn []storage.ChurnEvent
+	Churn []scenario.Event
 	// FailoverTimeout is how long (virtual time) a standby waits for a
 	// crashed aggregator before taking over; zero defaults to 1s.
 	FailoverTimeout time.Duration

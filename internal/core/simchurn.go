@@ -5,12 +5,12 @@ import (
 	"strconv"
 	"strings"
 
-	"ipls/internal/storage"
+	"ipls/internal/scenario"
 )
 
-// simChurn is a SimConfig.Churn plan resolved against the simulation's
-// node-naming scheme. The sim models a single iteration, so event
-// iteration numbers are ignored: departures and crashes hold for the
+// simChurn is a SimConfig.Churn event list resolved against the
+// simulation's node-naming scheme. The sim models a single iteration, so
+// event windows are ignored: departures and crashes hold for the
 // whole run, and a trainer rejoin means "present, but must bootstrap
 // the checkpoint from storage before uploading".
 type simChurn struct {
@@ -28,13 +28,16 @@ func newSimChurn(cfg SimConfig) (*simChurn, error) {
 		rejoinTrainers:  make(map[int]bool),
 	}
 	for _, ev := range cfg.Churn {
+		if ev.Kind != scenario.Depart && ev.Kind != scenario.Crash && ev.Kind != scenario.Rejoin {
+			return nil, fmt.Errorf("core: sim churn: %v: not a membership event", ev)
+		}
 		switch {
 		case strings.HasPrefix(ev.Node, "ipfs-"):
 			i, err := strconv.Atoi(strings.TrimPrefix(ev.Node, "ipfs-"))
 			if err != nil || i < 0 || i >= cfg.StorageNodes {
 				return nil, fmt.Errorf("core: sim churn: unknown storage node %q", ev.Node)
 			}
-			if ev.Kind == storage.ChurnRejoin {
+			if ev.Kind == scenario.Rejoin {
 				return nil, fmt.Errorf("core: sim churn: %v: storage rejoin is not modeled within a single iteration", ev)
 			}
 			if cfg.Direct {
@@ -47,7 +50,7 @@ func newSimChurn(cfg SimConfig) (*simChurn, error) {
 			if !ok || p >= cfg.Partitions || j >= cfg.AggregatorsPerPartition {
 				return nil, fmt.Errorf("core: sim churn: unknown aggregator %q", ev.Node)
 			}
-			if ev.Kind != storage.ChurnCrash {
+			if ev.Kind != scenario.Crash {
 				return nil, fmt.Errorf("core: sim churn: %v: aggregators only crash within a single iteration", ev)
 			}
 			sc.crashedAggs[[2]int{p, j}] = true
@@ -57,9 +60,9 @@ func newSimChurn(cfg SimConfig) (*simChurn, error) {
 				return nil, fmt.Errorf("core: sim churn: unknown trainer %q", ev.Node)
 			}
 			switch ev.Kind {
-			case storage.ChurnCrash:
+			case scenario.Crash:
 				sc.crashedTrainers[t] = true
-			case storage.ChurnRejoin:
+			case scenario.Rejoin:
 				if cfg.Direct {
 					return nil, fmt.Errorf("core: sim churn: %v: checkpoint bootstrap needs the storage network", ev)
 				}

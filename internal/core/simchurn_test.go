@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"ipls/internal/storage"
+	"ipls/internal/scenario"
 )
 
 func churnSimConfig() SimConfig {
@@ -19,9 +19,9 @@ func churnSimConfig() SimConfig {
 	}
 }
 
-func simEvents(t *testing.T, plan string) []storage.ChurnEvent {
+func simEvents(t *testing.T, plan string) []scenario.Event {
 	t.Helper()
-	p, err := storage.ParseChurnPlan(plan)
+	p, err := scenario.Parse(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +109,7 @@ func TestSimChurnValidation(t *testing.T) {
 		{plan: "depart:agg-p0-0@iter0", wantErr: "only crash"},
 		{plan: "crash:ipfs-09@iter0", wantErr: "unknown storage node"},
 		{plan: "crash:agg-p7-0@iter0", wantErr: "unknown aggregator"},
+		{plan: "slow:ipfs-00@iter0:5ms", wantErr: "not a membership event"},
 		{
 			plan:    "depart:ipfs-00@iter0,depart:ipfs-01@iter0,depart:ipfs-02@iter0,depart:ipfs-03@iter0",
 			wantErr: "every storage node is down",

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"strings"
 	"time"
 )
 
@@ -42,44 +41,4 @@ func (e *Env) ScheduleLinkLoss(w LossWindow) error {
 		e.recomputeRates()
 	})
 	return nil
-}
-
-// ParseLossWindow parses a textual loss window of the form
-// "NODE@FROM-TO:FACTOR" with durations in Go syntax, e.g.
-// "trainer-00@2s-6s:0.1" (one tenth capacity between virtual seconds 2
-// and 6) or "ipfs-01@1s-3s:0" (links severed). The node's existence is
-// checked at ScheduleLinkLoss time, not here.
-func ParseLossWindow(s string) (LossWindow, error) {
-	node, rest, ok := strings.Cut(s, "@")
-	if !ok || node == "" {
-		return LossWindow{}, fmt.Errorf("netsim: loss window %q: want NODE@FROM-TO:FACTOR", s)
-	}
-	span, factorStr, ok := strings.Cut(rest, ":")
-	if !ok {
-		return LossWindow{}, fmt.Errorf("netsim: loss window %q: missing :FACTOR", s)
-	}
-	fromStr, toStr, ok := strings.Cut(span, "-")
-	if !ok {
-		return LossWindow{}, fmt.Errorf("netsim: loss window %q: want FROM-TO durations", s)
-	}
-	from, err := time.ParseDuration(fromStr)
-	if err != nil {
-		return LossWindow{}, fmt.Errorf("netsim: loss window %q: bad start: %v", s, err)
-	}
-	to, err := time.ParseDuration(toStr)
-	if err != nil {
-		return LossWindow{}, fmt.Errorf("netsim: loss window %q: bad end: %v", s, err)
-	}
-	var factor float64
-	if _, err := fmt.Sscanf(factorStr, "%g", &factor); err != nil {
-		return LossWindow{}, fmt.Errorf("netsim: loss window %q: bad factor %q", s, factorStr)
-	}
-	w := LossWindow{Node: node, From: from, To: to, Factor: factor}
-	if w.From < 0 || w.To <= w.From {
-		return LossWindow{}, fmt.Errorf("netsim: loss window %q is empty", s)
-	}
-	if w.Factor < 0 || w.Factor >= 1 {
-		return LossWindow{}, fmt.Errorf("netsim: loss window %q: factor outside [0, 1)", s)
-	}
-	return w, nil
 }

@@ -92,28 +92,20 @@ func TestLinkLossWindowIsDeterministicAndScoped(t *testing.T) {
 	}
 }
 
-func TestParseLossWindow(t *testing.T) {
-	w, err := ParseLossWindow("trainer-00@2s-6s:0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := LossWindow{Node: "trainer-00", From: 2 * time.Second, To: 6 * time.Second, Factor: 0.1}
-	if w != want {
-		t.Fatalf("got %+v, want %+v", w, want)
-	}
-	if w, err := ParseLossWindow("ipfs-01@500ms-1s:0"); err != nil || w.Factor != 0 {
-		t.Fatalf("severed-link window: %+v, %v", w, err)
-	}
-	bad := []string{
-		"", "x", "@1s-2s:0.5", "a@1s:0.5", "a@1s-2s", "a@2s-1s:0.5",
-		"a@1s-2s:1", "a@1s-2s:-0.1", "a@x-2s:0.5", "a@1s-y:0.5", "a@1s-2s:zz",
-	}
-	for _, s := range bad {
-		if _, err := ParseLossWindow(s); err == nil {
-			t.Errorf("ParseLossWindow(%q) accepted", s)
+// ScheduleLinkLoss validates the window it is handed: the node must
+// exist, the window must be non-empty and the factor must lie in [0, 1).
+func TestScheduleLinkLossRejectsBadWindows(t *testing.T) {
+	for _, w := range []LossWindow{
+		{Node: "ghost", From: 0, To: time.Second, Factor: 0.5},
+		{Node: "a", From: 2 * time.Second, To: time.Second, Factor: 0.5},
+		{Node: "a", From: -time.Second, To: time.Second, Factor: 0.5},
+		{Node: "a", From: 0, To: time.Second, Factor: 1},
+		{Node: "a", From: 0, To: time.Second, Factor: -0.1},
+	} {
+		env := NewEnv()
+		env.AddNode("a", Mbps(8), Mbps(8))
+		if err := env.ScheduleLinkLoss(w); err == nil {
+			t.Errorf("ScheduleLinkLoss(%+v) accepted", w)
 		}
-	}
-	if err := NewEnv().ScheduleLinkLoss(LossWindow{Node: "ghost", From: 0, To: time.Second, Factor: 0.5}); err == nil {
-		t.Error("unknown node accepted")
 	}
 }

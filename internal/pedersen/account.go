@@ -36,7 +36,7 @@ func accountOp(op string, n int) func() {
 }
 
 // commitPad is the injected per-commit allocation in bytes — a fault
-// knob in the repo's fault-injection tradition (storage.FaultPlan): the
+// knob in the repo's fault-injection tradition (storage.Network.Slow): the
 // bench gate's alloc dimension is only trustworthy if a deliberately
 // introduced allocation regression in this hot path actually trips it.
 var commitPad atomic.Int64

@@ -2,7 +2,6 @@ package resilience_test
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -71,10 +70,6 @@ func TestChaosCrashMidRoundConverges(t *testing.T) {
 	crashNode := cfg.UploadNode(0, cfg.Trainers[0])
 	const iters = 5
 	const crashIter = 2
-	plan, err := storage.ParseFaultPlan(fmt.Sprintf("crash:%s@iter%d", crashNode, crashIter))
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	rng := rand.New(rand.NewSource(7))
 	ctx := context.Background()
@@ -99,12 +94,8 @@ func TestChaosCrashMidRoundConverges(t *testing.T) {
 					t.Fatalf("iter %d upload %s: %v", iter, tr, err)
 				}
 			}
-			applied, err := plan.Apply(netw, iter)
-			if err != nil {
+			if err := netw.Fail(crashNode); err != nil {
 				t.Fatal(err)
-			}
-			if len(applied) != 1 {
-				t.Fatalf("fault plan applied %v, want one crash", applied)
 			}
 			for _, ref := range cfg.AllAggregators() {
 				if _, err := sess.AggregatorRun(ctx, ref.ID, ref.Partition, iter, core.BehaviorHonest); err != nil {
@@ -202,10 +193,6 @@ func TestChaosCrashedRoundBreakdownStaysValid(t *testing.T) {
 	crashNode := cfg.UploadNode(0, cfg.Trainers[0])
 	const iters = 3
 	const crashIter = 1
-	plan, err := storage.ParseFaultPlan(fmt.Sprintf("crash:%s@iter%d", crashNode, crashIter))
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	rng := rand.New(rand.NewSource(7))
 	ctx := context.Background()
@@ -224,7 +211,7 @@ func TestChaosCrashedRoundBreakdownStaysValid(t *testing.T) {
 					t.Fatalf("iter %d upload %s: %v", iter, tr, err)
 				}
 			}
-			if _, err := plan.Apply(netw, iter); err != nil {
+			if err := netw.Fail(crashNode); err != nil {
 				t.Fatal(err)
 			}
 			for _, ref := range cfg.AllAggregators() {

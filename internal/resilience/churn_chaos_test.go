@@ -13,14 +13,16 @@ import (
 	"ipls/internal/obs"
 	"ipls/internal/resilience"
 	"ipls/internal/scalar"
+	"ipls/internal/scenario"
 	"ipls/internal/storage"
 )
 
 // newRejoinTask builds an ML training task whose session reaches storage
 // and the directory through the resilience layer, over six replicated
 // storage nodes with rendezvous placement — the topology the churn
-// chaos scenario below crashes parts of.
-func newRejoinTask(t *testing.T, reg *obs.Registry) (*core.Task, *storage.Network, *ml.Dataset) {
+// chaos scenarios below crash parts of. attempts bounds the retries per
+// operation.
+func newRejoinTask(t *testing.T, reg *obs.Registry, attempts int) (*core.Task, *storage.Network, *ml.Dataset) {
 	t.Helper()
 	const trainers = 8
 	m := ml.NewLogistic(4, 4)
@@ -60,7 +62,7 @@ func newRejoinTask(t *testing.T, reg *obs.Registry) (*core.Task, *storage.Networ
 	dir := directory.New(params, netw)
 	cfg.ApplyAssignments(dir)
 	pol := &resilience.Policy{
-		MaxAttempts: 3,
+		MaxAttempts: attempts,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  4 * time.Millisecond,
 		Jitter:      0.2,
@@ -115,7 +117,7 @@ func TestChaosTrainerRejoinRestoresFromCheckpoint(t *testing.T) {
 	// Reference: the identical task with no churn and no faults. Trainer
 	// SGD is seeded per (round, trainer), so the runs differ only by the
 	// churn below.
-	ref, _, data := newRejoinTask(t, nil)
+	ref, _, data := newRejoinTask(t, nil, 3)
 	for round := 0; round < rounds; round++ {
 		metrics, res, err := ref.RunRound(ctx, nil)
 		if err != nil {
@@ -127,22 +129,15 @@ func TestChaosTrainerRejoinRestoresFromCheckpoint(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	task, netw, _ := newRejoinTask(t, reg)
+	task, netw, _ := newRejoinTask(t, reg, 3)
 	netw.SetMetrics(reg)
-	faults, err := storage.ParseFaultPlan("crash:ipfs-04@iter1,recover:ipfs-04@iter3")
+	plan, err := scenario.Parse("crash:ipfs-04@iter1,recover:ipfs-04@iter3,crash:t5@iter1,rejoin:t5@iter2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	churn, err := storage.ParseChurnPlan("crash:t5@iter1,rejoin:t5@iter2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := core.NewChurnRunner(task, netw, churn)
+	runner := core.NewScenarioRunner(task, netw, plan)
 	runner.SetMetrics(reg)
 	for round := 0; round < rounds; round++ {
-		if _, err := faults.Apply(netw, round); err != nil {
-			t.Fatalf("round %d fault plan: %v", round, err)
-		}
 		metrics, res, applied, err := runner.RunRound(ctx)
 		if err != nil {
 			t.Fatalf("round %d (churn %v): %v", round, applied, err)
@@ -198,5 +193,57 @@ func TestChaosTrainerRejoinRestoresFromCheckpoint(t *testing.T) {
 	}
 	if d := linfDiff(task.Global(), final); d != 0 {
 		t.Fatalf("restored model differs from trained model by %v", d)
+	}
+}
+
+// TestChaosStorageFaultWindows runs README's former -faults example
+// through the scenario runner over the resilience layer: a flaky node
+// in round 0, a slow node in round 1 (single-iteration windows cover
+// that round only), and a storage crash across rounds 2-3. Retries
+// absorb the flaky round (twelve attempts put a 0.3-flaky operation's
+// exhaustion odds below one in a million), every round applies, and the
+// injections land in plan order with their clearing edges.
+func TestChaosStorageFaultWindows(t *testing.T) {
+	reg := obs.NewRegistry()
+	task, netw, _ := newRejoinTask(t, reg, 12)
+	netw.SetMetrics(reg)
+	netw.SetFaultSeed(42)
+	plan, err := scenario.Parse("crash:ipfs-01@iter2,recover:ipfs-01@iter4,slow:ipfs-00@iter1:50ms,flaky:ipfs-02@iter0:0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := core.NewScenarioRunner(task, netw, plan)
+	want := [][]string{
+		{"flaky ipfs-02 p=0.3"},
+		{"slow ipfs-00 by 50ms", "flaky ipfs-02 p=0"},
+		{"crash ipfs-01", "slow ipfs-00 by 0s"},
+		nil,
+		{"rejoin ipfs-01 (datastore intact)"},
+	}
+	ctx := context.Background()
+	for round := range want {
+		metrics, res, applied, err := runner.RunRound(ctx)
+		if err != nil {
+			t.Fatalf("round %d (%v): %v", round, applied, err)
+		}
+		if !metrics.Applied {
+			t.Fatalf("round %d not applied (%v, incomplete %v)", round, applied, res.Incomplete)
+		}
+		if fmt.Sprint(applied) != fmt.Sprint(want[round]) {
+			t.Fatalf("round %d applied %q, want %q", round, applied, want[round])
+		}
+	}
+	var retries int64
+	for _, op := range []string{"put", "get", "merge_get", "fetch"} {
+		retries += reg.Counter("rpc_retries_total", "op", op).Value()
+	}
+	if retries == 0 {
+		t.Fatal("rpc_retries_total = 0: the flaky round should have cost retries")
+	}
+	if undone, err := runner.Finish(ctx); err != nil || len(undone) != 0 {
+		t.Fatalf("Finish = %q, %v; every window had closed", undone, err)
+	}
+	if got := len(netw.UnderReplicated()); got != 0 {
+		t.Fatalf("%d blocks under-replicated after the final repair scan", got)
 	}
 }

@@ -1,67 +1,6 @@
 package scenario
 
-import (
-	"ipls/internal/netsim"
-	"ipls/internal/storage"
-)
-
-// Compilation: a parsed plan splits into per-subsystem injectors. The
-// membership kinds become a storage.ChurnPlan (whose role events the
-// protocol layer handles), slow/flaky iteration windows become a
-// storage.FaultPlan with explicit open/close markers, timed windows
-// become netsim.LossWindows, and the protocol-level kinds (partition
-// over iterations, corrupt, late) are queried per round by
-// core.ScenarioRunner.
-
-// ChurnPlan compiles the membership events (depart/crash/rejoin).
-func (p *Plan) ChurnPlan() *storage.ChurnPlan {
-	if p == nil {
-		return storage.NewChurnPlan(nil)
-	}
-	var evs []storage.ChurnEvent
-	for _, ev := range p.events {
-		var kind storage.ChurnKind
-		switch ev.Kind {
-		case Depart:
-			kind = storage.ChurnDepart
-		case Crash:
-			kind = storage.ChurnCrash
-		case Rejoin:
-			kind = storage.ChurnRejoin
-		default:
-			continue
-		}
-		evs = append(evs, storage.ChurnEvent{Kind: kind, Node: ev.Node, Iter: ev.Window.FromIter})
-	}
-	return storage.NewChurnPlan(evs)
-}
-
-// FaultPlan compiles the iteration-window slow and flaky events into a
-// transient-fault schedule: the fault is injected at the window's first
-// iteration and cleared (zero delay / zero probability) at the
-// iteration after its last.
-func (p *Plan) FaultPlan() *storage.FaultPlan {
-	if p == nil {
-		return storage.NewFaultPlan(nil)
-	}
-	var evs []storage.FaultEvent
-	for _, ev := range p.events {
-		if ev.Window.Timed {
-			continue
-		}
-		switch ev.Kind {
-		case Slow:
-			evs = append(evs,
-				storage.FaultEvent{Kind: storage.FaultSlow, Node: ev.Node, Iter: ev.Window.FromIter, Delay: ev.Delay},
-				storage.FaultEvent{Kind: storage.FaultSlow, Node: ev.Node, Iter: ev.Window.ToIter + 1})
-		case Flaky:
-			evs = append(evs,
-				storage.FaultEvent{Kind: storage.FaultFlaky, Node: ev.Node, Iter: ev.Window.FromIter, Prob: ev.Prob},
-				storage.FaultEvent{Kind: storage.FaultFlaky, Node: ev.Node, Iter: ev.Window.ToIter + 1})
-		}
-	}
-	return storage.NewFaultPlan(evs)
-}
+import "ipls/internal/netsim"
 
 // LossWindows compiles the timed-window events for the discrete-event
 // simulator: a timed slow scales the node's links by its factor, and a
@@ -82,101 +21,22 @@ func (p *Plan) LossWindows() []netsim.LossWindow {
 				Node: ev.Node, From: ev.Window.From, To: ev.Window.To, Factor: ev.Factor,
 			})
 		case Partition:
-			for _, g := range ev.Groups[1:] {
-				for _, node := range g {
-					out = append(out, netsim.LossWindow{
-						Node: node, From: ev.Window.From, To: ev.Window.To,
-					})
-				}
+			for _, node := range ev.Isolated() {
+				out = append(out, netsim.LossWindow{
+					Node: node, From: ev.Window.From, To: ev.Window.To,
+				})
 			}
 		}
 	}
 	return out
 }
 
-// PartitionWindow is one iteration-window network split: Groups[0] is
-// the mainline side, every other group is isolated from it (and from
-// each other) for iterations [FromIter, ToIter].
-type PartitionWindow struct {
-	Groups           [][]string
-	FromIter, ToIter int
-}
-
-// Isolated returns the nodes cut off from the mainline: the members of
-// every group but the first.
-func (w PartitionWindow) Isolated() []string {
+// Isolated returns the nodes a partition event cuts off from the
+// mainline: the members of every group but the first.
+func (ev Event) Isolated() []string {
 	var out []string
-	for _, g := range w.Groups[1:] {
+	for _, g := range ev.Groups[1:] {
 		out = append(out, g...)
 	}
 	return out
-}
-
-// PartitionWindows returns the iteration-window partitions, for
-// core.ScenarioRunner to open (isolate) and close (heal + re-replicate)
-// as rounds cross their boundaries.
-func (p *Plan) PartitionWindows() []PartitionWindow {
-	if p == nil {
-		return nil
-	}
-	var out []PartitionWindow
-	for _, ev := range p.events {
-		if ev.Kind == Partition && !ev.Window.Timed {
-			out = append(out, PartitionWindow{
-				Groups: ev.Groups, FromIter: ev.Window.FromIter, ToIter: ev.Window.ToIter,
-			})
-		}
-	}
-	return out
-}
-
-// CorruptAt returns the trainers whose uploads are tampered at an
-// iteration (the Byzantine injection core's BatchVerify fallback must
-// catch and quarantine).
-func (p *Plan) CorruptAt(iter int) map[string]bool { return p.nodesAt(Corrupt, iter) }
-
-// LateAt returns the trainers that miss t_train at an iteration; their
-// deltas arrive after the quorum cut and fold into the next round with
-// age-discounted weight.
-func (p *Plan) LateAt(iter int) map[string]bool { return p.nodesAt(Late, iter) }
-
-func (p *Plan) nodesAt(kind Kind, iter int) map[string]bool {
-	if p == nil {
-		return nil
-	}
-	var out map[string]bool
-	for _, ev := range p.events {
-		if ev.Kind == kind && ev.Window.ContainsIter(iter) {
-			if out == nil {
-				out = make(map[string]bool)
-			}
-			out[ev.Node] = true
-		}
-	}
-	return out
-}
-
-// MaxIter returns the highest iteration any iteration-window event
-// references (plus the close marker of slow/flaky/partition windows),
-// so callers can size runs to cover the whole plan. -1 if the plan has
-// no iteration-window events.
-func (p *Plan) MaxIter() int {
-	max := -1
-	if p == nil {
-		return max
-	}
-	for _, ev := range p.events {
-		if ev.Window.Timed {
-			continue
-		}
-		last := ev.Window.ToIter
-		switch ev.Kind {
-		case Slow, Flaky, Partition:
-			last++ // the clearing edge lands one iteration later
-		}
-		if last > max {
-			max = last
-		}
-	}
-	return max
 }

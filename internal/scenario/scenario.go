@@ -1,19 +1,19 @@
-// Package scenario is the composable fault-scenario engine: one grammar
-// subsuming the three injection surfaces that grew up separately —
-// storage membership churn (storage.ChurnPlan), transient storage faults
-// (storage.FaultPlan) and netsim link degradation (netsim.LossWindow) —
-// plus the protocol-level faults (Byzantine uploads, late trainers,
-// network partitions) that the graceful-degradation paths in core
-// exercise. A plan is a comma-separated event list:
+// Package scenario is the fault-scenario grammar: the one plan
+// representation and parser for everything the reproduction can inject —
+// storage membership churn, transient storage faults, simulated link
+// degradation, and the protocol-level faults (Byzantine uploads, late
+// trainers, network partitions) that the graceful-degradation paths in
+// core exercise. A plan is a comma-separated event list:
 //
 //	depart:ipfs-03@iter1,partition:trainer-00|ipfs-04@iter2..3,corrupt:trainer-01@iter2
 //
-// and compiles into per-subsystem injectors (ChurnPlan, FaultPlan,
-// LossWindows, PartitionWindows, CorruptAt/LateAt) that the storage
-// network, the discrete-event simulator and core.ScenarioRunner each
-// consume. Parse errors are positional (ParseError carries the byte
-// offset and offending token) and String renders the canonical form, so
-// Parse∘String is the identity on parsed plans.
+// core.ScenarioRunner walks a plan's iteration-window events round by
+// round and calls the storage network's injectors directly; the
+// discrete-event simulator takes the timed windows as netsim.LossWindows
+// and the membership events as they are. Parse errors are positional
+// (ParseError carries the byte offset and offending token) and String
+// renders the canonical form, so Parse∘String is the identity on parsed
+// plans.
 package scenario
 
 import (
@@ -27,8 +27,8 @@ import (
 type Kind string
 
 // Event kinds. Depart/Crash/Rejoin are the membership-churn kinds
-// (compiled into a storage.ChurnPlan and role events); Slow and Flaky
-// degrade individual nodes; Partition splits the network into isolated
+// (storage nodes, aggregators and trainers); Slow and Flaky degrade
+// individual nodes; Partition splits the network into isolated
 // groups for a window; Corrupt and Late are protocol-level trainer
 // faults handled by core's Byzantine and quorum paths.
 const (
@@ -207,7 +207,7 @@ func Parse(s string) (*Plan, error) {
 
 // checkAgainst rejects contradictory composition: two membership events
 // for the same node at the same iteration, overlapping slow/flaky
-// windows on one node (the close marker of one would clobber the
+// windows on one node (the clearing edge of one would clobber the
 // other), and overlapping partition windows (only one split can be in
 // force at a time).
 func checkAgainst(prev []Event, ev Event, off int, tok string) error {

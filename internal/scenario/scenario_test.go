@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"ipls/internal/storage"
 )
 
 func mustParse(t *testing.T, s string) *Plan {
@@ -71,14 +69,13 @@ func TestParseEventShapes(t *testing.T) {
 }
 
 func TestParsePartitionGroups(t *testing.T) {
-	p := mustParse(t, "partition:mainline|ipfs-02+ipfs-03|trainer-05@iter2..3")
-	ws := p.PartitionWindows()
-	if len(ws) != 1 {
-		t.Fatalf("%d partition windows", len(ws))
+	evs := mustParse(t, "partition:mainline|ipfs-02+ipfs-03|trainer-05@iter2..3").Events()
+	if len(evs) != 1 || evs[0].Kind != Partition {
+		t.Fatalf("events %+v", evs)
 	}
-	w := ws[0]
-	if w.FromIter != 2 || w.ToIter != 3 {
-		t.Fatalf("window %d..%d", w.FromIter, w.ToIter)
+	w := evs[0]
+	if w.Window.FromIter != 2 || w.Window.ToIter != 3 {
+		t.Fatalf("window %v", w.Window)
 	}
 	if len(w.Groups) != 3 || w.Groups[0][0] != "mainline" {
 		t.Fatalf("groups %v", w.Groups)
@@ -114,6 +111,15 @@ func TestParsePositionalErrors(t *testing.T) {
 		{"partition:a+b|a@iter1", 0, "partition:a+b|a@iter1", "two partition groups"},
 		{"crash:ipfs-00@iter-1", 0, "crash:ipfs-00@iter-1", "bad iteration"},
 		{"crash:ipfs-00@2s..1s", 0, "crash:ipfs-00@2s..1s", "bad window end"},
+		// What the deleted churn/fault parsers rejected stays rejected.
+		{"crash", 0, "crash", "want KIND:"},
+		{"depart:ipfs-03", 0, "depart:ipfs-03", "NODE@WINDOW"},
+		{"depart:@iter1", 0, "depart:@iter1", "bad node name"},
+		{"depart:ipfs-03@round1", 0, "depart:ipfs-03@round1", "want @iterN"},
+		{"crash:node1@2", 0, "crash:node1@2", "want @iterN"},
+		{"crash:node1@iter2:extra", 0, "crash:node1@iter2:extra", "takes no argument"},
+		{"slow:node1@iter2:fast", 0, "slow:node1@iter2:fast", "positive duration"},
+		{"flaky:node1@iter2:1.5", 0, "flaky:node1@iter2:1.5", "probability"},
 	}
 	for _, tc := range cases {
 		_, err := Parse(tc.in)
@@ -145,6 +151,15 @@ func TestStringRoundTrip(t *testing.T) {
 		"partition:mainline|ipfs-02@400ms..1.2s",
 		"corrupt:trainer-02@iter1..3,late:trainer-03@iter4",
 		"depart:ipfs-03@iter1,partition:trainer-00|ipfs-04@iter2..3,corrupt:trainer-01@iter2",
+		// Every plan the deleted churn/fault parsers were handed (Makefile,
+		// README, iplsbench and the tests) is a plan in this grammar.
+		"depart:ipfs-03@iter1,crash:agg-p0-0@iter1,crash:trainer-05@iter1,rejoin:trainer-05@iter2,rejoin:agg-p0-0@iter3",
+		"depart:ipfs-03@iter2,crash:agg-p0-0@iter1,crash:t5@iter1,rejoin:t5@iter3",
+		"crash:ipfs-01@iter2,recover:ipfs-01@iter4,slow:ipfs-00@iter1:50ms,flaky:ipfs-02@iter0:0.3",
+		"crash:node1@iter2, recover:node1@iter4,slow:node0@iter1:50ms,flaky:node2@iter0:0.3",
+		"depart:ipfs-03@iter0,crash:ipfs-02@iter0,crash:agg-p0-0@iter0,rejoin:ipfs-02@iter1,rejoin:ipfs-03@iter1,rejoin:trainer-05@iter1",
+		"depart:ipfs-03@iter0,crash:agg-p0-0@iter0,crash:trainer-06@iter0,rejoin:trainer-07@iter0",
+		"crash:ipfs-04@iter1,recover:ipfs-04@iter3,crash:t5@iter1,rejoin:t5@iter2",
 	}
 	for _, in := range plans {
 		p := mustParse(t, in)
@@ -169,51 +184,6 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCompileChurnPlan(t *testing.T) {
-	p := mustParse(t, "depart:ipfs-03@iter1,crash:trainer-01@iter1,rejoin:trainer-01@iter3,slow:ipfs-00@iter1:1ms")
-	cp := p.ChurnPlan()
-	if cp.Empty() {
-		t.Fatal("churn plan empty")
-	}
-	evs := cp.Events()
-	if len(evs) != 3 {
-		t.Fatalf("churn compiled %d events, want 3 (slow excluded)", len(evs))
-	}
-	want := []storage.ChurnEvent{
-		{Kind: storage.ChurnDepart, Node: "ipfs-03", Iter: 1},
-		{Kind: storage.ChurnCrash, Node: "trainer-01", Iter: 1},
-		{Kind: storage.ChurnRejoin, Node: "trainer-01", Iter: 3},
-	}
-	for i := range want {
-		if evs[i] != want[i] {
-			t.Fatalf("churn event %d = %+v, want %+v", i, evs[i], want[i])
-		}
-	}
-}
-
-func TestCompileFaultPlanOpensAndCloses(t *testing.T) {
-	p := mustParse(t, "slow:ipfs-00@iter1..2:5ms,flaky:ipfs-01@iter3:0.5,slow:trainer-01@1s..2s:0.25")
-	fp := p.FaultPlan()
-	if fp.Empty() {
-		t.Fatal("fault plan empty")
-	}
-	// Each iteration-window event compiles to an open marker and a close
-	// marker one past its last iteration; the timed slow is excluded.
-	evs := fp.Events()
-	if len(evs) != 4 {
-		t.Fatalf("fault plan compiled %d events, want 4", len(evs))
-	}
-	if evs[0].Iter != 1 || evs[0].Delay != 5*time.Millisecond {
-		t.Fatalf("open marker %+v", evs[0])
-	}
-	if evs[1].Iter != 3 || evs[1].Delay != 0 {
-		t.Fatalf("close marker %+v", evs[1])
-	}
-	if evs[2].Iter != 3 || evs[2].Prob != 0.5 || evs[3].Iter != 4 || evs[3].Prob != 0 {
-		t.Fatalf("flaky markers %+v %+v", evs[2], evs[3])
-	}
-}
-
 func TestCompileLossWindows(t *testing.T) {
 	p := mustParse(t, "slow:trainer-01@1s..2s:0.25,partition:mainline|ipfs-02+ipfs-03@400ms..1.2s,slow:ipfs-00@iter1:1ms")
 	ws := p.LossWindows()
@@ -231,23 +201,17 @@ func TestCompileLossWindows(t *testing.T) {
 	}
 }
 
-func TestCorruptLateAtAndMaxIter(t *testing.T) {
-	p := mustParse(t, "corrupt:trainer-02@iter1..3,late:trainer-03@iter4,slow:ipfs-00@iter5:1ms")
+// Iteration windows are inclusive at both ends; a timed window covers no
+// iteration.
+func TestWindowContainsIter(t *testing.T) {
+	w := mustParse(t, "corrupt:trainer-02@iter1..3").Events()[0].Window
 	for iter, want := range map[int]bool{0: false, 1: true, 3: true, 4: false} {
-		if got := p.CorruptAt(iter)["trainer-02"]; got != want {
-			t.Fatalf("CorruptAt(%d) = %v, want %v", iter, got, want)
+		if got := w.ContainsIter(iter); got != want {
+			t.Fatalf("%v.ContainsIter(%d) = %v, want %v", w, iter, got, want)
 		}
 	}
-	if !p.LateAt(4)["trainer-03"] || p.LateAt(3) != nil {
-		t.Fatal("LateAt windows wrong")
-	}
-	// slow's clearing edge lands at iter6.
-	if got := p.MaxIter(); got != 6 {
-		t.Fatalf("MaxIter = %d, want 6", got)
-	}
-	var nilPlan *Plan
-	if nilPlan.MaxIter() != -1 || nilPlan.CorruptAt(0) != nil {
-		t.Fatal("nil plan queries not inert")
+	if timed := mustParse(t, "slow:ipfs-00@0s..2s:0.5").Events()[0].Window; timed.ContainsIter(0) {
+		t.Fatal("timed window contains an iteration")
 	}
 }
 

@@ -24,43 +24,6 @@ func churnNet(t *testing.T, replicas, nodes int) *Network {
 	return n
 }
 
-func TestParseChurnPlan(t *testing.T) {
-	plan, err := ParseChurnPlan("depart:ipfs-03@iter2,crash:agg-p0-0@iter1,rejoin:trainer-05@iter3")
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	evs := plan.Events()
-	if len(evs) != 3 {
-		t.Fatalf("want 3 events, got %d", len(evs))
-	}
-	// Sorted by iteration.
-	if evs[0].Kind != ChurnCrash || evs[0].Node != "agg-p0-0" || evs[0].Iter != 1 {
-		t.Fatalf("unexpected first event %+v", evs[0])
-	}
-	if evs[2].String() != "rejoin:trainer-05@iter3" {
-		t.Fatalf("String() = %q", evs[2].String())
-	}
-	if got := plan.EventsAt(2); len(got) != 1 || got[0].Kind != ChurnDepart {
-		t.Fatalf("EventsAt(2) = %+v", got)
-	}
-	empty, err := ParseChurnPlan("  ")
-	if err != nil || !empty.Empty() {
-		t.Fatalf("blank plan: %v empty=%v", err, empty.Empty())
-	}
-	for _, bad := range []string{
-		"depart:ipfs-03",          // no iteration
-		"melt:ipfs-03@iter1",      // unknown kind
-		"depart:@iter1",           // empty name
-		"depart:ipfs-03@round1",   // bad iteration marker
-		"depart:ipfs-03@iter-1",   // negative iteration
-		"slow:ipfs-03@iter1:50ms", // fault kinds are not churn kinds
-	} {
-		if _, err := ParseChurnPlan(bad); err == nil {
-			t.Errorf("ParseChurnPlan(%q): want error", bad)
-		}
-	}
-}
-
 func TestDepartLosesBlocksAndWithdrawsRecords(t *testing.T) {
 	n := churnNet(t, 2, 4)
 	ctx := context.Background()
@@ -340,58 +303,5 @@ func TestRejoinStorageNodeStartsEmpty(t *testing.T) {
 	}
 	if got := n.ReplicaCount(c); got != 2 {
 		t.Fatalf("replicas = %d, want 2", got)
-	}
-}
-
-func TestChurnPlanApplyStorage(t *testing.T) {
-	n := churnNet(t, 2, 4)
-	plan, err := ParseChurnPlan(
-		"depart:ipfs-03@iter0,crash:ipfs-02@iter0,crash:agg-p0-0@iter0," +
-			"rejoin:ipfs-02@iter1,rejoin:ipfs-03@iter1,rejoin:trainer-05@iter1")
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	ctx := context.Background()
-	if _, err := n.Put(ctx, "ipfs-02", []byte("keeper")); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-
-	applied, rest, err := plan.ApplyStorage(n, 0)
-	if err != nil {
-		t.Fatalf("apply iter0: %v", err)
-	}
-	if len(applied) != 2 {
-		t.Fatalf("applied = %v, want 2 storage events", applied)
-	}
-	if len(rest) != 1 || rest[0].Node != "agg-p0-0" || rest[0].Kind != ChurnCrash {
-		t.Fatalf("rest = %+v, want the aggregator crash", rest)
-	}
-	if got, _ := n.Node("ipfs-03"); !got.departed {
-		t.Fatal("ipfs-03 should have departed")
-	}
-	if got, _ := n.Node("ipfs-02"); !got.down || got.departed {
-		t.Fatal("ipfs-02 should be down but not departed")
-	}
-
-	applied, rest, err = plan.ApplyStorage(n, 1)
-	if err != nil {
-		t.Fatalf("apply iter1: %v", err)
-	}
-	if len(applied) != 2 || len(rest) != 1 || rest[0].Node != "trainer-05" {
-		t.Fatalf("iter1 applied=%v rest=%+v", applied, rest)
-	}
-	crashed, _ := n.Node("ipfs-02")
-	if crashed.down || crashed.StoredBlocks() == 0 {
-		t.Fatal("ipfs-02 should have recovered with its datastore intact")
-	}
-	rejoined, _ := n.Node("ipfs-03")
-	if rejoined.down || rejoined.departed || rejoined.StoredBlocks() != 0 {
-		t.Fatal("ipfs-03 should have rejoined empty")
-	}
-
-	// A nil network passes everything through.
-	_, rest, err = plan.ApplyStorage(nil, 0)
-	if err != nil || len(rest) != 3 {
-		t.Fatalf("nil network: rest=%d err=%v", len(rest), err)
 	}
 }

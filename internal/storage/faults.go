@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -14,7 +11,9 @@ import (
 // honest-but-unreliable substrate (§III-A): nodes crash, recover, respond
 // slowly, or fail intermittently. These controls make every failure mode
 // reproducible so the resilience layer's retries and failovers can be
-// exercised deterministically ("iplssim -faults crash:node1@iter2").
+// exercised deterministically. Scheduling them over a run is the
+// scenario engine's job (internal/scenario, core.ScenarioRunner); this
+// file holds only the imperative controls it calls.
 
 // Slow makes every operation served by the node take at least d. The delay
 // honors the caller's context, so a deadline that expires mid-wait cancels
@@ -101,151 +100,4 @@ func (n *Network) gate(ctx context.Context, nodeID string) error {
 		return fmt.Errorf("%w: %q (transient)", ErrNodeDown, nodeID)
 	}
 	return nil
-}
-
-// FaultKind names a scheduled fault action.
-type FaultKind string
-
-// Fault actions a plan can schedule.
-const (
-	FaultCrash   FaultKind = "crash"
-	FaultRecover FaultKind = "recover"
-	FaultSlow    FaultKind = "slow"
-	FaultFlaky   FaultKind = "flaky"
-)
-
-// FaultEvent is one scheduled fault: apply Kind to Node at iteration Iter.
-type FaultEvent struct {
-	Kind FaultKind
-	Node string
-	Iter int
-	// Delay parameterizes slow faults; Prob parameterizes flaky faults.
-	Delay time.Duration
-	Prob  float64
-}
-
-// FaultPlan is an iteration-indexed fault schedule.
-type FaultPlan struct {
-	events []FaultEvent
-}
-
-// ParseFaultPlan parses a comma-separated fault scenario, e.g.
-//
-//	crash:node1@iter2,recover:node1@iter4,slow:node0@iter1:50ms,flaky:node2@iter0:0.3
-//
-// Grammar per event: KIND:NODE@iterN[:ARG] where KIND is crash, recover,
-// slow (ARG = duration) or flaky (ARG = probability in [0,1]).
-func ParseFaultPlan(s string) (*FaultPlan, error) {
-	plan := &FaultPlan{}
-	if strings.TrimSpace(s) == "" {
-		return plan, nil
-	}
-	for _, raw := range strings.Split(s, ",") {
-		ev, err := parseFaultEvent(strings.TrimSpace(raw))
-		if err != nil {
-			return nil, err
-		}
-		plan.events = append(plan.events, ev)
-	}
-	sort.SliceStable(plan.events, func(i, j int) bool { return plan.events[i].Iter < plan.events[j].Iter })
-	return plan, nil
-}
-
-func parseFaultEvent(s string) (FaultEvent, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) < 2 {
-		return FaultEvent{}, fmt.Errorf("storage: fault %q: want KIND:NODE@iterN[:ARG]", s)
-	}
-	kind := FaultKind(parts[0])
-	at := strings.Split(parts[1], "@")
-	if len(at) != 2 || !strings.HasPrefix(at[1], "iter") {
-		return FaultEvent{}, fmt.Errorf("storage: fault %q: want NODE@iterN after kind", s)
-	}
-	iter, err := strconv.Atoi(strings.TrimPrefix(at[1], "iter"))
-	if err != nil || iter < 0 {
-		return FaultEvent{}, fmt.Errorf("storage: fault %q: bad iteration %q", s, at[1])
-	}
-	ev := FaultEvent{Kind: kind, Node: at[0], Iter: iter}
-	arg := ""
-	if len(parts) > 2 {
-		arg = strings.Join(parts[2:], ":")
-	}
-	switch kind {
-	case FaultCrash, FaultRecover:
-		if arg != "" {
-			return FaultEvent{}, fmt.Errorf("storage: fault %q: %s takes no argument", s, kind)
-		}
-	case FaultSlow:
-		d, err := time.ParseDuration(arg)
-		if err != nil || d <= 0 {
-			return FaultEvent{}, fmt.Errorf("storage: fault %q: slow needs a positive duration, got %q", s, arg)
-		}
-		ev.Delay = d
-	case FaultFlaky:
-		p, err := strconv.ParseFloat(arg, 64)
-		if err != nil || p < 0 || p > 1 {
-			return FaultEvent{}, fmt.Errorf("storage: fault %q: flaky needs a probability in [0,1], got %q", s, arg)
-		}
-		ev.Prob = p
-	default:
-		return FaultEvent{}, fmt.Errorf("storage: fault %q: unknown kind %q", s, kind)
-	}
-	return ev, nil
-}
-
-// NewFaultPlan builds a plan directly from events (the scenario
-// compiler's entry point), ordered by iteration like ParseFaultPlan.
-// Unlike the textual grammar, zero Delay/Prob values are allowed: they
-// are the clearing edges of a scheduled fault window.
-func NewFaultPlan(events []FaultEvent) *FaultPlan {
-	plan := &FaultPlan{events: append([]FaultEvent(nil), events...)}
-	sort.SliceStable(plan.events, func(i, j int) bool { return plan.events[i].Iter < plan.events[j].Iter })
-	return plan
-}
-
-// Empty reports whether the plan schedules nothing.
-func (p *FaultPlan) Empty() bool { return p == nil || len(p.events) == 0 }
-
-// Events returns the plan's schedule, ordered by iteration.
-func (p *FaultPlan) Events() []FaultEvent {
-	if p == nil {
-		return nil
-	}
-	out := make([]FaultEvent, len(p.events))
-	copy(out, p.events)
-	return out
-}
-
-// Apply injects every fault scheduled for the given iteration into the
-// network, returning human-readable descriptions of what it did. Call it
-// at the top of each protocol iteration.
-func (p *FaultPlan) Apply(n *Network, iter int) ([]string, error) {
-	if p == nil {
-		return nil, nil
-	}
-	var applied []string
-	for _, ev := range p.events {
-		if ev.Iter != iter {
-			continue
-		}
-		var err error
-		switch ev.Kind {
-		case FaultCrash:
-			err = n.Fail(ev.Node)
-			applied = append(applied, fmt.Sprintf("crash %s", ev.Node))
-		case FaultRecover:
-			err = n.Recover(ev.Node)
-			applied = append(applied, fmt.Sprintf("recover %s", ev.Node))
-		case FaultSlow:
-			err = n.Slow(ev.Node, ev.Delay)
-			applied = append(applied, fmt.Sprintf("slow %s by %s", ev.Node, ev.Delay))
-		case FaultFlaky:
-			err = n.Flaky(ev.Node, ev.Prob)
-			applied = append(applied, fmt.Sprintf("flaky %s p=%v", ev.Node, ev.Prob))
-		}
-		if err != nil {
-			return applied, fmt.Errorf("storage: apply fault at iter %d: %w", iter, err)
-		}
-	}
-	return applied, nil
 }

@@ -72,74 +72,3 @@ func TestFaultControlsRejectUnknownNode(t *testing.T) {
 		t.Fatalf("Flaky(ghost) = %v, want ErrUnknownNode", err)
 	}
 }
-
-func TestParseFaultPlan(t *testing.T) {
-	plan, err := ParseFaultPlan("crash:node1@iter2, recover:node1@iter4,slow:node0@iter1:50ms,flaky:node2@iter0:0.3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := plan.Events()
-	if len(evs) != 4 {
-		t.Fatalf("got %d events, want 4", len(evs))
-	}
-	// Sorted by iteration.
-	want := []FaultEvent{
-		{Kind: FaultFlaky, Node: "node2", Iter: 0, Prob: 0.3},
-		{Kind: FaultSlow, Node: "node0", Iter: 1, Delay: 50 * time.Millisecond},
-		{Kind: FaultCrash, Node: "node1", Iter: 2},
-		{Kind: FaultRecover, Node: "node1", Iter: 4},
-	}
-	for i, w := range want {
-		if evs[i] != w {
-			t.Fatalf("event %d = %+v, want %+v", i, evs[i], w)
-		}
-	}
-	if plan.Empty() {
-		t.Fatal("plan with events reports Empty")
-	}
-	empty, err := ParseFaultPlan("  ")
-	if err != nil || !empty.Empty() {
-		t.Fatalf("blank plan: (%v, empty=%v)", err, empty.Empty())
-	}
-}
-
-func TestParseFaultPlanErrors(t *testing.T) {
-	for _, bad := range []string{
-		"crash",                   // no target
-		"crash:node1",             // no iteration
-		"crash:node1@2",           // missing iter prefix
-		"crash:node1@iter-1",      // negative iteration
-		"crash:node1@iter2:extra", // crash takes no arg
-		"slow:node1@iter2",        // slow needs a duration
-		"slow:node1@iter2:fast",   // bad duration
-		"flaky:node1@iter2:1.5",   // probability out of range
-		"melt:node1@iter2",        // unknown kind
-	} {
-		if _, err := ParseFaultPlan(bad); err == nil {
-			t.Errorf("ParseFaultPlan(%q) succeeded, want error", bad)
-		}
-	}
-}
-
-func TestFaultPlanApply(t *testing.T) {
-	n, _ := newTestNetwork(t, 3, 1)
-	plan, err := ParseFaultPlan("crash:node-01@iter1,recover:node-01@iter2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msgs, err := plan.Apply(n, 0); err != nil || len(msgs) != 0 {
-		t.Fatalf("iter 0: (%v, %v), want no-op", msgs, err)
-	}
-	if _, err := plan.Apply(n, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Put(context.Background(), "node-01", []byte("x")); !errors.Is(err, ErrNodeDown) {
-		t.Fatalf("after crash event: err = %v, want ErrNodeDown", err)
-	}
-	if _, err := plan.Apply(n, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Put(context.Background(), "node-01", []byte("x")); err != nil {
-		t.Fatalf("after recover event: %v", err)
-	}
-}

@@ -26,95 +26,67 @@ import (
 	"ipls/internal/storage"
 )
 
-// Wire error codes.
+// Wire error codes. codeNone is success; codeOther prefixes the message of
+// an error with no sentinel in wireErrors.
 const (
-	codeNone               = ""
-	codeNotFound           = "not_found"
-	codeNodeDown           = "node_down"
-	codeUnknownNode        = "unknown_node"
-	codeDirNotFound        = "dir_not_found"
-	codeConflict           = "conflict"
-	codeAlreadyFinal       = "already_final"
-	codeVerificationFailed = "verification_failed"
-	codeMissingCommitment  = "missing_commitment"
-	codeTooLate            = "too_late"
-	codeTooEarly           = "too_early"
-	codeBadSignature       = "bad_signature"
-	codeDeadlineExceeded   = "deadline_exceeded"
-	codeCanceled           = "canceled"
-	codeOther              = "other:"
+	codeNone  = ""
+	codeOther = "other:"
 )
+
+// wireErrors pairs each wire code with the sentinel it stands for, so
+// errors.Is gives the same verdict on both sides of the connection.
+// encodeErr takes the first row the error matches and decodeErr the row
+// with the code: a sentinel missing here crosses the wire as an opaque
+// "other:" string.
+var wireErrors = []struct {
+	code string
+	err  error
+}{
+	{"not_found", storage.ErrNotFound},
+	{"node_down", storage.ErrNodeDown},
+	{"node_departed", storage.ErrNodeDeparted},
+	{"partitioned", storage.ErrPartitioned},
+	{"unknown_node", storage.ErrUnknownNode},
+	{"integrity", storage.ErrIntegrity},
+	{"backend", storage.ErrBackend},
+	{"dir_not_found", directory.ErrNotFound},
+	{"conflict", directory.ErrConflict},
+	{"already_final", directory.ErrAlreadyFinal},
+	{"verification_failed", directory.ErrVerificationFailed},
+	{"missing_commitment", directory.ErrMissingCommitment},
+	{"too_late", directory.ErrTooLate},
+	{"too_early", directory.ErrTooEarly},
+	{"bad_signature", directory.ErrBadSignature},
+	{"quarantined", directory.ErrQuarantined},
+	{"not_byzantine", directory.ErrNotByzantine},
+	{"deadline_exceeded", context.DeadlineExceeded},
+	{"canceled", context.Canceled},
+}
 
 // encodeErr maps an error to a wire code.
 func encodeErr(err error) string {
-	switch {
-	case err == nil:
+	if err == nil {
 		return codeNone
-	case errors.Is(err, storage.ErrNotFound):
-		return codeNotFound
-	case errors.Is(err, storage.ErrNodeDown):
-		return codeNodeDown
-	case errors.Is(err, storage.ErrUnknownNode):
-		return codeUnknownNode
-	case errors.Is(err, directory.ErrNotFound):
-		return codeDirNotFound
-	case errors.Is(err, directory.ErrConflict):
-		return codeConflict
-	case errors.Is(err, directory.ErrAlreadyFinal):
-		return codeAlreadyFinal
-	case errors.Is(err, directory.ErrVerificationFailed):
-		return codeVerificationFailed
-	case errors.Is(err, directory.ErrMissingCommitment):
-		return codeMissingCommitment
-	case errors.Is(err, directory.ErrTooLate):
-		return codeTooLate
-	case errors.Is(err, directory.ErrTooEarly):
-		return codeTooEarly
-	case errors.Is(err, directory.ErrBadSignature):
-		return codeBadSignature
-	case errors.Is(err, context.DeadlineExceeded):
-		return codeDeadlineExceeded
-	case errors.Is(err, context.Canceled):
-		return codeCanceled
-	default:
-		return codeOther + err.Error()
 	}
+	for _, row := range wireErrors {
+		if errors.Is(err, row.err) {
+			return row.code
+		}
+	}
+	return codeOther + err.Error()
 }
 
 // decodeErr maps a wire code back to a canonical error.
 func decodeErr(code string) error {
-	switch code {
-	case codeNone:
+	if code == codeNone {
 		return nil
-	case codeNotFound:
-		return storage.ErrNotFound
-	case codeNodeDown:
-		return storage.ErrNodeDown
-	case codeUnknownNode:
-		return storage.ErrUnknownNode
-	case codeDirNotFound:
-		return directory.ErrNotFound
-	case codeConflict:
-		return directory.ErrConflict
-	case codeAlreadyFinal:
-		return directory.ErrAlreadyFinal
-	case codeVerificationFailed:
-		return directory.ErrVerificationFailed
-	case codeMissingCommitment:
-		return directory.ErrMissingCommitment
-	case codeTooLate:
-		return directory.ErrTooLate
-	case codeTooEarly:
-		return directory.ErrTooEarly
-	case codeBadSignature:
-		return directory.ErrBadSignature
-	case codeDeadlineExceeded:
-		return context.DeadlineExceeded
-	case codeCanceled:
-		return context.Canceled
-	default:
-		return errors.New(strings.TrimPrefix(code, codeOther))
 	}
+	for _, row := range wireErrors {
+		if code == row.code {
+			return row.err
+		}
+	}
+	return errors.New(strings.TrimPrefix(code, codeOther))
 }
 
 // --- Storage RPC service -------------------------------------------------

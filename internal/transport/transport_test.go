@@ -11,6 +11,7 @@ import (
 	"ipls/internal/cid"
 	"ipls/internal/core"
 	"ipls/internal/directory"
+	"ipls/internal/resilience"
 	"ipls/internal/scalar"
 	"ipls/internal/storage"
 )
@@ -67,7 +68,7 @@ func TestStorageRoundTripOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, _, _ := startServer(t, cfg)
+	addr, netw, _ := startServer(t, cfg)
 	c := dialClient(t, addr)
 
 	data := []byte("tcp gradient block")
@@ -91,6 +92,13 @@ func TestStorageRoundTripOverTCP(t *testing.T) {
 	}
 	if _, err := c.Get(context.Background(), "ghost", id); !errors.Is(err, storage.ErrUnknownNode) {
 		t.Fatalf("unknown-node identity lost: %v", err)
+	}
+	// The error a scenario partition raises stays recognisable remotely.
+	if err := netw.Partition([]string{"s0"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Get(context.Background(), "s0", id); !errors.Is(err, storage.ErrPartitioned) {
+		t.Fatalf("partitioned-node identity lost: %v", err)
 	}
 }
 
@@ -209,42 +217,64 @@ func TestMaliciousDetectionOverTCP(t *testing.T) {
 	}
 }
 
+// errEcho is a loopback RPC service that raises wireErrors rows on
+// demand, so the table is exercised through a real connection.
+type errEcho struct{}
+
+func (errEcho) Raise(row *int, reply *ErrReply) error {
+	reply.Err = encodeErr(errorsJoin(wireErrors[*row].err))
+	return nil
+}
+
+// TestErrCodeRoundTrip sends every row of wireErrors across a loopback
+// connection: the decoded error must satisfy errors.Is for the row's
+// sentinel, and resilience.IsRetryable must give the same verdict for
+// it as for the in-process error.
 func TestErrCodeRoundTrip(t *testing.T) {
-	canonical := []error{
-		nil,
-		storage.ErrNotFound,
-		storage.ErrNodeDown,
-		storage.ErrUnknownNode,
-		directory.ErrNotFound,
-		directory.ErrConflict,
-		directory.ErrAlreadyFinal,
-		directory.ErrVerificationFailed,
-		directory.ErrMissingCommitment,
-		directory.ErrTooLate,
-		directory.ErrTooEarly,
-		directory.ErrBadSignature,
+	srv := NewServer()
+	if err := srv.rpcSrv.RegisterName("ErrEcho", errEcho{}); err != nil {
+		t.Fatal(err)
 	}
-	for _, err := range canonical {
-		got := decodeErr(encodeErr(err))
-		if err == nil {
-			if got != nil {
-				t.Fatalf("nil round trip gave %v", got)
-			}
-			continue
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	client := dialClient(t, addr)
+
+	seen := make(map[string]bool)
+	for i, row := range wireErrors {
+		if seen[row.code] {
+			t.Fatalf("wire code %q appears twice", row.code)
 		}
-		if !errors.Is(got, err) {
-			t.Fatalf("round trip of %v gave %v", err, got)
+		seen[row.code] = true
+		var reply ErrReply
+		if err := client.call(context.Background(), "ErrEcho.Raise", &i, &reply); err != nil {
+			t.Fatal(err)
 		}
+		got := decodeErr(reply.Err)
+		if !errors.Is(got, row.err) {
+			t.Errorf("%s: %v crossed the wire as %v", row.code, row.err, got)
+		}
+		if local, remote := resilience.IsRetryable(errorsJoin(row.err)), resilience.IsRetryable(got); local != remote {
+			t.Errorf("%s: IsRetryable %v in-process, %v over TCP", row.code, local, remote)
+		}
+	}
+	for _, want := range []error{
+		storage.ErrPartitioned, storage.ErrNodeDeparted, storage.ErrIntegrity, storage.ErrBackend,
+		directory.ErrQuarantined, directory.ErrNotByzantine,
+	} {
+		if got := decodeErr(encodeErr(want)); !errors.Is(got, want) {
+			t.Errorf("%v has no wire code (decoded %v)", want, got)
+		}
+	}
+
+	if got := decodeErr(encodeErr(nil)); got != nil {
+		t.Fatalf("nil round trip gave %v", got)
 	}
 	other := errors.New("something else happened")
-	got := decodeErr(encodeErr(other))
-	if got == nil || got.Error() != other.Error() {
+	if got := decodeErr(encodeErr(other)); got == nil || got.Error() != other.Error() {
 		t.Fatalf("unknown error round trip gave %v", got)
-	}
-	// Wrapped canonical errors map to their base.
-	wrapped := decodeErr(encodeErr(errorsJoin(directory.ErrVerificationFailed)))
-	if !errors.Is(wrapped, directory.ErrVerificationFailed) {
-		t.Fatal("wrapped canonical error lost identity")
 	}
 }
 

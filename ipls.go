@@ -136,16 +136,6 @@ func Accuracy(m Model, d *Dataset) float64 { return ml.Accuracy(m, d) }
 // StorageNetwork is the in-memory content-addressed storage network.
 type StorageNetwork = storage.Network
 
-// NewStorageNetwork creates a standalone in-memory storage network.
-//
-// Deprecated: use NewStorageNetworkOpts, which also selects the block-store
-// backend (memory or content-addressed disk) and its cache. This wrapper is
-// kept for source compatibility and is equivalent to
-// NewStorageNetworkOpts(StorageNetworkOptions{CurveName: curveName, Replicas: replicas}).
-func NewStorageNetwork(curveName string, replicas int) (*StorageNetwork, error) {
-	return NewStorageNetworkOpts(StorageNetworkOptions{CurveName: curveName, Replicas: replicas})
-}
-
 // StorageNetworkOptions configures NewStorageNetworkOpts. The zero value is
 // valid: default commitment curve, replication factor 1, in-memory blocks.
 type StorageNetworkOptions struct {
@@ -320,56 +310,10 @@ func WithDirectoryResilience(inner resilience.DirectoryService, p *RetryPolicy) 
 // sentinel errors, so the verdict is identical in-process and over TCP.
 func IsRetryable(err error) bool { return resilience.IsRetryable(err) }
 
-// FaultPlan is a deterministic schedule of storage-node faults (crash,
-// recover, slow, flaky) keyed by iteration — the fault-injection side of
-// chaos testing. Parse one from "crash:ipfs-01@iter2,slow:ipfs-00@iter3:50ms"
-// syntax and Apply it before each iteration.
-type FaultPlan = storage.FaultPlan
-
-// ParseFaultPlan parses the comma-separated fault-event syntax used by
-// iplssim's -faults flag.
-func ParseFaultPlan(s string) (*FaultPlan, error) { return storage.ParseFaultPlan(s) }
-
-// ChurnPlan is a deterministic schedule of membership change: permanent
-// storage-node departures, crashes of storage nodes / aggregators /
-// trainers, and rejoins — keyed by iteration. Storage events apply to a
-// StorageNetwork directly (ApplyStorage); role events are interpreted by
-// a ChurnRunner. ChurnEvent/ChurnKind are its building blocks.
-type (
-	ChurnPlan  = storage.ChurnPlan
-	ChurnEvent = storage.ChurnEvent
-	ChurnKind  = storage.ChurnKind
-)
-
-// Churn event kinds.
-const (
-	ChurnDepart = storage.ChurnDepart
-	ChurnCrash  = storage.ChurnCrash
-	ChurnRejoin = storage.ChurnRejoin
-)
-
-// ParseChurnPlan parses the comma-separated churn-event syntax used by
-// the -churn flags, e.g. "depart:ipfs-03@iter2,crash:agg-p0-0@iter1,
-// rejoin:t5@iter3".
-func ParseChurnPlan(s string) (*ChurnPlan, error) { return storage.ParseChurnPlan(s) }
-
 // RepairReport summarizes one StorageNetwork.RepairScan — the
 // anti-entropy pass that re-replicates blocks whose live replica count
 // was eroded by departures and crashes.
 type RepairReport = storage.RepairReport
-
-// ChurnRunner drives a Task across rounds under a ChurnPlan: storage
-// events hit the network, crashed aggregators become dropouts (with
-// standby takeover when a whole partition is down), crashed trainers sit
-// out and bootstrap from the latest checkpoint DAG on rejoin, and every
-// round ends with a checkpoint plus a replication repair scan.
-type ChurnRunner = core.ChurnRunner
-
-// NewChurnRunner wires a churn runner over a task, its storage network
-// and a parsed plan.
-func NewChurnRunner(task *Task, net *StorageNetwork, plan *ChurnPlan) *ChurnRunner {
-	return core.NewChurnRunner(task, net, plan)
-}
 
 // ScenarioPlan is a parsed composable fault scenario: one grammar
 // covering membership churn, storage faults, link degradation, network
@@ -386,11 +330,13 @@ func ParseScenario(s string) (*ScenarioPlan, error) { return scenario.Parse(s) }
 // or Byzantine trainers, aggregator behaviors, standbys and quorum.
 type RoundOptions = core.RoundOptions
 
-// ScenarioRunner drives a Task across rounds under a ScenarioPlan,
-// fanning one plan into per-subsystem injections: churn, storage
-// faults, partition windows that open and heal (with re-replication),
-// Byzantine uploads and late-delta folding, plus optional m-of-n quorum
-// rounds.
+// ScenarioRunner drives a Task across rounds under a ScenarioPlan: it
+// applies each round's events to the storage network and the protocol
+// roles — membership churn (with standby takeover and checkpoint
+// bootstrap on rejoin), storage faults, partition windows that open and
+// heal (with re-replication), Byzantine uploads and late-delta folding —
+// then checkpoints the model and repairs replication, with optional
+// m-of-n quorum rounds.
 type ScenarioRunner = core.ScenarioRunner
 
 // NewScenarioRunner wires a scenario runner over a task, its storage

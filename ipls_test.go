@@ -225,13 +225,15 @@ func TestFacadeShardedDirectory(t *testing.T) {
 	}
 }
 
-// TestFacadeResilience runs a full iteration through the public resilience
-// wrappers with a storage replica crashed mid-task, and checks the
-// IsRetryable export agrees with the transport's wire-mapped sentinels.
+// TestFacadeResilience runs a task through the public resilience wrappers
+// and scenario runner with a storage replica crashed mid-task, and checks
+// the IsRetryable export agrees with the transport's wire-mapped
+// sentinels.
 func TestFacadeResilience(t *testing.T) {
+	m := ipls.NewLogistic(4, 3)
 	cfg, err := ipls.NewConfig(ipls.TaskSpec{
 		TaskID:                  "facade-resilience",
-		ModelDim:                12,
+		ModelDim:                m.Dim(),
 		Partitions:              2,
 		Trainers:                []string{"t0", "t1"},
 		AggregatorsPerPartition: 1,
@@ -256,17 +258,24 @@ func TestFacadeResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := ipls.ParseFaultPlan("crash:s1@iter1")
+	splits, err := ipls.Blobs(60, 4, 3, 1.0, 5).SplitIID(len(cfg.Trainers), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltas := map[string][]float64{"t0": make([]float64, 12), "t1": make([]float64, 12)}
-	for iter := 0; iter < 3; iter++ {
-		if _, err := plan.Apply(net, iter); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.RunIteration(context.Background(), iter, deltas, nil); err != nil {
-			t.Fatalf("iteration %d with s1 down: %v", iter, err)
+	locals := map[string]*ipls.Dataset{"t0": splits[0], "t1": splits[1]}
+	task, err := ipls.NewTask(sess, m, locals, ipls.SGDConfig{LearningRate: 0.3, Epochs: 1, BatchSize: 16}, m.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := ipls.ParseScenario("crash:s1@iter1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := ipls.NewScenarioRunner(task, net, plan)
+	for round := 0; round < 3; round++ {
+		metrics, _, applied, err := runner.RunRound(context.Background())
+		if err != nil || !metrics.Applied {
+			t.Fatalf("round %d with s1 down (%v): applied=%v err=%v", round, applied, metrics.Applied, err)
 		}
 	}
 	if !ipls.IsRetryable(fmt.Errorf("wrapped: %w", context.DeadlineExceeded)) {
