@@ -21,18 +21,23 @@ test:
 # keep them race-clean without paying for a full-tree race run. The crypto
 # packages joined the list when the multiexp went parallel: the
 # differential suite must hold with concurrent Commit/Extend callers.
+# scalar and model joined when block vectors became slab-backed: one slab
+# is read by several role goroutines at once and must stay race-clean.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/transport/...
 	$(GO) test -race ./internal/group/... ./internal/pedersen/...
+	$(GO) test -race ./internal/scalar/... ./internal/model/...
 
 # Short fuzz passes: the parallel multiexp against the sequential one
-# (the differential harness's randomized arm) and the scenario-plan
-# parser (never panics; String∘Parse is a fixpoint). CI runs these as
+# (the differential harness's randomized arm), the scenario-plan parser
+# (never panics; String∘Parse is a fixpoint) and the slab-backed vector
+# kernels against their one-element-at-a-time reference. CI runs these as
 # smoke tests; let them run longer locally with FUZZTIME.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzMultiExpParallel -fuzztime $(FUZZTIME) ./internal/group
 	$(GO) test -fuzz=FuzzParseScenario -fuzztime $(FUZZTIME) ./internal/scenario
+	$(GO) test -fuzz=FuzzVectorKernels -fuzztime $(FUZZTIME) ./internal/model
 
 # Fault-injection suite under the race detector: the resilience layer's
 # retry/failover paths, the netsim link-loss scheduling, and the

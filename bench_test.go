@@ -9,10 +9,12 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ipls/internal/baseline"
+	"ipls/internal/cid"
 	"ipls/internal/core"
 	"ipls/internal/directory"
 	"ipls/internal/group"
@@ -20,6 +22,7 @@ import (
 	"ipls/internal/model"
 	"ipls/internal/pedersen"
 	"ipls/internal/scalar"
+	"ipls/internal/storage"
 )
 
 // BenchmarkFig1Providers regenerates Figure 1: per-iteration delays for 16
@@ -312,28 +315,89 @@ func BenchmarkDirectoryVerify(b *testing.B) {
 }
 
 // BenchmarkQuantizeBlock measures gradient quantization + encoding, the
-// trainer-side fixed cost per partition.
+// trainer-side fixed cost per partition, at a small block and at the
+// benchmark's plain workloads' length. allocs/op is the same at both: a
+// block costs its slabs and its output buffer, whatever its length.
 func BenchmarkQuantizeBlock(b *testing.B) {
 	field := scalar.NewField(group.Secp256k1().N)
 	quant, err := scalar.NewQuantizer(field, scalar.DefaultShift)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	part := make([]float64, 1024)
+	for _, length := range []int{1025, 8193} {
+		part := benchPart(3, length-1)
+		b.Run(fmt.Sprintf("L=%d", length), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				block, err := model.Quantize(quant, part)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := block.Encode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchPart is a seeded gradient partition of n values.
+func benchPart(seed int64, n int) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	part := make([]float64, n)
 	for i := range part {
 		part[i] = rng.NormFloat64()
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		block, err := model.Quantize(quant, part)
+	return part
+}
+
+// BenchmarkMergeGetParallel has every worker ask one storage network for
+// fan-in-2 merge-and-downloads of L = 8193 blocks, the operation a plain
+// round performs sixteen times. The network lock covers only the snapshot
+// of the inputs, not the arithmetic, so with
+//
+//	go test -run '^$' -bench MergeGetParallel -cpu 1,2
+//
+// ns/op falls as the cores double; it stayed flat while the merge was
+// computed under the lock. The node holds 64 blocks, two rounds' uploads:
+// with only the two being merged live, the collector runs every other
+// merge and its cycles, not the merges, are what is timed.
+func BenchmarkMergeGetParallel(b *testing.B) {
+	field := scalar.NewField(group.Secp256k1().N)
+	quant, err := scalar.NewQuantizer(field, scalar.DefaultShift)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	net := storage.NewNetwork(field, 1)
+	defer net.Close()
+	net.AddNode("ipfs-00")
+	cids := make([]cid.CID, 64)
+	for i := range cids {
+		block, err := model.Quantize(quant, benchPart(int64(i), 8192))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := block.Encode(); err != nil {
+		data, err := block.Encode()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cids[i], err = net.Put(ctx, "ipfs-00", data); err != nil {
 			b.Fatal(err)
 		}
 	}
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			pair := 2 * int(next.Add(1)%int64(len(cids)/2))
+			if _, err := net.MergeGet(ctx, "ipfs-00", cids[pair:pair+2]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkLocalTraining measures one trainer's per-round SGD cost, for

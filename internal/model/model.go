@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 
 	"ipls/internal/scalar"
 )
@@ -128,19 +129,29 @@ func BlockSize(dim int) int {
 // followed by fixed 32-byte big-endian elements. Deterministic bytes are
 // what make content addressing (CID = SHA-256 of the block) meaningful.
 func (b Block) Encode() ([]byte, error) {
-	buf := make([]byte, 4, 4+scalar.ElementSize*len(b.Values))
+	buf := make([]byte, 4+scalar.ElementSize*len(b.Values))
 	binary.BigEndian.PutUint32(buf, uint32(len(b.Values)))
 	for i, v := range b.Values {
-		elem, err := scalar.MarshalElement(v)
-		if err != nil {
-			return nil, fmt.Errorf("model: element %d: %w", i, err)
+		if v.Sign() < 0 || v.BitLen() > scalar.ElementSize*8 {
+			return nil, fmt.Errorf("model: element %d: %d-bit value (sign %d) is not a %d-byte element", i, v.BitLen(), v.Sign(), scalar.ElementSize)
 		}
-		buf = append(buf, elem...)
+		// Words go least significant first from the end of the element's
+		// bytes backwards; the rest of buf is already zero.
+		end := 4 + (i+1)*scalar.ElementSize
+		for _, w := range v.Bits() {
+			if bits.UintSize == 64 {
+				binary.BigEndian.PutUint64(buf[end-8:end], uint64(w))
+			} else {
+				binary.BigEndian.PutUint32(buf[end-4:end], uint32(w))
+			}
+			end -= bits.UintSize / 8
+		}
 	}
 	return buf, nil
 }
 
-// DecodeBlock parses a serialized block.
+// DecodeBlock parses a serialized block into a slab-backed vector. Any
+// 32-byte value is accepted; the sum kernels reduce one at or above the order.
 func DecodeBlock(data []byte) (Block, error) {
 	if len(data) < 4 {
 		return Block{}, errors.New("model: block too short")
@@ -150,14 +161,10 @@ func DecodeBlock(data []byte) (Block, error) {
 	if len(data) != want {
 		return Block{}, fmt.Errorf("model: block length %d != expected %d for %d elements", len(data), want, n)
 	}
-	values := make([]*big.Int, n)
-	for i := 0; i < int(n); i++ {
+	values := scalar.NewVec(int(n))
+	for i, v := range values {
 		off := 4 + i*scalar.ElementSize
-		v, err := scalar.UnmarshalElement(data[off : off+scalar.ElementSize])
-		if err != nil {
-			return Block{}, err
-		}
-		values[i] = v
+		v.SetBytes(data[off : off+scalar.ElementSize])
 	}
 	return Block{Values: values}, nil
 }
@@ -165,17 +172,13 @@ func DecodeBlock(data []byte) (Block, error) {
 // Quantize converts a float partition into a block, appending the averaging
 // counter 1 (Algorithm 1 line 14).
 func Quantize(q *scalar.Quantizer, part []float64) (Block, error) {
-	values := make([]*big.Int, 0, len(part)+1)
-	enc, err := q.EncodeVec(part)
-	if err != nil {
+	values := scalar.NewVec(len(part) + 1)
+	if err := q.EncodeInto(values[:len(part)], part); err != nil {
 		return Block{}, err
 	}
-	values = append(values, enc...)
-	one, err := q.Encode(1)
-	if err != nil {
+	if err := q.EncodeInto(values[len(part):], []float64{1}); err != nil {
 		return Block{}, err
 	}
-	values = append(values, one)
 	return Block{Values: values}, nil
 }
 
@@ -186,11 +189,12 @@ func Dequantize(q *scalar.Quantizer, b Block) ([]float64, error) {
 	if len(b.Values) < 2 {
 		return nil, errors.New("model: update block must hold at least one value and the counter")
 	}
-	count := q.Decode(b.Counter())
+	vals := q.DecodeVec(b.Values)
+	count := vals[len(vals)-1]
 	if count <= 0 || math.Abs(count-math.Round(count)) > 1e-6 {
 		return nil, fmt.Errorf("model: invalid averaging counter %v", count)
 	}
-	vals := q.DecodeVec(b.Values[:len(b.Values)-1])
+	vals = vals[:len(vals)-1]
 	for i := range vals {
 		vals[i] /= count
 	}
@@ -213,6 +217,25 @@ func Sum(f *scalar.Field, blocks ...Block) (Block, error) {
 		return Block{}, fmt.Errorf("model: %w", err)
 	}
 	return Block{Values: sum}, nil
+}
+
+// Merge is the one merge kernel: the serialized field sum of serialized
+// gradient blocks, served by a provider for merge-and-download and folded
+// locally by a degraded client. It touches only its arguments.
+func Merge(f *scalar.Field, datas ...[]byte) ([]byte, error) {
+	blocks := make([]Block, len(datas))
+	for i, data := range datas {
+		b, err := DecodeBlock(data)
+		if err != nil {
+			return nil, fmt.Errorf("model: merge input %d: %w", i, err)
+		}
+		blocks[i] = b
+	}
+	sum, err := Sum(f, blocks...)
+	if err != nil {
+		return nil, err
+	}
+	return sum.Encode()
 }
 
 // EncodeFloats serializes a float64 vector (used for checkpoints and

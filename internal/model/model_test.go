@@ -1,8 +1,12 @@
 package model
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
+	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -148,6 +152,93 @@ func TestDecodeBlockErrors(t *testing.T) {
 	}
 	if _, err := DecodeBlock([]byte{0, 0, 0, 2, 1, 2, 3}); err == nil {
 		t.Fatal("expected length mismatch error")
+	}
+	// One element announced, 31 bytes of it present.
+	if _, err := DecodeBlock(append([]byte{0, 0, 0, 1}, make([]byte, scalar.ElementSize-1)...)); err == nil {
+		t.Fatal("expected error for a short element")
+	}
+}
+
+// TestEncodeRejectsUnencodableElements: an element has exactly 32 bytes on
+// the wire, so a negative value or one past 256 bits is refused, and the
+// error names the element.
+func TestEncodeRejectsUnencodableElements(t *testing.T) {
+	ok := big.NewInt(7)
+	for name, bad := range map[string]*big.Int{
+		"negative":  big.NewInt(-1),
+		"too large": new(big.Int).Lsh(big.NewInt(1), 256),
+	} {
+		_, err := Block{Values: []*big.Int{ok, ok, bad}}.Encode()
+		if err == nil || !strings.Contains(err.Error(), "element 2") {
+			t.Fatalf("%s element: got error %v, want one naming element 2", name, err)
+		}
+	}
+	// 2^256-1 is the largest value that fits, and it round-trips.
+	max := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))
+	data, err := Block{Values: []*big.Int{max}}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeBlock(data)
+	if err != nil || got.Values[0].Cmp(max) != 0 {
+		t.Fatalf("2^256-1 did not round-trip: %v, %v", got.Values, err)
+	}
+}
+
+// Wire goldens, recorded on the commit before blocks became slab-backed
+// (7fe8238): the SHA-256 of Quantize(seeded vector).Encode() and of the
+// fan-in-2 merge of two such blocks, per curve order. A CID is the SHA-256
+// of these bytes, so equal digests mean no CID moved.
+var wireGoldens = []struct {
+	curve        *group.Curve
+	block, merge string
+}{
+	{group.Secp256k1(),
+		"9714aecc6e26b5a1553611f8cd8dda867a5d61443e200e2005dc1a39fb03523c",
+		"2214289c0405c804cce1360038916471621da5dd07bbacf252de326730b6c52a"},
+	{group.Secp256r1(),
+		"51a51c21ef98c5db4fdda691032ced9c63c1b5b3a2c546b05e645fa0d77d483f",
+		"027cc6c68dd82e409e8fc45542d7bb8762e700155daf83a8fb11a4bd3d17972c"},
+}
+
+func TestWireGolden(t *testing.T) {
+	seeded := func(q *scalar.Quantizer, seed int64) []byte {
+		rng := rand.New(rand.NewSource(seed))
+		part := make([]float64, 1024)
+		for i := range part {
+			part[i] = rng.NormFloat64()
+		}
+		b, err := Quantize(q, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := b.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	digest := func(data []byte) string {
+		sum := sha256.Sum256(data)
+		return hex.EncodeToString(sum[:])
+	}
+	for _, g := range wireGoldens {
+		f := scalar.NewField(g.curve.N)
+		q, err := scalar.NewQuantizer(f, scalar.DefaultShift)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := seeded(q, 41), seeded(q, 42)
+		if got := digest(a); got != g.block {
+			t.Errorf("%s: block digest %s, recorded %s", g.curve.Name, got, g.block)
+		}
+		merged, err := Merge(f, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digest(merged); got != g.merge {
+			t.Errorf("%s: merge digest %s, recorded %s", g.curve.Name, got, g.merge)
+		}
 	}
 }
 

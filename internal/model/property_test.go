@@ -1,9 +1,18 @@
 package model
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/big"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"ipls/internal/group"
+	"ipls/internal/scalar"
 )
 
 // TestSumCommutativeAssociative: block aggregation order must never matter
@@ -154,4 +163,248 @@ func TestSplitQuantizeSumJoinPipeline(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refDecode is Quantizer.Decode as the parent commit wrote it — reduce,
+// centre, convert through big.Float — kept here so the decode kernel, which
+// Decode and DecodeVec now share, is checked against something it is not.
+func refDecode(q *scalar.Quantizer, v *big.Int) float64 {
+	order := q.Field().Order()
+	r := new(big.Int).Mod(v, order)
+	if r.Cmp(new(big.Int).Rsh(order, 1)) > 0 {
+		r.Sub(r, order)
+	}
+	f, _ := new(big.Float).SetInt(r).Float64()
+	return f / math.Ldexp(1, int(q.Shift()))
+}
+
+// checkVectorKernels holds the slab-backed vector kernels against a
+// reference built one element at a time from the scalar Field.Add,
+// Quantizer.Encode and refDecode: same elements, same floats bit for bit,
+// same bytes, and the same refusals, naming the offending element.
+// a and b are equal-length vectors of wire elements (any value below 2^256).
+func checkVectorKernels(t *testing.T, q *scalar.Quantizer, xs []float64, a, b []*big.Int) {
+	t.Helper()
+	f := q.Field()
+
+	enc, err := q.EncodeVec(xs)
+	bad := -1
+	ref := make([]*big.Int, len(xs))
+	for i, x := range xs {
+		if ref[i], _ = q.Encode(x); ref[i] == nil {
+			bad = i
+			break
+		}
+	}
+	if bad >= 0 {
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("element %d:", bad)) {
+			t.Fatalf("EncodeVec(%v): error %v, want one naming element %d", xs, err, bad)
+		}
+		if _, qerr := Quantize(q, xs); qerr == nil {
+			t.Fatalf("Quantize accepted %v", xs[bad])
+		}
+	} else {
+		if err != nil {
+			t.Fatalf("EncodeVec(%v): %v", xs, err)
+		}
+		for i := range ref {
+			if enc[i].Cmp(ref[i]) != 0 {
+				t.Fatalf("EncodeVec element %d (%v): %x, Encode gives %x", i, xs[i], enc[i], ref[i])
+			}
+		}
+		a, b = append(enc, a...), append(ref, b...)
+	}
+
+	wantSum := make([]*big.Int, len(a))
+	for i := range a {
+		wantSum[i] = f.Add(a[i], b[i])
+		if wantSum[i].Sign() < 0 || wantSum[i].Cmp(f.Order()) >= 0 {
+			t.Fatalf("Field.Add(%x, %x) = %x is not reduced", a[i], b[i], wantSum[i])
+		}
+	}
+	sum, err := f.SumVecs(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add, err := f.AddVec(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockSum, err := Sum(f, Block{Values: a}, Block{Values: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wantSum {
+		if sum[i].Cmp(wantSum[i]) != 0 || add[i].Cmp(wantSum[i]) != 0 || blockSum.Values[i].Cmp(wantSum[i]) != 0 {
+			t.Fatalf("element %d: %x + %x: SumVecs %x, AddVec %x, Sum %x, Field.Add %x",
+				i, a[i], b[i], sum[i], add[i], blockSum.Values[i], wantSum[i])
+		}
+	}
+
+	for _, vec := range [][]*big.Int{a, b, sum} {
+		dec := q.DecodeVec(vec)
+		for i, v := range vec {
+			want := math.Float64bits(refDecode(q, v))
+			if math.Float64bits(dec[i]) != want || math.Float64bits(q.Decode(v)) != want {
+				t.Fatalf("element %d (%x): DecodeVec %v, Decode %v, reference %v", i, v, dec[i], q.Decode(v), refDecode(q, v))
+			}
+		}
+	}
+
+	// Bytes: decode∘encode is the identity on wire elements, and the one
+	// merge kernel produces exactly the encoding of the reference sum.
+	ea, err := Block{Values: a}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := Block{Values: b}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	da, err := DecodeBlock(ea)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if da.Values[i].Cmp(a[i]) != 0 {
+			t.Fatalf("element %d changed across Encode/DecodeBlock: %x -> %x", i, a[i], da.Values[i])
+		}
+	}
+	merged, err := Merge(f, ea, eb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Block{Values: wantSum}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(merged, want) {
+		t.Fatal("Merge bytes differ from the encoding of the reference sum")
+	}
+}
+
+// TestVectorKernelsMatchScalarReference drives checkVectorKernels with the
+// edges of both domains and with random fill, over both curve orders.
+func TestVectorKernelsMatchScalarReference(t *testing.T) {
+	pow := func(n uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), n) }
+	for _, curve := range []*group.Curve{group.Secp256k1(), group.Secp256r1()} {
+		f := scalar.NewField(curve.N)
+		q, err := scalar.NewQuantizer(f, scalar.DefaultShift)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ulp := math.Ldexp(1, -scalar.DefaultShift)
+		// The largest magnitudes the fixed-point range takes, and the
+		// first ones it refuses.
+		edge := math.Ldexp(1, 62-scalar.DefaultShift)
+		floats := []float64{0, math.Copysign(0, -1), ulp, -ulp, ulp / 2, -ulp / 2, 1.5 * ulp, -1.5 * ulp,
+			1, -1, 1 - ulp, -1 + ulp, math.Nextafter(edge, 0), -math.Nextafter(edge, 0), math.SmallestNonzeroFloat64}
+		order := f.Order()
+		sub := func(x, y *big.Int) *big.Int { return new(big.Int).Sub(x, y) }
+		half := new(big.Int).Rsh(order, 1)
+		elems := []*big.Int{
+			big.NewInt(0), big.NewInt(1), sub(order, big.NewInt(1)), order, new(big.Int).Add(order, big.NewInt(1)),
+			half, new(big.Int).Add(half, big.NewInt(1)), sub(pow(256), big.NewInt(1)),
+			pow(62), sub(order, pow(62)), pow(63), sub(order, pow(63)), sub(pow(63), big.NewInt(1)),
+			sub(sub(order, pow(63)), big.NewInt(1)), pow(70), sub(order, pow(70)), pow(200),
+		}
+		// Every edge element meets every other one.
+		var a, b []*big.Int
+		for _, x := range elems {
+			for _, y := range elems {
+				a, b = append(a, x), append(b, y)
+			}
+		}
+		checkVectorKernels(t, q, floats, a, b)
+
+		for i, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), edge, -edge, math.MaxFloat64} {
+			xs := append([]float64{1, -2, 3}, floats[:i]...)
+			checkVectorKernels(t, q, append(xs, x, 4), nil, nil)
+		}
+
+		rng := rand.New(rand.NewSource(12))
+		for trial := 0; trial < 50; trial++ {
+			n := rng.Intn(40)
+			xs := make([]float64, rng.Intn(40))
+			for i := range xs {
+				xs[i] = rng.NormFloat64() * math.Ldexp(1, rng.Intn(60)-20)
+			}
+			a, b := make([]*big.Int, n), make([]*big.Int, n)
+			for i := range a {
+				buf := make([]byte, 2*scalar.ElementSize)
+				rng.Read(buf)
+				a[i] = new(big.Int).SetBytes(buf[:scalar.ElementSize])
+				b[i] = new(big.Int).SetBytes(buf[scalar.ElementSize:])
+			}
+			checkVectorKernels(t, q, xs, a, b)
+		}
+	}
+}
+
+// TestBlocksAreSharedReadOnly: a round hands one decoded block to several
+// role goroutines (aggregators sum it, verifiers commit to it, trainers
+// dequantize it). Every kernel only reads its inputs, so concurrent use of
+// one slab gives each reader the sequential result — and `make race` runs
+// this under the race detector.
+func TestBlocksAreSharedReadOnly(t *testing.T) {
+	q := testQuantizer(t)
+	f := q.Field()
+	rng := rand.New(rand.NewSource(13))
+	mk := func() Block {
+		part := make([]float64, 300)
+		for i := range part {
+			part[i] = rng.NormFloat64()
+		}
+		b, err := Quantize(q, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	a, b := mk(), mk()
+	use := func() ([]byte, []byte, []float64, error) {
+		sum, err := Sum(f, a, b)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		es, err := sum.Encode()
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		ea, err := a.Encode()
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		avg, err := Dequantize(q, sum)
+		return es, ea, avg, err
+	}
+	wantSum, wantA, wantAvg, err := use()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				es, ea, avg, err := use()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(es, wantSum) || !bytes.Equal(ea, wantA) {
+					t.Error("a concurrent reader saw different bytes")
+					return
+				}
+				for i := range avg {
+					if avg[i] != wantAvg[i] {
+						t.Errorf("a concurrent reader dequantized element %d to %v, want %v", i, avg[i], wantAvg[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

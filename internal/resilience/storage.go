@@ -185,25 +185,17 @@ func (c *Client) MergeGet(ctx context.Context, req storage.MergeRequest) ([]byte
 		return nil, err
 	}
 	start := time.Now()
-	blocks := make([]model.Block, 0, len(req.CIDs))
+	datas := make([][]byte, 0, len(req.CIDs))
 	for _, id := range req.CIDs {
 		data, gerr := c.degradedFetch(ctx, req.Node, id)
 		if gerr != nil {
 			return nil, fmt.Errorf("%w (degraded merge: %v)", err, gerr)
 		}
-		block, derr := model.DecodeBlock(data)
-		if derr != nil {
-			return nil, fmt.Errorf("%w (degraded merge: %v)", err, derr)
-		}
-		blocks = append(blocks, block)
+		datas = append(datas, data)
 	}
-	sum, serr := model.Sum(c.field, blocks...)
-	if serr != nil {
-		return nil, fmt.Errorf("%w (degraded merge: %v)", err, serr)
-	}
-	data, eerr := sum.Encode()
-	if eerr != nil {
-		return nil, fmt.Errorf("%w (degraded merge: %v)", err, eerr)
+	data, merr := model.Merge(c.field, datas...)
+	if merr != nil {
+		return nil, fmt.Errorf("%w (degraded merge: %v)", err, merr)
 	}
 	c.countFailover("merge_get")
 	c.policy.emitSpan("degraded_merge", "merge_get", start, nil)

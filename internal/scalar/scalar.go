@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 )
 
 // ElementSize is the canonical serialized size of a field element in bytes.
@@ -44,13 +45,21 @@ func (f *Field) Reduce(x *big.Int) *big.Int {
 	return r
 }
 
-// Add returns (a + b) mod order.
+// Add returns (a + b) mod order, in [0, order) whatever the operands.
 func (f *Field) Add(a, b *big.Int) *big.Int {
 	r := new(big.Int).Add(a, b)
 	if r.Cmp(f.order) >= 0 {
 		r.Sub(r, f.order)
 	}
+	if !f.reduced(r) {
+		r.Mod(r, f.order)
+	}
 	return r
+}
+
+// reduced reports whether x is in [0, order).
+func (f *Field) reduced(x *big.Int) bool {
+	return x.Sign() >= 0 && x.Cmp(f.order) < 0
 }
 
 // Sub returns (a - b) mod order.
@@ -85,35 +94,53 @@ func (f *Field) Inv(a *big.Int) (*big.Int, error) {
 	return new(big.Int).ModInverse(a, f.order), nil
 }
 
+// vecWords is the window a slab-backed element owns: the words of an
+// ElementSize value plus one for the carry of an in-place Add.
+const vecWords = ElementSize*8/bits.UintSize + 1
+
+// NewVec returns n zero elements backed by three slabs: the pointers, the
+// big.Int headers and their words. Each window is capped at vecWords, so a
+// value that outgrows it detaches instead of reaching its neighbour's.
+func NewVec(n int) []*big.Int {
+	ptrs := make([]*big.Int, n)
+	ints := make([]big.Int, n)
+	words := make([]big.Word, n*vecWords)
+	for i := range ints {
+		ints[i].SetBits(words[i*vecWords : i*vecWords : (i+1)*vecWords])
+		ptrs[i] = &ints[i]
+	}
+	return ptrs
+}
+
 // AddVec returns the element-wise field sum of two equal-length vectors.
 func (f *Field) AddVec(a, b []*big.Int) ([]*big.Int, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("scalar: vector length mismatch %d != %d", len(a), len(b))
-	}
-	out := make([]*big.Int, len(a))
-	for i := range a {
-		out[i] = f.Add(a[i], b[i])
-	}
-	return out, nil
+	return f.SumVecs(a, b)
 }
 
 // SumVecs returns the element-wise field sum of all vectors. All vectors must
-// have the same length and there must be at least one.
+// have the same length and there must be at least one. The result is a fresh
+// slab-backed vector in [0, order); inputs are read, never written.
 func (f *Field) SumVecs(vecs ...[]*big.Int) ([]*big.Int, error) {
 	if len(vecs) == 0 {
 		return nil, errors.New("scalar: no vectors to sum")
 	}
 	n := len(vecs[0])
-	acc := make([]*big.Int, n)
-	for i := range acc {
-		acc[i] = new(big.Int)
-	}
 	for _, v := range vecs {
 		if len(v) != n {
 			return nil, fmt.Errorf("scalar: vector length mismatch %d != %d", len(v), n)
 		}
-		for i := range v {
-			acc[i] = f.Add(acc[i], v[i])
+	}
+	acc := NewVec(n)
+	var scratch big.Int
+	for i, z := range acc {
+		for _, v := range vecs {
+			x := v[i]
+			if !f.reduced(x) {
+				x = scratch.Mod(x, f.order)
+			}
+			if z.Add(z, x).Cmp(f.order) >= 0 {
+				z.Sub(z, f.order)
+			}
 		}
 	}
 	return acc, nil
@@ -157,18 +184,27 @@ func (q *Quantizer) Field() *Field { return q.field }
 // Shift returns the number of fractional bits.
 func (q *Quantizer) Shift() uint { return q.shift }
 
-// Encode maps a float64 to a field element. NaN and infinities are rejected.
-func (q *Quantizer) Encode(x float64) (*big.Int, error) {
+// fixed returns round(x * 2^Shift); NaN and infinities are rejected.
+func (q *Quantizer) fixed(x float64) (int64, error) {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return nil, fmt.Errorf("scalar: cannot encode %v", x)
+		return 0, fmt.Errorf("scalar: cannot encode %v", x)
 	}
 	scaled := math.Round(x * q.scale)
 	// Values this large cannot round-trip through int64; gradients never
 	// get near this, so treat it as caller error.
 	if math.Abs(scaled) >= math.Ldexp(1, 62) {
-		return nil, fmt.Errorf("scalar: value %v out of fixed-point range", x)
+		return 0, fmt.Errorf("scalar: value %v out of fixed-point range", x)
 	}
-	v := big.NewInt(int64(scaled))
+	return int64(scaled), nil
+}
+
+// Encode maps a float64 to a field element. NaN and infinities are rejected.
+func (q *Quantizer) Encode(x float64) (*big.Int, error) {
+	n, err := q.fixed(x)
+	if err != nil {
+		return nil, err
+	}
+	v := big.NewInt(n)
 	if v.Sign() < 0 {
 		v.Add(v, q.field.order)
 	}
@@ -177,55 +213,58 @@ func (q *Quantizer) Encode(x float64) (*big.Int, error) {
 
 // Decode maps a field element back to float64, interpreting elements above
 // order/2 as negative.
-func (q *Quantizer) Decode(v *big.Int) float64 {
-	r := new(big.Int).Mod(v, q.field.order)
-	if r.Cmp(q.field.half) > 0 {
-		r.Sub(r, q.field.order)
+func (q *Quantizer) Decode(v *big.Int) float64 { return q.decode(v, new(big.Int)) }
+
+// decode centres v around zero through scratch. Sums of gradients are small
+// fixed-point values and convert through int64; anything larger goes through
+// big.Float. Both round to nearest even.
+func (q *Quantizer) decode(v, scratch *big.Int) float64 {
+	if !q.field.reduced(v) {
+		v = scratch.Mod(v, q.field.order)
 	}
-	f, _ := new(big.Float).SetInt(r).Float64()
+	if v.Cmp(q.field.half) > 0 {
+		v = scratch.Sub(v, q.field.order)
+	}
+	if v.IsInt64() {
+		return float64(v.Int64()) / q.scale
+	}
+	f, _ := new(big.Float).SetInt(v).Float64()
 	return f / q.scale
 }
 
-// EncodeVec encodes every element of xs.
+// EncodeVec encodes every element of xs into a fresh slab-backed vector.
 func (q *Quantizer) EncodeVec(xs []float64) ([]*big.Int, error) {
-	out := make([]*big.Int, len(xs))
-	for i, x := range xs {
-		v, err := q.Encode(x)
-		if err != nil {
-			return nil, fmt.Errorf("scalar: element %d: %w", i, err)
-		}
-		out[i] = v
+	out := NewVec(len(xs))
+	if err := q.EncodeInto(out, xs); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// DecodeVec decodes every element of vs.
+// EncodeInto sets dst[i] to the encoding of xs[i] in place; dst must hold
+// len(xs) non-nil elements. On error dst is left partly written.
+func (q *Quantizer) EncodeInto(dst []*big.Int, xs []float64) error {
+	if len(dst) != len(xs) {
+		return fmt.Errorf("scalar: vector length mismatch %d != %d", len(dst), len(xs))
+	}
+	for i, x := range xs {
+		n, err := q.fixed(x)
+		if err != nil {
+			return fmt.Errorf("scalar: element %d: %w", i, err)
+		}
+		if dst[i].SetInt64(n); n < 0 {
+			dst[i].Add(dst[i], q.field.order)
+		}
+	}
+	return nil
+}
+
+// DecodeVec decodes every element of vs through one scratch value.
 func (q *Quantizer) DecodeVec(vs []*big.Int) []float64 {
 	out := make([]float64, len(vs))
+	var scratch big.Int
 	for i, v := range vs {
-		out[i] = q.Decode(v)
+		out[i] = q.decode(v, &scratch)
 	}
 	return out
-}
-
-// MarshalElement serializes a field element as a fixed 32-byte big-endian
-// value.
-func MarshalElement(v *big.Int) ([]byte, error) {
-	if v.Sign() < 0 {
-		return nil, errors.New("scalar: cannot marshal negative element")
-	}
-	if v.BitLen() > ElementSize*8 {
-		return nil, fmt.Errorf("scalar: element too large (%d bits)", v.BitLen())
-	}
-	buf := make([]byte, ElementSize)
-	v.FillBytes(buf)
-	return buf, nil
-}
-
-// UnmarshalElement parses a fixed 32-byte big-endian field element.
-func UnmarshalElement(b []byte) (*big.Int, error) {
-	if len(b) != ElementSize {
-		return nil, fmt.Errorf("scalar: element must be %d bytes, got %d", ElementSize, len(b))
-	}
-	return new(big.Int).SetBytes(b), nil
 }

@@ -216,37 +216,121 @@ func TestNewQuantizerValidation(t *testing.T) {
 	}
 }
 
-func TestMarshalElementRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	f := testField()
-	for i := 0; i < 100; i++ {
-		v := randomElement(rng, f)
-		b, err := MarshalElement(v)
+// p256Order is the secp256r1 group order: unlike secp256k1's it sits well
+// below 2^256, so out-of-range 32-byte values are common rather than rare.
+var p256Order, _ = new(big.Int).SetString(
+	"ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551", 16)
+
+// TestVectorSumsAreCanonical: DecodeBlock accepts any 32-byte value, so the
+// sum kernels meet elements in [order, 2^256). Whatever comes in, every
+// element that goes out is in [0, order) — a merged block has one encoding
+// and one CID. (order-1) + (2^256-1) left 2^256-2 behind before the fix.
+func TestVectorSumsAreCanonical(t *testing.T) {
+	max256 := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))
+	for _, order := range []*big.Int{testOrder, p256Order} {
+		f := NewField(order)
+		top := new(big.Int).Sub(order, big.NewInt(1))
+		a := []*big.Int{top, top, new(big.Int).Set(order), max256, big.NewInt(0), big.NewInt(-1)}
+		b := []*big.Int{max256, top, max256, max256, new(big.Int).Set(order), big.NewInt(-1)}
+		sum, err := f.SumVecs(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(b) != ElementSize {
-			t.Fatalf("bad length %d", len(b))
-		}
-		got, err := UnmarshalElement(b)
+		add, err := f.AddVec(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Cmp(v) != 0 {
-			t.Fatalf("round trip mismatch: %v != %v", got, v)
+		for i := range sum {
+			want := new(big.Int).Add(a[i], b[i])
+			want.Mod(want, order)
+			if sum[i].Cmp(want) != 0 || add[i].Cmp(want) != 0 {
+				t.Fatalf("element %d: SumVecs %x, AddVec %x, want %x", i, sum[i], add[i], want)
+			}
+			if got := f.Add(a[i], b[i]); got.Cmp(want) != 0 {
+				t.Fatalf("element %d: Add %x, want %x", i, got, want)
+			}
+		}
+		// A lone out-of-range vector is reduced too, not passed through.
+		one, err := f.SumVecs(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range one {
+			if !f.reduced(one[i]) {
+				t.Fatalf("element %d of a one-vector sum left unreduced: %x", i, one[i])
+			}
 		}
 	}
 }
 
-func TestMarshalElementErrors(t *testing.T) {
-	if _, err := MarshalElement(big.NewInt(-1)); err == nil {
-		t.Fatal("expected error for negative element")
+// TestSlabIsolation pins the representation invariants of slab-backed
+// vectors: an element that outgrows its window detaches without touching a
+// neighbour, the sum kernels only read their inputs, and a result shares no
+// storage with what it was summed from.
+func TestSlabIsolation(t *testing.T) {
+	f := testField()
+	rng := rand.New(rand.NewSource(9))
+	const n = 17
+	snapshot := func(v []*big.Int) []*big.Int {
+		out := make([]*big.Int, len(v))
+		for i := range v {
+			out[i] = new(big.Int).Set(v[i])
+		}
+		return out
 	}
-	tooBig := new(big.Int).Lsh(big.NewInt(1), 256)
-	if _, err := MarshalElement(tooBig); err == nil {
-		t.Fatal("expected error for oversized element")
+	equal := func(what string, got, want []*big.Int) {
+		t.Helper()
+		for i := range want {
+			if got[i].Cmp(want[i]) != 0 {
+				t.Fatalf("%s: element %d is %x, want %x", what, i, got[i], want[i])
+			}
+		}
 	}
-	if _, err := UnmarshalElement(make([]byte, 31)); err == nil {
-		t.Fatal("expected error for short input")
+	fill := func() []*big.Int {
+		v := NewVec(n)
+		for i := range v {
+			v[i].Set(randomElement(rng, f))
+		}
+		return v
+	}
+
+	v := fill()
+	want := snapshot(v)
+	for _, i := range []int{0, n / 2, n - 1} {
+		v[i].Lsh(v[i], 512) // four times the window
+		want[i].Lsh(want[i], 512)
+		equal("after growing one element", v, want)
+		v[i].Rsh(v[i], 512)
+		want[i].Rsh(want[i], 512)
+	}
+	a, b := fill(), fill()
+	wantA, wantB := snapshot(a), snapshot(b)
+	sum, err := f.SumVecs(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add, err := f.AddVec(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equal("SumVecs/AddVec input a", a, wantA)
+	equal("SumVecs/AddVec input b", b, wantB)
+	wantSum := make([]*big.Int, n)
+	for i := range wantSum {
+		wantSum[i] = f.Add(wantA[i], wantB[i])
+	}
+	equal("AddVec", add, wantSum)
+	// Drop the inputs — overwrite them, as a reused buffer would — and the
+	// sum must not notice.
+	for i := range a {
+		a[i].SetInt64(0)
+		b[i].SetUint64(math.MaxUint64)
+	}
+	equal("sum after its inputs were dropped", sum, wantSum)
+	// Nothing the kernels did grew an element out of its window.
+	for i := range sum {
+		if cap(sum[i].Bits()) != vecWords {
+			t.Fatalf("sum element %d left its window: cap %d, want %d", i, cap(sum[i].Bits()), vecWords)
+		}
 	}
 }

@@ -43,7 +43,7 @@ func (n *Network) GC(ctx context.Context, keep map[cid.CID]bool) (GCReport, erro
 	start := time.Now()
 	n.mu.Lock()
 	report, err := n.gcLocked(ctx, keep)
-	sink := n.spans
+	sink := n.spanSink()
 	seq := n.repairSeq
 	n.repairSeq++
 	n.mu.Unlock()

@@ -50,7 +50,7 @@ func (n *Network) RepairScan(ctx context.Context) (RepairReport, error) {
 	start := time.Now()
 	n.mu.Lock()
 	report, err := n.repairLocked(ctx)
-	sink := n.spans
+	sink := n.spanSink()
 	seq := n.repairSeq
 	n.repairSeq++
 	n.mu.Unlock()

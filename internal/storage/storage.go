@@ -24,6 +24,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ipls/internal/cid"
@@ -32,8 +33,6 @@ import (
 	"ipls/internal/obs"
 	"ipls/internal/scalar"
 )
-
-func bigOne() *big.Int { return big.NewInt(1) }
 
 // Errors reported by the storage network.
 var (
@@ -175,7 +174,8 @@ type Network struct {
 	gcBlocks        *obs.Counter
 	gcBytes         *obs.Counter
 
-	spans obs.SpanSink
+	// spans is read without mu, so an un-instrumented call locks once.
+	spans atomic.Pointer[obs.SpanSink]
 	// repairSeq numbers RepairScan passes so each scan's "repair" span
 	// lands in its own (session, iter) trace.
 	repairSeq int
@@ -697,9 +697,7 @@ func (n *Network) Put(ctx context.Context, nodeID string, data []byte) (cid.CID,
 // boundary: with a sink installed and a valid parent, the upload is
 // recorded as a node-side "put" span, like MergeGetSpan's "merge".
 func (n *Network) PutSpan(ctx context.Context, nodeID string, data []byte, parent obs.SpanContext) (cid.CID, error) {
-	n.mu.Lock()
-	sink := n.spans
-	n.mu.Unlock()
+	sink := n.spanSink()
 	if sink == nil || !parent.Valid() {
 		return n.put(ctx, nodeID, data)
 	}
@@ -825,9 +823,7 @@ func (n *Network) Get(ctx context.Context, nodeID string, c cid.CID) ([]byte, er
 // boundary: with a sink installed and a valid parent, the download is
 // recorded as a node-side "get" span.
 func (n *Network) GetSpan(ctx context.Context, nodeID string, c cid.CID, parent obs.SpanContext) ([]byte, error) {
-	n.mu.Lock()
-	sink := n.spans
-	n.mu.Unlock()
+	sink := n.spanSink()
 	if sink == nil || !parent.Valid() {
 		return n.get(ctx, nodeID, c)
 	}
@@ -917,10 +913,14 @@ func (n *Network) fetchLocked(c cid.CID) ([]byte, *Node) {
 // SetSpans installs the sink that receives storage-side spans: merge
 // operations served with a caller's span context are recorded as "merge"
 // spans under it. Pass nil to disable.
-func (n *Network) SetSpans(sink obs.SpanSink) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.spans = sink
+func (n *Network) SetSpans(sink obs.SpanSink) { n.spans.Store(&sink) }
+
+// spanSink returns the installed span sink, nil when there is none.
+func (n *Network) spanSink() obs.SpanSink {
+	if p := n.spans.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // MergeGet implements merge-and-download: the addressed node decodes the
@@ -937,9 +937,7 @@ func (n *Network) MergeGet(ctx context.Context, nodeID string, cs []cid.CID) ([]
 // under the caller's span — the storage-side half of the causal trace
 // linking an aggregator's download to the pre-aggregation done for it.
 func (n *Network) MergeGetSpan(ctx context.Context, nodeID string, cs []cid.CID, parent obs.SpanContext) ([]byte, error) {
-	n.mu.Lock()
-	sink := n.spans
-	n.mu.Unlock()
+	sink := n.spanSink()
 	if sink == nil || !parent.Valid() {
 		return n.mergeGet(ctx, nodeID, cs)
 	}
@@ -962,36 +960,66 @@ func (n *Network) MergeGetSpan(ctx context.Context, nodeID string, cs []cid.CID,
 	return out, err
 }
 
+// mergeGet holds n.mu twice, briefly: to snapshot the serving node's state
+// and the input bytes, and afterwards to count the merge. model.Merge runs
+// unlocked on that snapshot, so a racing Fail or DeleteAll cannot change it.
 func (n *Network) mergeGet(ctx context.Context, nodeID string, cs []cid.CID) ([]byte, error) {
 	if err := n.gate(ctx, nodeID); err != nil {
 		return nil, err
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	nd, ok := n.nodes[nodeID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, nodeID)
-	}
-	if err := nd.availErr(); err != nil {
+	nd, datas, err := n.mergeInputsLocked(ctx, nodeID, cs)
+	cheat := err == nil && nd.cheatMerges
+	n.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	if len(cs) == 0 {
-		return nil, errors.New("storage: merge of zero blocks")
+	out, err := model.Merge(n.field, datas...)
+	if err != nil {
+		return nil, fmt.Errorf("storage: merge on %q: %w", nodeID, err)
 	}
-	blocks := make([]model.Block, 0, len(cs))
-	var inputBytes int64
+	if cheat && len(out) >= 4+scalar.ElementSize {
+		// A lazy or malicious provider quietly mis-aggregates.
+		first := out[4 : 4+scalar.ElementSize]
+		n.field.Add(new(big.Int).SetBytes(first), big.NewInt(1)).FillBytes(first)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	nd.MergeOps++
+	nd.MergedBlocks += len(datas)
+	nd.metrics.bytesDownloaded.Add(int64(len(out)))
+	n.mergeOps.Inc()
+	// Every input is as long as the sum, so all but one of them is saved.
+	n.mergeBytesSaved.Add(int64(len(datas)-1) * int64(len(out)))
+	return out, nil
+}
+
+// mergeInputsLocked returns the serving node and the bytes of every block to
+// merge, fetching from peers the ones it does not hold. Callers hold n.mu.
+func (n *Network) mergeInputsLocked(ctx context.Context, nodeID string, cs []cid.CID) (*Node, [][]byte, error) {
+	nd, ok := n.nodes[nodeID]
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownNode, nodeID)
+	}
+	if err := nd.availErr(); err != nil {
+		return nil, nil, err
+	}
+	if len(cs) == 0 {
+		return nil, nil, errors.New("storage: merge of zero blocks")
+	}
+	datas := make([][]byte, 0, len(cs))
 	for _, c := range cs {
 		// A cancelled caller stops the merge between blocks: the deadline
 		// that arrived with the request bounds server-side work too.
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		data, gerr := nd.store.Get(ctx, c)
 		if gerr != nil {
 			nd.noteStoreErr(gerr)
 			remote, holder := n.fetchLocked(c)
 			if holder == nil {
-				return nil, fmt.Errorf("%w: %s for merge on %q", ErrNotFound, c.Short(), nodeID)
+				return nil, nil, fmt.Errorf("%w: %s for merge on %q", ErrNotFound, c.Short(), nodeID)
 			}
 			n.remoteFetchCtr.Inc()
 			if _, perr := nd.store.Put(ctx, remote); perr == nil {
@@ -999,33 +1027,9 @@ func (n *Network) mergeGet(ctx context.Context, nodeID string, cs []cid.CID) ([]
 			}
 			data = remote
 		}
-		inputBytes += int64(len(data))
-		b, err := model.DecodeBlock(data)
-		if err != nil {
-			return nil, fmt.Errorf("storage: merge decode %s: %w", c.Short(), err)
-		}
-		blocks = append(blocks, b)
+		datas = append(datas, data)
 	}
-	sum, err := model.Sum(n.field, blocks...)
-	if err != nil {
-		return nil, fmt.Errorf("storage: merge: %w", err)
-	}
-	if nd.cheatMerges {
-		// A lazy or malicious provider quietly mis-aggregates.
-		sum.Values[0] = n.field.Add(sum.Values[0], bigOne())
-	}
-	nd.MergeOps++
-	nd.MergedBlocks += len(blocks)
-	out, err := sum.Encode()
-	if err != nil {
-		return nil, err
-	}
-	nd.metrics.bytesDownloaded.Add(int64(len(out)))
-	n.mergeOps.Inc()
-	if saved := inputBytes - int64(len(out)); saved > 0 {
-		n.mergeBytesSaved.Add(saved)
-	}
-	return out, nil
+	return nd, datas, nil
 }
 
 // PutDAG chunks a large object into a Merkle DAG and stores every block on
