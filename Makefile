@@ -23,21 +23,27 @@ test:
 # differential suite must hold with concurrent Commit/Extend callers.
 # scalar and model joined when block vectors became slab-backed: one slab
 # is read by several role goroutines at once and must stay race-clean.
+# storage and resilience joined when puts, gets and merges left the network
+# lock; the storage suite follows IPLS_STORE, so CI's two matrix legs race
+# both backends.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/transport/...
 	$(GO) test -race ./internal/group/... ./internal/pedersen/...
 	$(GO) test -race ./internal/scalar/... ./internal/model/...
+	$(GO) test -race ./internal/storage/... ./internal/resilience/...
 
 # Short fuzz passes: the parallel multiexp against the sequential one
 # (the differential harness's randomized arm), the scenario-plan parser
-# (never panics; String∘Parse is a fixpoint) and the slab-backed vector
-# kernels against their one-element-at-a-time reference. CI runs these as
-# smoke tests; let them run longer locally with FUZZTIME.
+# (never panics; String∘Parse is a fixpoint), the slab-backed vector
+# kernels against their one-element-at-a-time reference, and the limb merge
+# kernel against decode → SumVecs → Encode. CI runs these as smoke tests;
+# let them run longer locally with FUZZTIME.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzMultiExpParallel -fuzztime $(FUZZTIME) ./internal/group
 	$(GO) test -fuzz=FuzzParseScenario -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -fuzz=FuzzVectorKernels -fuzztime $(FUZZTIME) ./internal/model
+	$(GO) test -fuzz=FuzzMerge -fuzztime $(FUZZTIME) ./internal/model
 
 # Fault-injection suite under the race detector: the resilience layer's
 # retry/failover paths, the netsim link-loss scheduling, and the

@@ -6,6 +6,7 @@ package ipls_test
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -396,6 +397,58 @@ func BenchmarkMergeGetParallel(b *testing.B) {
 				b.Error(err)
 				return
 			}
+		}
+	})
+}
+
+// BenchmarkPutParallel has every worker upload fresh L = 8193 blocks
+// (262 KB, the plain workloads' size) to a four-node network on the disk
+// store with two replicas, and delete each one again, as a round's cleanup
+// does, so the disk holds only the blocks in flight. A put hashes its block
+// once, before any lock, and writes both copies without the network lock,
+// so with
+//
+//	go test -run '^$' -bench PutParallel -cpu 1,2
+//
+// ns/op falls as the cores double; it rose while the network lock covered
+// the hashing and the file writes.
+func BenchmarkPutParallel(b *testing.B) {
+	field := scalar.NewField(group.Secp256k1().N)
+	quant, err := scalar.NewQuantizer(field, scalar.DefaultShift)
+	if err != nil {
+		b.Fatal(err)
+	}
+	block, err := model.Quantize(quant, benchPart(1, 8192))
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := block.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	net := storage.NewNetworkWithStore(field, 2, storage.StoreConfig{Backend: storage.BackendFS, Dir: b.TempDir()})
+	defer net.Close()
+	nodes := []string{"ipfs-00", "ipfs-01", "ipfs-02", "ipfs-03"}
+	for _, id := range nodes {
+		net.AddNode(id)
+	}
+	var next atomic.Int64
+	b.SetBytes(int64(len(base)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		data := append([]byte(nil), base...)
+		for pb.Next() {
+			i := next.Add(1)
+			// Fresh content every time, so the CAS never answers from its index.
+			binary.BigEndian.PutUint64(data[len(data)-8:], uint64(i))
+			c, err := net.Put(ctx, nodes[i%int64(len(nodes))], data)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			net.DeleteAll(c)
 		}
 	})
 }

@@ -34,6 +34,10 @@ func TestBlockPathAllocationBudgets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		dataB, err := b.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
 		budgets := []struct {
 			name   string
 			budget float64
@@ -53,6 +57,10 @@ func TestBlockPathAllocationBudgets(t *testing.T) {
 			}},
 			{"Sum", 4, func() error {
 				_, err := Sum(f, a, b)
+				return err
+			}},
+			{"Merge", 1, func() error {
+				_, err := Merge(f, data, dataB)
 				return err
 			}},
 			{"DecodeBlock+Dequantize", 6, func() error {

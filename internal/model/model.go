@@ -153,20 +153,30 @@ func (b Block) Encode() ([]byte, error) {
 // DecodeBlock parses a serialized block into a slab-backed vector. Any
 // 32-byte value is accepted; the sum kernels reduce one at or above the order.
 func DecodeBlock(data []byte) (Block, error) {
-	if len(data) < 4 {
-		return Block{}, errors.New("model: block too short")
+	n, err := elementCount(data)
+	if err != nil {
+		return Block{}, err
 	}
-	n := binary.BigEndian.Uint32(data)
-	want := 4 + int(n)*scalar.ElementSize
-	if len(data) != want {
-		return Block{}, fmt.Errorf("model: block length %d != expected %d for %d elements", len(data), want, n)
-	}
-	values := scalar.NewVec(int(n))
+	values := scalar.NewVec(n)
 	for i, v := range values {
 		off := 4 + i*scalar.ElementSize
 		v.SetBytes(data[off : off+scalar.ElementSize])
 	}
 	return Block{Values: values}, nil
+}
+
+// elementCount checks a serialized block's framing and returns how many
+// elements it holds.
+func elementCount(data []byte) (int, error) {
+	if len(data) < 4 {
+		return 0, errors.New("model: block too short")
+	}
+	n := binary.BigEndian.Uint32(data)
+	want := 4 + int(n)*scalar.ElementSize
+	if len(data) != want {
+		return 0, fmt.Errorf("model: block length %d != expected %d for %d elements", len(data), want, n)
+	}
+	return int(n), nil
 }
 
 // Quantize converts a float partition into a block, appending the averaging
@@ -222,20 +232,125 @@ func Sum(f *scalar.Field, blocks ...Block) (Block, error) {
 // Merge is the one merge kernel: the serialized field sum of serialized
 // gradient blocks, served by a provider for merge-and-download and folded
 // locally by a degraded client. It touches only its arguments.
+//
+// It makes one pass over the encoded bytes, holding each element as four
+// 64-bit limbs, and allocates only its output. An element at or above the
+// order is reduced as it is read, so the bytes and the errors are those of
+// DecodeBlock, Sum and Encode.
 func Merge(f *scalar.Field, datas ...[]byte) ([]byte, error) {
-	blocks := make([]Block, len(datas))
+	if len(datas) == 0 {
+		return nil, errors.New("model: no blocks to sum")
+	}
 	for i, data := range datas {
-		b, err := DecodeBlock(data)
-		if err != nil {
+		if _, err := elementCount(data); err != nil {
 			return nil, fmt.Errorf("model: merge input %d: %w", i, err)
 		}
-		blocks[i] = b
 	}
-	sum, err := Sum(f, blocks...)
-	if err != nil {
-		return nil, err
+	for _, data := range datas {
+		if len(data) != len(datas[0]) {
+			return nil, fmt.Errorf("model: scalar: vector length mismatch %d != %d",
+				(len(data)-4)/scalar.ElementSize, (len(datas[0])-4)/scalar.ElementSize)
+		}
 	}
-	return sum.Encode()
+	order, ok := f.OrderLimbs()
+	if !ok {
+		return nil, fmt.Errorf("model: merge needs a field order of at most %d bytes", scalar.ElementSize)
+	}
+	m := limbs{order[0], order[1], order[2], order[3]}
+	out := make([]byte, len(datas[0]))
+	copy(out, datas[0][:4])
+	for off := 4; off < len(out); off += scalar.ElementSize {
+		z := loadLimbs(datas[0][off:]).reduce(m)
+		for _, data := range datas[1:] {
+			z = z.addMod(loadLimbs(data[off:]).reduce(m), m)
+		}
+		z.store(out[off:])
+	}
+	return out, nil
+}
+
+// limbs is one 256-bit element, least significant limb first. Four scalar
+// fields rather than an array keep it in registers.
+type limbs struct{ w0, w1, w2, w3 uint64 }
+
+// loadLimbs reads the big-endian element at the front of b.
+func loadLimbs(b []byte) limbs {
+	_ = b[scalar.ElementSize-1]
+	return limbs{
+		binary.BigEndian.Uint64(b[24:]),
+		binary.BigEndian.Uint64(b[16:]),
+		binary.BigEndian.Uint64(b[8:]),
+		binary.BigEndian.Uint64(b),
+	}
+}
+
+// store writes x big-endian to the front of b.
+func (x limbs) store(b []byte) {
+	_ = b[scalar.ElementSize-1]
+	binary.BigEndian.PutUint64(b, x.w3)
+	binary.BigEndian.PutUint64(b[8:], x.w2)
+	binary.BigEndian.PutUint64(b[16:], x.w1)
+	binary.BigEndian.PutUint64(b[24:], x.w0)
+}
+
+// sub returns x − y mod 2²⁵⁶ and the borrow out (1 when x < y).
+func (x limbs) sub(y limbs) (limbs, uint64) {
+	var d limbs
+	var b uint64
+	d.w0, b = bits.Sub64(x.w0, y.w0, 0)
+	d.w1, b = bits.Sub64(x.w1, y.w1, b)
+	d.w2, b = bits.Sub64(x.w2, y.w2, b)
+	d.w3, b = bits.Sub64(x.w3, y.w3, b)
+	return d, b
+}
+
+// reduce returns x mod m. Honest elements are already below m and cost one
+// subtraction; for a 256-bit order one more suffices, since x < 2²⁵⁶ < 2m.
+func (x limbs) reduce(m limbs) limbs {
+	d, b := x.sub(m)
+	if b != 0 {
+		return x
+	}
+	if _, b = d.sub(m); b != 0 {
+		return d
+	}
+	return x.mod(m)
+}
+
+// mod is reduce's path for orders below 2²⁵⁵: binary long division, one
+// shift and conditional subtraction per bit of x.
+func (x limbs) mod(m limbs) limbs {
+	var r limbs
+	for _, w := range [4]uint64{x.w3, x.w2, x.w1, x.w0} {
+		for i := 63; i >= 0; i-- {
+			carry := r.w3 >> 63
+			r = limbs{r.w0<<1 | w>>uint(i)&1, r.w1<<1 | r.w0>>63, r.w2<<1 | r.w1>>63, r.w3<<1 | r.w2>>63}
+			if d, b := r.sub(m); carry != 0 || b == 0 {
+				r = d
+			}
+		}
+	}
+	return r
+}
+
+// addMod returns (x + y) mod m for x, y < m, without a data-dependent branch:
+// the sum minus m is kept when the addition carried out of 256 bits or the
+// subtraction did not borrow.
+func (x limbs) addMod(y, m limbs) limbs {
+	var s limbs
+	var c uint64
+	s.w0, c = bits.Add64(x.w0, y.w0, 0)
+	s.w1, c = bits.Add64(x.w1, y.w1, c)
+	s.w2, c = bits.Add64(x.w2, y.w2, c)
+	s.w3, c = bits.Add64(x.w3, y.w3, c)
+	d, b := s.sub(m)
+	keep := -(c | (b ^ 1))
+	return limbs{
+		s.w0 ^ (s.w0^d.w0)&keep,
+		s.w1 ^ (s.w1^d.w1)&keep,
+		s.w2 ^ (s.w2^d.w2)&keep,
+		s.w3 ^ (s.w3^d.w3)&keep,
+	}
 }
 
 // EncodeFloats serializes a float64 vector (used for checkpoints and

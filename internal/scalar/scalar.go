@@ -10,6 +10,7 @@
 package scalar
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -25,19 +26,35 @@ const ElementSize = 32
 type Field struct {
 	order *big.Int
 	half  *big.Int // order/2, used to decode signed values
+	limbs [4]uint64
+	wide  bool // the order does not fit in ElementSize bytes
 }
 
 // NewField returns a field with the given prime order. The order is copied.
 func NewField(order *big.Int) *Field {
 	n := new(big.Int).Set(order)
-	return &Field{
+	f := &Field{
 		order: n,
 		half:  new(big.Int).Rsh(n, 1),
+		wide:  n.Sign() < 0 || n.BitLen() > ElementSize*8,
 	}
+	if !f.wide {
+		var buf [ElementSize]byte
+		n.FillBytes(buf[:])
+		for i := range f.limbs {
+			f.limbs[i] = binary.BigEndian.Uint64(buf[ElementSize-8*(i+1):])
+		}
+	}
+	return f
 }
 
 // Order returns a copy of the field order.
 func (f *Field) Order() *big.Int { return new(big.Int).Set(f.order) }
+
+// OrderLimbs returns the order as four 64-bit limbs, least significant
+// first, for kernels that work on encoded elements. ok is false when the
+// order does not fit in ElementSize bytes.
+func (f *Field) OrderLimbs() (limbs [4]uint64, ok bool) { return f.limbs, !f.wide }
 
 // Reduce returns x mod order as a fresh value in [0, order).
 func (f *Field) Reduce(x *big.Int) *big.Int {

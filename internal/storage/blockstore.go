@@ -23,7 +23,12 @@ import (
 type BlockStore interface {
 	// Put stores data and returns its content ID. Storing bytes that are
 	// already present is a cheap no-op (content addressing deduplicates).
+	// Every backend's Put is cid.Sum followed by PutKnown.
 	Put(ctx context.Context, data []byte) (cid.CID, error)
+	// PutKnown stores data under c, which the caller has computed as
+	// cid.Sum(data): the network hashes a block once and hands the CID to
+	// the primary and every replica.
+	PutKnown(ctx context.Context, c cid.CID, data []byte) error
 	// Get returns the block's bytes. A missing block is ErrNotFound;
 	// backends that re-verify on read report tampered bytes as
 	// ErrIntegrity.
@@ -89,24 +94,28 @@ func NewMemStore() *MemStore {
 	return &MemStore{blocks: make(map[cid.CID][]byte)}
 }
 
-// Put stores data under its CID. The slice is retained (callers that mutate
+// Put stores data under its CID (see PutKnown).
+func (m *MemStore) Put(ctx context.Context, data []byte) (cid.CID, error) {
+	return putSum(ctx, m, data)
+}
+
+// PutKnown stores data under c. The slice is retained (callers that mutate
 // their buffer afterwards must copy first); Get returns copies, so stored
 // bytes cannot be mutated through reads.
-func (m *MemStore) Put(ctx context.Context, data []byte) (cid.CID, error) {
+func (m *MemStore) PutKnown(ctx context.Context, c cid.CID, data []byte) error {
 	if err := ctx.Err(); err != nil {
-		return "", err
+		return err
 	}
-	c := cid.Sum(data)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return "", ErrStoreClosed
+		return ErrStoreClosed
 	}
 	if _, ok := m.blocks[c]; !ok {
 		m.blocks[c] = data
 		m.bytes += int64(len(data))
 	}
-	return c, nil
+	return nil
 }
 
 // Get returns a copy of the block's bytes.
@@ -219,6 +228,32 @@ func (m *MemStore) Close() error {
 	m.blocks = nil
 	m.bytes = 0
 	return nil
+}
+
+// putSum is every backend's Put: hash the block, then store it under that
+// CID.
+func putSum(ctx context.Context, s BlockStore, data []byte) (cid.CID, error) {
+	if err := ctx.Err(); err != nil {
+		return "", err
+	}
+	c := cid.Sum(data)
+	if err := s.PutKnown(ctx, c, data); err != nil {
+		return "", err
+	}
+	return c, nil
+}
+
+// cidLocks serializes the operations on one CID while operations on other
+// CIDs proceed: a fixed set of mutexes, striped by a hash of the CID.
+type cidLocks [64]sync.Mutex
+
+// of returns the mutex guarding c.
+func (l *cidLocks) of(c cid.CID) *sync.Mutex {
+	h := uint32(2166136261) // FNV-1a over the leading bytes
+	for i := 0; i < len(c) && i < 8; i++ {
+		h = (h ^ uint32(c[i])) * 16777619
+	}
+	return &l[h%uint32(len(l))]
 }
 
 // storeBytes returns a store's byte total: the Sizer fast path when the

@@ -86,14 +86,18 @@ func (cs *CachedStore) evict(c cid.CID) {
 
 // Put writes through to the backing store and admits the block.
 func (cs *CachedStore) Put(ctx context.Context, data []byte) (cid.CID, error) {
-	c, err := cs.backing.Put(ctx, data)
-	if err != nil {
-		return c, err
+	return putSum(ctx, cs, data)
+}
+
+// PutKnown writes through to the backing store and admits the block.
+func (cs *CachedStore) PutKnown(ctx context.Context, c cid.CID, data []byte) error {
+	if err := cs.backing.PutKnown(ctx, c, data); err != nil {
+		return err
 	}
 	cs.mu.Lock()
 	cs.admit(c, data)
 	cs.mu.Unlock()
-	return c, nil
+	return nil
 }
 
 // Get serves from the cache when possible, falling back to the backing

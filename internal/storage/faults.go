@@ -63,32 +63,55 @@ func (n *Network) SetFaultSeed(seed int64) {
 // gate admits one operation against a node: it rejects immediately when
 // the context is done or the node is down/unknown, serves the node's
 // injected slowness (context-aware, without holding the network lock), and
-// applies the flaky coin flip. A nil error means the operation may proceed.
-func (n *Network) gate(ctx context.Context, nodeID string) error {
+// applies the flaky coin flip. It returns the admitted node, whose store
+// the operation then uses without the lock.
+func (n *Network) gate(ctx context.Context, nodeID string) (*Node, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	n.mu.Lock()
+	nd, f, err := n.admitLocked(nodeID)
+	n.mu.Unlock()
+	if err == nil {
+		err = f.serve(ctx, nodeID)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return nd, nil
+}
+
+// fault is what an admitted operation must suffer before it proceeds.
+type fault struct {
+	slow  time.Duration
+	flake bool
+}
+
+// admitLocked looks up a node that can serve and draws its faults. Callers
+// hold n.mu.
+func (n *Network) admitLocked(nodeID string) (*Node, fault, error) {
 	nd, ok := n.nodes[nodeID]
 	if !ok {
-		n.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownNode, nodeID)
+		return nil, fault{}, fmt.Errorf("%w: %q", ErrUnknownNode, nodeID)
 	}
 	if err := nd.availErr(); err != nil {
-		n.mu.Unlock()
-		return err
+		return nil, fault{}, err
 	}
-	slow := nd.slow
-	flake := false
+	f := fault{slow: nd.slow}
 	if nd.flaky > 0 {
 		if n.faultRand == nil {
 			n.faultRand = rand.New(rand.NewSource(1))
 		}
-		flake = n.faultRand.Float64() < nd.flaky
+		f.flake = n.faultRand.Float64() < nd.flaky
 	}
-	n.mu.Unlock()
-	if slow > 0 {
-		t := time.NewTimer(slow)
+	return nd, f, nil
+}
+
+// serve waits out the injected slowness, honoring ctx, and applies the
+// flaky coin flip. Callers do not hold n.mu.
+func (f fault) serve(ctx context.Context, nodeID string) error {
+	if f.slow > 0 {
+		t := time.NewTimer(f.slow)
 		defer t.Stop()
 		select {
 		case <-ctx.Done():
@@ -96,7 +119,7 @@ func (n *Network) gate(ctx context.Context, nodeID string) error {
 		case <-t.C:
 		}
 	}
-	if flake {
+	if f.flake {
 		return fmt.Errorf("%w: %q (transient)", ErrNodeDown, nodeID)
 	}
 	return nil

@@ -27,9 +27,13 @@ import (
 // infrastructure failure the backend itself must surface.
 //
 // An in-memory index (CID → size) is rebuilt by scanning the fanout dirs at
-// Open, so Has/Keys never touch the disk afterwards.
+// Open, so Has/Keys never touch the disk afterwards. mu guards only the
+// index: file I/O runs outside it, under the block's stripe of locks, so
+// writes of different blocks proceed in parallel while a Put and a Delete of
+// the same block stay ordered.
 type FSStore struct {
-	root string
+	root  string
+	locks cidLocks
 
 	mu     sync.Mutex
 	index  map[cid.CID]int64
@@ -98,48 +102,63 @@ func (s *FSStore) path(c cid.CID) string {
 	return filepath.Join(s.root, h[:2], h)
 }
 
-// Put writes data to the CAS atomically: stage into tmp/, fsync-free rename
-// into the fanout slot. Re-putting an existing block is an index hit and
-// touches no files.
+// Put writes data to the CAS under its CID (see PutKnown).
 func (s *FSStore) Put(ctx context.Context, data []byte) (cid.CID, error) {
+	return putSum(ctx, s, data)
+}
+
+// PutKnown writes data under c atomically: stage into tmp/, fsync-free
+// rename into the fanout slot, then index. Re-putting an indexed block is
+// an index hit and touches no files.
+func (s *FSStore) PutKnown(ctx context.Context, c cid.CID, data []byte) error {
 	if err := ctx.Err(); err != nil {
-		return "", err
+		return err
 	}
-	c := cid.Sum(data)
+	lk := s.locks.of(c)
+	lk.Lock()
+	defer lk.Unlock()
+	if _, have, err := s.lookup(c); err != nil || have {
+		return err
+	}
+	if err := s.writeFile(c, data); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return "", ErrStoreClosed
+		return ErrStoreClosed // the file stays; reopening indexes it
 	}
-	if _, ok := s.index[c]; ok {
-		return c, nil
-	}
+	s.index[c] = int64(len(data))
+	s.bytes += int64(len(data))
+	return nil
+}
+
+// writeFile stages data and renames it into c's fanout slot.
+func (s *FSStore) writeFile(c cid.CID, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Join(s.root, "tmp"), "put-*")
 	if err != nil {
-		return "", fmt.Errorf("%w: stage block: %v", ErrBackend, err)
+		return fmt.Errorf("%w: stage block: %v", ErrBackend, err)
 	}
 	tmpName := tmp.Name()
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
-		return "", fmt.Errorf("%w: write block: %v", ErrBackend, err)
+		return fmt.Errorf("%w: write block: %v", ErrBackend, err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
-		return "", fmt.Errorf("%w: close block: %v", ErrBackend, err)
+		return fmt.Errorf("%w: close block: %v", ErrBackend, err)
 	}
 	dst := s.path(c)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		os.Remove(tmpName)
-		return "", fmt.Errorf("%w: fanout dir: %v", ErrBackend, err)
+		return fmt.Errorf("%w: fanout dir: %v", ErrBackend, err)
 	}
 	if err := os.Rename(tmpName, dst); err != nil {
 		os.Remove(tmpName)
-		return "", fmt.Errorf("%w: commit block: %v", ErrBackend, err)
+		return fmt.Errorf("%w: commit block: %v", ErrBackend, err)
 	}
-	s.index[c] = int64(len(data))
-	s.bytes += int64(len(data))
-	return c, nil
+	return nil
 }
 
 // Get reads the block and re-hashes it before returning: a payload that no
@@ -148,14 +167,9 @@ func (s *FSStore) Get(ctx context.Context, c cid.CID) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrStoreClosed
-	}
-	_, ok := s.index[c]
-	s.mu.Unlock()
-	if !ok {
+	if _, ok, err := s.lookup(c); err != nil {
+		return nil, err
+	} else if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, c.Short())
 	}
 	data, err := os.ReadFile(s.path(c))
@@ -174,7 +188,15 @@ func (s *FSStore) Get(ctx context.Context, c cid.CID) ([]byte, error) {
 	return data, nil
 }
 
+// dropIndex forgets a block whose file vanished. It re-checks under the
+// block's lock, since a Put may have written the file again meanwhile.
 func (s *FSStore) dropIndex(c cid.CID) {
+	lk := s.locks.of(c)
+	lk.Lock()
+	defer lk.Unlock()
+	if _, err := os.Stat(s.path(c)); !os.IsNotExist(err) {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if sz, ok := s.index[c]; ok {
@@ -188,13 +210,19 @@ func (s *FSStore) Has(ctx context.Context, c cid.CID) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
+	_, ok, err := s.lookup(c)
+	return ok, err
+}
+
+// lookup reads c's index entry.
+func (s *FSStore) lookup(c cid.CID) (size int64, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return false, ErrStoreClosed
+		return 0, false, ErrStoreClosed
 	}
-	_, ok := s.index[c]
-	return ok, nil
+	size, ok = s.index[c]
+	return size, ok, nil
 }
 
 // Delete unlinks the block file (no-op when absent).
@@ -202,20 +230,22 @@ func (s *FSStore) Delete(ctx context.Context, c cid.CID) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStoreClosed
-	}
-	sz, ok := s.index[c]
-	if !ok {
-		return nil
+	lk := s.locks.of(c)
+	lk.Lock()
+	defer lk.Unlock()
+	sz, ok, err := s.lookup(c)
+	if err != nil || !ok {
+		return err
 	}
 	if err := os.Remove(s.path(c)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("%w: delete %s: %v", ErrBackend, c.Short(), err)
 	}
-	s.bytes -= sz
-	delete(s.index, c)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.bytes -= sz
+		delete(s.index, c)
+	}
 	return nil
 }
 

@@ -41,13 +41,12 @@ type GCReport struct {
 // sink is installed. The sweep is deterministic: CID order, node order.
 func (n *Network) GC(ctx context.Context, keep map[cid.CID]bool) (GCReport, error) {
 	start := time.Now()
+	report, err := n.collect(ctx, keep)
 	n.mu.Lock()
-	report, err := n.gcLocked(ctx, keep)
-	sink := n.spanSink()
 	seq := n.repairSeq
 	n.repairSeq++
 	n.mu.Unlock()
-	if sink != nil {
+	if sink := n.spanSink(); sink != nil {
 		sp := obs.Span{
 			Name:  "gc",
 			Actor: "network",
@@ -73,9 +72,11 @@ func (n *Network) GC(ctx context.Context, keep map[cid.CID]bool) (GCReport, erro
 	return report, err
 }
 
-func (n *Network) gcLocked(ctx context.Context, keep map[cid.CID]bool) (GCReport, error) {
+// collect sweeps the candidates as of its start. n.mu is held to list them;
+// each one is then deleted the way DeleteAll deletes, under its own lock.
+func (n *Network) collect(ctx context.Context, keep map[cid.CID]bool) (GCReport, error) {
 	var report GCReport
-
+	n.mu.Lock()
 	// Candidate set: everything advertised plus everything actually held
 	// (a node can hold unadvertised blocks after a merge remote-fetch whose
 	// record was withdrawn).
@@ -83,8 +84,11 @@ func (n *Network) gcLocked(ctx context.Context, keep map[cid.CID]bool) (GCReport
 	for c := range n.providers {
 		candidates[c] = true
 	}
+	nodes := make([]*Node, 0, len(n.order))
 	for _, id := range n.order {
-		keys, err := n.nodes[id].store.Keys(context.Background())
+		nd := n.nodes[id]
+		nodes = append(nodes, nd)
+		keys, err := nd.store.Keys(context.Background())
 		if err != nil {
 			continue
 		}
@@ -92,6 +96,8 @@ func (n *Network) gcLocked(ctx context.Context, keep map[cid.CID]bool) (GCReport
 			candidates[c] = true
 		}
 	}
+	gcBlocks, gcBytes := n.gcBlocks, n.gcBytes
+	n.mu.Unlock()
 	cids := make([]cid.CID, 0, len(candidates))
 	for c := range candidates {
 		cids = append(cids, c)
@@ -107,29 +113,12 @@ func (n *Network) gcLocked(ctx context.Context, keep map[cid.CID]bool) (GCReport
 			report.Kept++
 			continue
 		}
-		dropped := false
-		for _, id := range n.order {
-			nd := n.nodes[id]
-			has, _ := nd.store.Has(context.Background(), c)
-			if !has {
-				continue
-			}
-			var size int64
-			if data, gerr := nd.store.Get(context.Background(), c); gerr == nil {
-				size = int64(len(data))
-			}
-			if derr := nd.store.Delete(context.Background(), c); derr != nil {
-				nd.noteStoreErr(derr)
-				continue
-			}
-			dropped = true
-			report.BytesFreed += size
-			n.gcBytes.Add(size)
-		}
-		delete(n.providers, c)
+		dropped, freed := n.deleteEverywhere(c, nodes, true)
+		report.BytesFreed += freed
+		gcBytes.Add(freed)
 		if dropped {
 			report.Collected++
-			n.gcBlocks.Inc()
+			gcBlocks.Inc()
 		}
 	}
 	return report, nil

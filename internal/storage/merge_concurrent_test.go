@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -109,14 +108,6 @@ func TestMergeGetConcurrent(t *testing.T) {
 		jobs[g] = j
 	}
 
-	sentinel := func(err error) bool {
-		for _, s := range []error{ErrNotFound, ErrNodeDown, ErrNodeDeparted, ErrPartitioned, ErrUnknownNode} {
-			if errors.Is(err, s) {
-				return true
-			}
-		}
-		return false
-	}
 	var successes, failures atomic.Int64
 	var work, noise sync.WaitGroup
 	done := make(chan struct{})
@@ -134,7 +125,7 @@ func TestMergeGetConcurrent(t *testing.T) {
 				switch {
 				case err != nil:
 					failures.Add(1)
-					if !sentinel(err) {
+					if !isSentinel(err) {
 						t.Errorf("merge of %v on %s: failure is no storage sentinel: %v", j.set, j.node, err)
 					}
 				case bytes.Equal(out, j.honest):

@@ -15,8 +15,8 @@ type nodeMetrics struct {
 	blocksReplicated *obs.Counter
 }
 
-func resolveNodeMetrics(reg *obs.Registry, id string) nodeMetrics {
-	return nodeMetrics{
+func resolveNodeMetrics(reg *obs.Registry, id string) *nodeMetrics {
+	return &nodeMetrics{
 		bytesUploaded:    reg.Counter("bytes_uploaded_total", "node", id),
 		bytesDownloaded:  reg.Counter("bytes_downloaded_total", "node", id),
 		blocksStored:     reg.Counter("blocks_stored_total", "node", id),
@@ -61,7 +61,7 @@ func (n *Network) setMetricsLocked(reg *obs.Registry) {
 	n.gcBlocks = reg.Counter("storage_gc_blocks_total")
 	n.gcBytes = reg.Counter("storage_gc_bytes_total")
 	for _, nd := range n.nodes {
-		nd.metrics = resolveNodeMetrics(reg, nd.id)
+		nd.metrics.Store(resolveNodeMetrics(reg, nd.id))
 		if cs, ok := nd.store.(*CachedStore); ok {
 			cs.SetMetrics(n.cacheHits, n.cacheMisses)
 		}

@@ -132,7 +132,8 @@ func (n *Network) repairLocked(ctx context.Context) (RepairReport, error) {
 			continue
 		}
 		// Copy from the first holder whose backend can actually serve the
-		// block; one with a rotted or unreadable copy is skipped.
+		// block and whose copy hashes to c; one with a rotted, unreadable or
+		// tampered copy is skipped.
 		var data []byte
 		for _, id := range holders {
 			src := n.nodes[id]
@@ -141,8 +142,10 @@ func (n *Network) repairLocked(ctx context.Context) (RepairReport, error) {
 				src.noteStoreErr(rerr)
 				continue
 			}
-			data = d
-			break
+			if cid.Verify(d, c) {
+				data = d
+				break
+			}
 		}
 		if data == nil {
 			report.Lost++
@@ -178,12 +181,12 @@ func (n *Network) repairLocked(ctx context.Context) (RepairReport, error) {
 				break
 			}
 			dst := n.nodes[cand.id]
-			if _, perr := dst.store.Put(context.Background(), data); perr != nil {
+			if perr := dst.store.PutKnown(context.Background(), c, data); perr != nil {
 				dst.noteStoreErr(perr)
 				continue
 			}
 			n.announceLocked(cand.id, c)
-			dst.metrics.blocksReplicated.Inc()
+			dst.metrics.Load().blocksReplicated.Inc()
 			n.repairCtr.Inc()
 			report.Repaired++
 			have++

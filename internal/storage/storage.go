@@ -145,8 +145,17 @@ const (
 )
 
 // Network is a storage network of nodes, each backed by a BlockStore.
+//
+// mu guards membership, availability, placement, provider records and
+// counters. The data path never holds it while hashing a block or doing
+// store I/O (one race aside, see storeKnown): Put, Get, Fetch, MergeGet
+// and DeleteAll take it to snapshot what they need and again to announce
+// and count. locks orders the operations on one CID that write or delete
+// stores (a put, a merge's remote fetch, Delete, DeleteAll, GC) against
+// each other; the order is always locks, then mu, then a store's own locks.
 type Network struct {
 	mu        sync.Mutex
+	locks     cidLocks
 	field     *scalar.Field
 	replicas  int
 	placement Placement
@@ -242,6 +251,8 @@ func (n *Network) ForgetTopic(topic string) {
 
 // Node is a single storage host. Its datastore is a BlockStore backend —
 // the in-memory map it grew up with, or the durable on-disk CAS store.
+// The flags and merge counts are guarded by Network.mu; the store, metrics
+// and backendErr are read without it.
 type Node struct {
 	id          string
 	store       BlockStore
@@ -251,7 +262,7 @@ type Node struct {
 	cheatMerges bool
 	slow        time.Duration // fault injection: per-operation service delay
 	flaky       float64       // fault injection: transient-failure probability
-	metrics     nodeMetrics
+	metrics     atomic.Pointer[nodeMetrics]
 
 	// openErr is a sticky failure from opening the configured backend
 	// (the node is running on a memory fallback); backendErr is the last
@@ -259,7 +270,7 @@ type Node struct {
 	// block on disk) and a successful Put/Get clears it. Health surfaces
 	// both as a distinct readiness failure.
 	openErr    error
-	backendErr error
+	backendErr atomic.Pointer[error]
 
 	// MergeOps counts merge-and-download requests served, and
 	// MergedBlocks the total number of gradient blocks folded into them.
@@ -298,9 +309,12 @@ func (nd *Node) unavailable() bool {
 func (nd *Node) noteStoreErr(err error) {
 	switch {
 	case err == nil:
-		nd.backendErr = nil
+		if nd.backendErr.Load() != nil {
+			nd.backendErr.Store(nil)
+		}
 	case errors.Is(err, ErrBackend) || errors.Is(err, ErrIntegrity):
-		nd.backendErr = err
+		e := err
+		nd.backendErr.Store(&e)
 	}
 }
 
@@ -366,7 +380,8 @@ func (n *Network) AddNode(id string) *Node {
 	if err != nil {
 		st = NewMemStore()
 	}
-	nd := &Node{id: id, store: st, openErr: err, metrics: resolveNodeMetrics(n.reg, id)}
+	nd := &Node{id: id, store: st, openErr: err}
+	nd.metrics.Store(resolveNodeMetrics(n.reg, id))
 	n.nodes[id] = nd
 	n.order = append(n.order, id)
 	sort.Strings(n.order)
@@ -433,8 +448,8 @@ func (n *Network) Health() error {
 		if nd.openErr != nil {
 			return healthBackendErr(id, nd.openErr)
 		}
-		if nd.backendErr != nil {
-			return healthBackendErr(id, nd.backendErr)
+		if err := nd.backendErr.Load(); err != nil {
+			return healthBackendErr(id, *err)
 		}
 	}
 	// An active partition is a readiness failure in its own right: the
@@ -659,17 +674,20 @@ func (n *Network) CheatMerges(id string) error {
 // Delete removes a block from one node. Deleting an absent block is a
 // no-op, mirroring IPFS unpinning semantics.
 func (n *Network) Delete(nodeID string, c cid.CID) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	nd, ok := n.nodes[nodeID]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, nodeID)
+	lk := n.locks.of(c)
+	lk.Lock()
+	defer lk.Unlock()
+	nd, err := n.Node(nodeID)
+	if err != nil {
+		return err
 	}
 	if err := nd.store.Delete(context.Background(), c); err != nil {
 		nd.noteStoreErr(err)
 		return err
 	}
+	n.mu.Lock()
 	n.withdrawLocked(nodeID, c)
+	n.mu.Unlock()
 	return nil
 }
 
@@ -678,12 +696,54 @@ func (n *Network) Delete(nodeID string, c cid.CID) error {
 // ("gradients and updates [are] only needed for a short period of time",
 // §VI).
 func (n *Network) DeleteAll(c cid.CID) {
+	var buf [16]*Node
+	n.deleteEverywhere(c, n.snapshot(buf[:0], false), false)
+}
+
+// deleteEverywhere removes c from the listed nodes' stores and then drops
+// its provider records, holding c's lock so no put, merge fetch or other
+// delete of c interleaves. Stores go first: a Recover or Heal that
+// re-announces c in between is undone by the withdrawal. With sized, freed
+// totals the bytes of the copies deleted.
+func (n *Network) deleteEverywhere(c cid.CID, nodes []*Node, sized bool) (dropped bool, freed int64) {
+	lk := n.locks.of(c)
+	lk.Lock()
+	defer lk.Unlock()
+	ctx := context.Background()
+	for _, nd := range nodes {
+		if has, _ := nd.store.Has(ctx, c); !has {
+			continue
+		}
+		var size int64
+		if sized {
+			if data, err := nd.store.Get(ctx, c); err == nil {
+				size = int64(len(data))
+			}
+		}
+		if err := nd.store.Delete(ctx, c); err != nil {
+			nd.noteStoreErr(err)
+			continue
+		}
+		dropped = true
+		freed += size
+	}
+	n.mu.Lock()
+	delete(n.providers, c)
+	n.mu.Unlock()
+	return dropped, freed
+}
+
+// snapshot appends the network's nodes in ID order to buf — only those able
+// to serve when serving is set — taking mu just for the walk.
+func (n *Network) snapshot(buf []*Node, serving bool) []*Node {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, nd := range n.nodes {
-		nd.store.Delete(context.Background(), c)
+	for _, id := range n.order {
+		if nd := n.nodes[id]; !serving || !nd.unavailable() {
+			buf = append(buf, nd)
+		}
 	}
-	delete(n.providers, c)
+	return buf
 }
 
 // Put stores data on the addressed node and on replicas-1 successor nodes
@@ -721,43 +781,101 @@ func (n *Network) PutSpan(ctx context.Context, nodeID string, data []byte, paren
 	return c, err
 }
 
+// put hashes the block once, before any lock, and takes mu twice: to admit
+// the primary and place the replicas, and to announce the copies once they
+// are written. A put is ordered at that second point. It announces only the
+// nodes still serving then, and fails with the primary's sentinel if the
+// primary stopped serving while its copy was being written.
 func (n *Network) put(ctx context.Context, nodeID string, data []byte) (cid.CID, error) {
-	if err := n.gate(ctx, nodeID); err != nil {
+	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	nd, ok := n.nodes[nodeID]
-	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrUnknownNode, nodeID)
-	}
-	if err := nd.availErr(); err != nil {
-		return "", err
-	}
+	c := cid.Sum(data)
 	// One defensive copy shared by every replica's store: the memory
 	// backend retains the slice (replicas share payload, as before the
 	// backend split), the disk backend writes its own file from it.
 	stored := append([]byte(nil), data...)
-	c, err := nd.store.Put(ctx, stored)
-	nd.noteStoreErr(err)
+	var buf [4]write
+	n.mu.Lock()
+	nd, fault, err := n.admitLocked(nodeID)
+	ws := buf[:0]
+	if err == nil {
+		ws = n.placeLocked(ws, nd, c)
+	}
+	n.mu.Unlock()
+	if err == nil {
+		err = fault.serve(ctx, nodeID)
+	}
 	if err != nil {
 		return "", err
 	}
-	n.announceLocked(nodeID, c)
-	nd.metrics.blocksStored.Inc()
-	nd.metrics.bytesUploaded.Add(int64(len(stored)))
-	if n.replicas > 1 {
-		for _, id := range n.replicaTargets(nodeID, c) {
-			replica := n.nodes[id]
-			if _, rerr := replica.store.Put(ctx, stored); rerr != nil {
-				replica.noteStoreErr(rerr)
-				continue
-			}
-			n.announceLocked(id, c)
-			replica.metrics.blocksReplicated.Inc()
+	n.storeKnown(ctx, c, stored, ws)
+	if ws[0].err != nil {
+		return "", ws[0].err
+	}
+	m := nd.metrics.Load()
+	m.blocksStored.Inc()
+	m.bytesUploaded.Add(int64(len(stored)))
+	for _, w := range ws[1:] {
+		if w.err == nil {
+			w.nd.metrics.Load().blocksReplicated.Inc()
 		}
 	}
 	return c, nil
+}
+
+// write is one store's share of a put: the node and the outcome.
+type write struct {
+	nd  *Node
+	err error
+}
+
+// placeLocked appends the primary and its replica targets to ws. Callers
+// hold n.mu.
+func (n *Network) placeLocked(ws []write, primary *Node, c cid.CID) []write {
+	ws = append(ws, write{nd: primary})
+	if n.replicas > 1 {
+		for _, id := range n.replicaTargets(primary.id, c) {
+			ws = append(ws, write{nd: n.nodes[id]})
+		}
+	}
+	return ws
+}
+
+// storeKnown writes data, whose CID is c, to every target's store and then
+// announces the targets still serving, setting each write's err. If the
+// first target's write fails the rest are not tried. c's lock is held
+// throughout, so a delete of c falls wholly before or after; mu is held
+// only for the announcements.
+func (n *Network) storeKnown(ctx context.Context, c cid.CID, data []byte, ws []write) {
+	lk := n.locks.of(c)
+	lk.Lock()
+	defer lk.Unlock()
+	for i := range ws {
+		w := &ws[i]
+		w.err = w.nd.store.PutKnown(ctx, c, data)
+		w.nd.noteStoreErr(w.err)
+		if i == 0 && w.err != nil {
+			return
+		}
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for i := range ws {
+		w := &ws[i]
+		if w.err != nil {
+			continue
+		}
+		if w.err = w.nd.availErr(); w.err == nil {
+			n.announceLocked(w.nd.id, c)
+		} else if w.nd.departed {
+			// The node departed after placement, and its copy may have
+			// landed after Depart wiped the datastore: a departed node holds
+			// nothing. The data path's only store I/O under mu, and only on
+			// that race.
+			w.nd.store.Delete(context.Background(), c)
+		}
+	}
 }
 
 // replicaTargets picks replicas-1 live nodes (other than the primary)
@@ -847,28 +965,19 @@ func (n *Network) GetSpan(ctx context.Context, nodeID string, c cid.CID, parent 
 }
 
 func (n *Network) get(ctx context.Context, nodeID string, c cid.CID) ([]byte, error) {
-	if err := n.gate(ctx, nodeID); err != nil {
-		return nil, err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	nd, ok := n.nodes[nodeID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, nodeID)
-	}
-	if err := nd.availErr(); err != nil {
+	nd, err := n.gate(ctx, nodeID)
+	if err != nil {
 		return nil, err
 	}
 	data, err := nd.store.Get(ctx, c)
+	nd.noteStoreErr(err)
 	if err != nil {
-		nd.noteStoreErr(err)
 		if errors.Is(err, ErrNotFound) {
 			return nil, fmt.Errorf("%w: %s on %q", ErrNotFound, c.Short(), nodeID)
 		}
 		return nil, err
 	}
-	nd.noteStoreErr(nil)
-	nd.metrics.bytesDownloaded.Add(int64(len(data)))
+	nd.metrics.Load().bytesDownloaded.Add(int64(len(data)))
 	return data, nil
 }
 
@@ -877,26 +986,22 @@ func (n *Network) Fetch(ctx context.Context, c cid.CID) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	data, holder := n.fetchLocked(c)
+	data, holder := n.fetch(c)
 	if holder == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, c.Short())
 	}
-	holder.metrics.bytesDownloaded.Add(int64(len(data)))
+	holder.metrics.Load().bytesDownloaded.Add(int64(len(data)))
 	return append([]byte(nil), data...), nil
 }
 
-// fetchLocked finds the first live node holding c, returning the bytes and
-// the node that served them (nil when no live node holds the block). A
-// holder whose backend fails the read (integrity or I/O) is skipped —
-// content routing falls through to the next replica.
-func (n *Network) fetchLocked(c cid.CID) ([]byte, *Node) {
-	for _, id := range n.order {
-		nd := n.nodes[id]
-		if nd.down || nd.partitioned {
-			continue
-		}
+// fetch finds the first live node, in ID order, holding a copy of c that
+// hashes to c, returning the bytes and the node that served them (nil when
+// there is none). A holder whose backend fails the read (integrity or I/O)
+// or whose copy does not verify is skipped — content routing falls through
+// to the next replica. mu is held only to list the live nodes.
+func (n *Network) fetch(c cid.CID) ([]byte, *Node) {
+	var buf [16]*Node
+	for _, nd := range n.snapshot(buf[:0], true) {
 		if ok, _ := nd.store.Has(context.Background(), c); !ok {
 			continue
 		}
@@ -905,7 +1010,9 @@ func (n *Network) fetchLocked(c cid.CID) ([]byte, *Node) {
 			nd.noteStoreErr(err)
 			continue
 		}
-		return data, nd
+		if cid.Verify(data, c) {
+			return data, nd
+		}
 	}
 	return nil, nil
 }
@@ -960,76 +1067,69 @@ func (n *Network) MergeGetSpan(ctx context.Context, nodeID string, cs []cid.CID,
 	return out, err
 }
 
-// mergeGet holds n.mu twice, briefly: to snapshot the serving node's state
-// and the input bytes, and afterwards to count the merge. model.Merge runs
-// unlocked on that snapshot, so a racing Fail or DeleteAll cannot change it.
+// mergeGet takes n.mu twice, briefly: to admit the serving node and to
+// count the merge. The inputs are read and model.Merge runs without it;
+// stored blocks are immutable, so a racing Fail or DeleteAll can make an
+// input missing but never change its bytes.
 func (n *Network) mergeGet(ctx context.Context, nodeID string, cs []cid.CID) ([]byte, error) {
-	if err := n.gate(ctx, nodeID); err != nil {
-		return nil, err
-	}
-	n.mu.Lock()
-	nd, datas, err := n.mergeInputsLocked(ctx, nodeID, cs)
-	cheat := err == nil && nd.cheatMerges
-	n.mu.Unlock()
+	nd, err := n.gate(ctx, nodeID)
 	if err != nil {
 		return nil, err
-	}
-	out, err := model.Merge(n.field, datas...)
-	if err != nil {
-		return nil, fmt.Errorf("storage: merge on %q: %w", nodeID, err)
-	}
-	if cheat && len(out) >= 4+scalar.ElementSize {
-		// A lazy or malicious provider quietly mis-aggregates.
-		first := out[4 : 4+scalar.ElementSize]
-		n.field.Add(new(big.Int).SetBytes(first), big.NewInt(1)).FillBytes(first)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	nd.MergeOps++
-	nd.MergedBlocks += len(datas)
-	nd.metrics.bytesDownloaded.Add(int64(len(out)))
-	n.mergeOps.Inc()
-	// Every input is as long as the sum, so all but one of them is saved.
-	n.mergeBytesSaved.Add(int64(len(datas)-1) * int64(len(out)))
-	return out, nil
-}
-
-// mergeInputsLocked returns the serving node and the bytes of every block to
-// merge, fetching from peers the ones it does not hold. Callers hold n.mu.
-func (n *Network) mergeInputsLocked(ctx context.Context, nodeID string, cs []cid.CID) (*Node, [][]byte, error) {
-	nd, ok := n.nodes[nodeID]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownNode, nodeID)
-	}
-	if err := nd.availErr(); err != nil {
-		return nil, nil, err
 	}
 	if len(cs) == 0 {
-		return nil, nil, errors.New("storage: merge of zero blocks")
+		return nil, errors.New("storage: merge of zero blocks")
 	}
 	datas := make([][]byte, 0, len(cs))
 	for _, c := range cs {
 		// A cancelled caller stops the merge between blocks: the deadline
 		// that arrived with the request bounds server-side work too.
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		data, gerr := nd.store.Get(ctx, c)
 		if gerr != nil {
 			nd.noteStoreErr(gerr)
-			remote, holder := n.fetchLocked(c)
-			if holder == nil {
-				return nil, nil, fmt.Errorf("%w: %s for merge on %q", ErrNotFound, c.Short(), nodeID)
+			var ok bool
+			if data, ok = n.fetchForMerge(ctx, nd, c); !ok {
+				return nil, fmt.Errorf("%w: %s for merge on %q", ErrNotFound, c.Short(), nodeID)
 			}
-			n.remoteFetchCtr.Inc()
-			if _, perr := nd.store.Put(ctx, remote); perr == nil {
-				n.announceLocked(nodeID, c)
-			}
-			data = remote
 		}
 		datas = append(datas, data)
 	}
-	return nd, datas, nil
+	out, err := model.Merge(n.field, datas...)
+	if err != nil {
+		return nil, fmt.Errorf("storage: merge on %q: %w", nodeID, err)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if nd.cheatMerges && len(out) >= 4+scalar.ElementSize {
+		// A lazy or malicious provider quietly mis-aggregates.
+		first := out[4 : 4+scalar.ElementSize]
+		n.field.Add(new(big.Int).SetBytes(first), big.NewInt(1)).FillBytes(first)
+	}
+	nd.MergeOps++
+	nd.MergedBlocks += len(datas)
+	nd.metrics.Load().bytesDownloaded.Add(int64(len(out)))
+	n.mergeOps.Inc()
+	// Every input is as long as the sum, so all but one of them is saved.
+	n.mergeBytesSaved.Add(int64(len(datas)-1) * int64(len(out)))
+	return out, nil
+}
+
+// fetchForMerge serves a merge input nd does not hold: a verified copy from
+// a peer (false when no live peer has one), which nd then keeps and
+// announces, as an IPFS node caches what it fetched.
+func (n *Network) fetchForMerge(ctx context.Context, nd *Node, c cid.CID) ([]byte, bool) {
+	data, holder := n.fetch(c)
+	if holder == nil {
+		return nil, false
+	}
+	n.mu.Lock()
+	n.remoteFetchCtr.Inc()
+	n.mu.Unlock()
+	ws := [1]write{{nd: nd}}
+	n.storeKnown(ctx, c, data, ws[:])
+	return data, true
 }
 
 // PutDAG chunks a large object into a Merkle DAG and stores every block on
