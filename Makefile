@@ -25,9 +25,11 @@ test:
 # is read by several role goroutines at once and must stay race-clean.
 # storage and resilience joined when puts, gets and merges left the network
 # lock; the storage suite follows IPLS_STORE, so CI's two matrix legs race
-# both backends.
+# both backends. The commands joined to keep their introspection
+# bundles (a ticker goroutine beside the roles) race-clean.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/transport/...
+	$(GO) test -race ./cmd/...
 	$(GO) test -race ./internal/group/... ./internal/pedersen/...
 	$(GO) test -race ./internal/scalar/... ./internal/model/...
 	$(GO) test -race ./internal/storage/... ./internal/resilience/...

@@ -157,7 +157,7 @@ type obsFlags struct {
 
 func registerObsFlags(fs *flag.FlagSet) *obsFlags {
 	of := &obsFlags{}
-	fs.StringVar(&of.metricsAddr, "metrics-addr", "", "serve /metrics, /events, /alerts, /readyz … on this address (empty disables)")
+	fs.StringVar(&of.metricsAddr, "metrics-addr", "", "serve /metrics, /spans, /alerts, /readyz … on this address (empty disables)")
 	fs.StringVar(&of.spanOut, "span-out", "", "write causal spans to this file as JSON Lines (analyze with iplstrace)")
 	fs.StringVar(&of.spanSample, "span-sample", "", "sample spans before -span-out: slowest=N,rate=F (off = keep everything)")
 	fs.IntVar(&of.rotateMB, "rotate-mb", 0, "rotate the -span-out file at this size in MiB, keeping one predecessor (0 = unbounded)")
@@ -174,13 +174,12 @@ func registerObsFlags(fs *flag.FlagSet) *obsFlags {
 }
 
 // introspection is a process's observability bundle: a metrics registry,
-// a bounded event ring for /events, a bounded span ring for /spans (plus
-// an optional span JSONL file), the alert monitor and round watchdog
-// behind /alerts, the readiness probe behind /readyz and /healthz, and
-// the HTTP server exposing them when -metrics-addr is set.
+// a bounded span ring for /spans (plus an optional span JSONL file), the
+// alert monitor and round watchdog behind /alerts, the readiness probe
+// behind /readyz and /healthz, and the HTTP server exposing them when
+// -metrics-addr is set.
 type introspection struct {
 	reg      *obs.Registry
-	rec      *core.Recorder
 	spans    *obs.SpanCollector
 	sink     obs.SpanSink
 	spanW    *obs.SpanJSONLWriter
@@ -193,31 +192,17 @@ type introspection struct {
 	evalStop chan struct{}
 }
 
-// startIntrospection builds the bundle. Alert transitions are mirrored
-// into the event ring (alert-firing / alert-resolved), the watchdog
-// rides the span fan-out so every phase span is a heartbeat, and a
-// 1s ticker evaluates the rules against wall time.
+// startIntrospection builds the bundle. The watchdog rides the span
+// fan-out so every phase span is a heartbeat, and a 1s ticker evaluates
+// the rules against wall time; alert transitions surface on /alerts and
+// in the alert_firing gauge and fired/resolved counters.
 func startIntrospection(of *obsFlags, seed int64) (*introspection, error) {
 	in := &introspection{
 		reg:   obs.NewRegistry(),
-		rec:   core.NewRecorder(1024),
 		spans: obs.NewSpanCollector(4096),
 		ready: obs.NewReadiness(),
 	}
-	in.mon = obs.NewMonitor(obs.MonitorConfig{
-		Window:  of.alertWindow,
-		Metrics: in.reg,
-		OnTransition: func(a obs.Alert) {
-			kind := core.EventAlertFiring
-			if a.State != obs.AlertFiring {
-				kind = core.EventAlertResolved
-			}
-			in.rec.Emit(core.Event{
-				Time: time.Now(), Kind: kind, Actor: "watchdog",
-				Detail: fmt.Sprintf("%s: value %.4f limit %.4f", a.Rule.Name, a.Value, a.Limit),
-			})
-		},
-	})
+	in.mon = obs.NewMonitor(obs.MonitorConfig{Window: of.alertWindow, Metrics: in.reg})
 	in.watch = core.NewWatchdog(in.mon, core.WatchdogConfig{
 		StuckAfter:      of.stuckAfter,
 		StragglerFactor: of.stragglerFactor,
@@ -276,13 +261,16 @@ func startIntrospection(of *obsFlags, seed int64) (*introspection, error) {
 		return nil, fmt.Errorf("-span-sample needs -span-out")
 	}
 	in.sink = sinks
-	in.evalStop = make(chan struct{})
+	// The goroutine owns its copy of the stop channel: close() clears the
+	// field while the ticker may still be running.
+	stop := make(chan struct{})
+	in.evalStop = stop
 	go func() {
 		tick := time.NewTicker(time.Second)
 		defer tick.Stop()
 		for {
 			select {
-			case <-in.evalStop:
+			case <-stop:
 				return
 			case <-tick.C:
 				in.watch.Evaluate(time.Now())
@@ -294,7 +282,6 @@ func startIntrospection(of *obsFlags, seed int64) (*introspection, error) {
 	}
 	srv, err := obs.StartHTTP(of.metricsAddr, obs.HandlerConfig{
 		Registry: in.reg,
-		Events:   func() any { return in.rec.Events() },
 		Spans:    func() any { return in.spans.Spans() },
 		// One process usually carries one node, but the scoreboard shape
 		// is the same either way: split the registry by node label and
@@ -311,7 +298,7 @@ func startIntrospection(of *obsFlags, seed int64) (*introspection, error) {
 		return nil, fmt.Errorf("metrics endpoint: %w", err)
 	}
 	in.srv = srv
-	fmt.Printf("iplsd: introspection on http://%s/metrics (/events, /spans, /scoreboard, /alerts, /buildinfo, /healthz, /readyz)\n", srv.Addr)
+	fmt.Printf("iplsd: introspection on http://%s/metrics (/spans, /scoreboard, /alerts, /buildinfo, /healthz, /readyz)\n", srv.Addr)
 	return in, nil
 }
 
@@ -440,7 +427,7 @@ func serve(args []string) error {
 	netw.SetMetrics(in.reg)
 	netw.SetSpans(in.sink)
 	srv.SetMetrics(in.reg)
-	srv.SetTracer(in.rec)
+	srv.SetSpans(in.sink)
 	addr, err := srv.Listen(*listen)
 	if err != nil {
 		return err
@@ -495,7 +482,6 @@ func trainer(args []string) error {
 	defer in.close()
 	in.ready.Register("round_progressing", func() error { return in.watch.Check(time.Now()) })
 	sess.SetMetrics(in.reg)
-	sess.SetTracer(in.rec)
 	sess.SetSpans(in.sink)
 	// Real processes meter actual CPU/alloc; spans carry the deltas.
 	sess.SetResourceMeter(obs.RuntimeMeter{})
@@ -571,7 +557,6 @@ func aggregator(args []string) error {
 	defer in.close()
 	in.ready.Register("round_progressing", func() error { return in.watch.Check(time.Now()) })
 	sess.SetMetrics(in.reg)
-	sess.SetTracer(in.rec)
 	sess.SetSpans(in.sink)
 	// Real processes meter actual CPU/alloc; spans carry the deltas.
 	sess.SetResourceMeter(obs.RuntimeMeter{})
@@ -628,7 +613,7 @@ func demo(args []string) error {
 	netw.SetMetrics(in.reg)
 	netw.SetSpans(in.sink)
 	srv.SetMetrics(in.reg)
-	srv.SetTracer(in.rec)
+	srv.SetSpans(in.sink)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		return err

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"ipls/internal/core"
 	"ipls/internal/obs"
 )
 
@@ -145,7 +144,11 @@ func TestStartIntrospectionServes(t *testing.T) {
 	}
 	defer in.close()
 	in.reg.Counter("bytes_uploaded_total", "node", "ipfs-00").Add(77)
-	in.rec.Emit(core.Event{Kind: core.EventGradientUploaded, Actor: "trainer-00", Bytes: 77})
+	in.sink.EmitSpan(obs.Span{
+		Name: "fetch_gradients", Actor: "agg-p0-0",
+		Context: obs.SpanContext{Session: "d", Iter: 0, SpanID: obs.NewSpanID()},
+		Events:  []obs.SpanEvent{{Name: "screened_out", Detail: "trainer-00"}},
+	})
 
 	get := func(path string) string {
 		resp, err := http.Get("http://" + in.srv.Addr + path)
@@ -165,8 +168,8 @@ func TestStartIntrospectionServes(t *testing.T) {
 	if body := get("/metrics"); !strings.Contains(body, `bytes_uploaded_total{node="ipfs-00"} 77`) {
 		t.Fatalf("/metrics missing counter:\n%s", body)
 	}
-	if body := get("/events"); !strings.Contains(body, `"gradient-uploaded"`) || !strings.Contains(body, "trainer-00") {
-		t.Fatalf("/events missing trace event:\n%s", body)
+	if body := get("/spans"); !strings.Contains(body, `"screened_out"`) || !strings.Contains(body, "trainer-00") {
+		t.Fatalf("/spans missing span event:\n%s", body)
 	}
 	if body := get("/healthz"); !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz = %q", body)
@@ -249,11 +252,11 @@ func TestStartIntrospectionDisabled(t *testing.T) {
 	if in.srv != nil {
 		t.Fatal("no HTTP server expected when the address is empty")
 	}
-	// The bundle must still work as a metrics/trace target.
+	// The bundle must still work as a metrics/span target.
 	in.reg.Counter("x").Inc()
-	in.rec.Emit(core.Event{Kind: core.EventTakeover})
-	if in.rec.Count(core.EventTakeover) != 1 {
-		t.Fatal("recorder inert")
+	in.sink.EmitSpan(obs.Span{Name: "takeover", Context: obs.SpanContext{Session: "d", SpanID: obs.NewSpanID()}})
+	if spans := in.spans.Spans(); len(spans) != 1 || spans[0].Name != "takeover" {
+		t.Fatalf("span collector inert: %+v", spans)
 	}
 }
 

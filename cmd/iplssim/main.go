@@ -61,12 +61,9 @@ func run(args []string) error {
 		quorumWait  = fs.Duration("quorum-wait", 200*time.Millisecond, "how long aggregators wait for stragglers before closing a quorum round")
 		minAccuracy = fs.Float64("min-accuracy", 0, "fail the run if the final model accuracy is below this bound (0 = off; the chaos-soak convergence gate)")
 		spanSample  = fs.String("span-sample", "", "sample spans before -span-out: slowest=N,rate=F (off = keep everything)")
-		trace       = fs.Bool("trace", false, "print the protocol event timeline of the first round")
-		traceOut    = fs.String("trace-out", "", "write the full protocol event stream to this file as JSON Lines")
 		spanOut     = fs.String("span-out", "", "write causal spans to this file as JSON Lines (analyze with iplstrace)")
-		rotateMB    = fs.Int("rotate-mb", 0, "rotate the -trace-out/-span-out JSONL files at this size in MiB, keeping one predecessor (0 = unbounded)")
+		rotateMB    = fs.Int("rotate-mb", 0, "rotate the -span-out JSONL file at this size in MiB, keeping one predecessor (0 = unbounded)")
 		metricsOut  = fs.String("metrics-out", "", "write the final metrics registry snapshot to this file as JSON")
-		summary     = fs.Bool("summary", false, "print per-iteration latency/byte summaries folded from the trace")
 		scoreboard  = fs.Bool("scoreboard", false, "print the cluster scoreboard after the run: per-node metrics rolled up into percentiles and top-K outliers")
 		watch       = fs.Bool("watch", false, "run the round watchdog over the span stream and print a health summary after the run")
 		stuckAfter  = fs.Duration("stuck-after", 10*time.Second, "watchdog heartbeat deadline for the stuck_round alert (with -watch)")
@@ -209,30 +206,6 @@ func run(args []string) error {
 	sess.SetMetrics(reg)
 	net.SetMetrics(reg)
 
-	// Compose the requested trace consumers: an in-memory recorder for the
-	// -trace timeline and -summary folding, and a JSONL file sink for
-	// -trace-out. The JSONL sink streams, so long runs stay bounded.
-	var (
-		recorder *core.Recorder
-		sink     *core.JSONLTracer
-		tracers  core.MultiTracer
-	)
-	if *trace || *summary {
-		recorder = &core.Recorder{}
-		tracers = append(tracers, recorder)
-	}
-	if *traceOut != "" {
-		f, err := obs.NewRotatingFile(*traceOut, int64(*rotateMB)<<20)
-		if err != nil {
-			return fmt.Errorf("trace-out: %w", err)
-		}
-		defer f.Close()
-		sink = core.NewJSONLTracer(f)
-		tracers = append(tracers, sink)
-	}
-	if len(tracers) > 0 {
-		sess.SetTracer(tracers)
-	}
 	var spanSink *obs.SpanJSONLWriter
 	var sampler *obs.SpanSampler
 	var spanSinks obs.MultiSpanSink
@@ -296,12 +269,6 @@ func run(args []string) error {
 			}
 		} else {
 			metrics, _, err = task.RunRound(context.Background(), behaviors)
-		}
-		if r == 0 && *trace && recorder != nil {
-			fmt.Println("-- round 0 event timeline --")
-			for _, e := range recorder.Events() {
-				fmt.Println("  " + e.String())
-			}
 		}
 		if err != nil {
 			return fmt.Errorf("round %d: %w", r, err)
@@ -376,21 +343,6 @@ func run(args []string) error {
 	}
 	fmt.Printf("storage footprint after run: %.2f MB across %d nodes\n",
 		float64(net.TotalStoredBytes())/1e6, len(cfg.StorageNodes))
-	if *summary && recorder != nil {
-		fmt.Printf("%-6s %8s %12s %12s %8s %8s %8s\n",
-			"iter", "events", "latency", "up-bytes", "down-MB", "merges", "takeover")
-		for _, s := range core.SummarizeTrace(recorder.Events()) {
-			fmt.Printf("%-6d %8d %12s %12d %8.3f %8d %8d\n",
-				s.Iter, s.Events, s.Latency.Round(time.Microsecond), s.BytesUploaded,
-				float64(s.BytesDownloaded)/1e6, s.MergeDownloads, s.Takeovers)
-		}
-	}
-	if sink != nil {
-		if err := sink.Close(); err != nil {
-			return fmt.Errorf("trace-out: %w", err)
-		}
-		fmt.Printf("trace: %d events written to %s (%d dropped)\n", sink.Emitted(), *traceOut, sink.Dropped())
-	}
 	if spanSink != nil {
 		if sampler != nil {
 			sampler.Flush() // release the retained slowest spans

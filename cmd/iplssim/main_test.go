@@ -67,42 +67,50 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			t.Fatalf("%s still accepted", flag)
 		}
 	}
+	// So are the event-stream flags: -span-out plus iplstrace replace them.
+	for _, args := range [][]string{{"-trace"}, {"-summary"}, {"-trace-out", "x.jsonl"}} {
+		if err := run(args); err == nil {
+			t.Fatalf("%s still accepted", args[0])
+		}
+	}
 }
 
 // TestRunExportsTraceAndMetrics drives a simulated multi-node run and
-// checks the exported artifacts: the JSONL trace must parse and fold into
-// non-empty per-iteration summaries, and the metrics snapshot must show
-// non-zero upload bytes, merge savings and aggregation-latency samples.
+// checks the exported artifacts: the JSONL span trace must parse back and
+// show every iteration's gradient uploads with their bytes, and the
+// metrics snapshot must show non-zero upload bytes, merge savings and
+// aggregation-latency samples.
 func TestRunExportsTraceAndMetrics(t *testing.T) {
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.jsonl")
+	spanPath := filepath.Join(dir, "run.spans")
 	metricsPath := filepath.Join(dir, "metrics.json")
 	err := run([]string{
 		"-trainers", "4", "-partitions", "2", "-aggregators", "2",
 		"-storage-nodes", "3", "-providers", "1", "-rounds", "2",
-		"-trace-out", tracePath, "-metrics-out", metricsPath, "-summary",
+		"-span-out", spanPath, "-metrics-out", metricsPath,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	f, err := os.Open(tracePath)
+	f, err := os.Open(spanPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	events, err := core.ReadJSONL(f)
+	spans, err := obs.ReadSpanJSONL(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := core.SummarizeTrace(events)
-	if len(sums) != 2 {
-		t.Fatalf("trace covers %d iterations, want 2", len(sums))
-	}
-	for _, s := range sums {
-		if s.BytesUploaded == 0 || s.GradientUploads == 0 {
-			t.Fatalf("iteration %d summary empty: %+v", s.Iter, s)
+	// 4 trainers x 2 partitions gradient puts per iteration.
+	puts := map[int]int{}
+	for _, s := range spans {
+		if s.Name == "store_put" && s.Bytes > 0 {
+			puts[s.Context.Iter]++
 		}
+	}
+	if len(puts) != 2 || puts[0] != 8 || puts[1] != 8 {
+		t.Fatalf("store_put spans per iteration = %v, want 8 in each of 2", puts)
 	}
 
 	raw, err := os.ReadFile(metricsPath)

@@ -10,7 +10,7 @@
 //	iplstrace run-node1.spans run-node2.spans
 //	iplstrace -json run.spans
 //	iplstrace -chrome trace.json run.spans
-//	iplstrace -tree run.spans
+//	iplstrace -tree run.spans               span trees, each span's events indented under it
 //	iplstrace -resources run.spans          per-phase cpu/alloc + actor outliers
 //	iplstrace -resources -top 10 run.spans
 //
@@ -284,8 +284,24 @@ func printTrees(out io.Writer, spans []obs.Span) {
 				line += fmt.Sprintf(" links=%d", len(n.Span.Links))
 			}
 			fmt.Fprintln(out, line)
+			for _, e := range n.Span.Events {
+				fmt.Fprintln(out, strings.Repeat("  ", depth+2)+eventLine(n.Span, e))
+			}
 		})
 	}
+}
+
+// eventLine renders a span event as its offset into the span, its name,
+// and its bytes and detail when set.
+func eventLine(s obs.Span, e obs.SpanEvent) string {
+	line := "@+" + e.Time.Sub(s.Start).Round(time.Microsecond).String() + " " + e.Name
+	if e.Bytes > 0 {
+		line += fmt.Sprintf(" %dB", e.Bytes)
+	}
+	if e.Detail != "" {
+		line += " " + e.Detail
+	}
+	return line
 }
 
 func orUnnamed(session string) string {

@@ -125,6 +125,59 @@ func TestRunTreeView(t *testing.T) {
 	}
 }
 
+// TestRunTreeViewEvents checks -tree prints each span event on its own
+// line, indented under its span: offset into the span, name, then bytes
+// and detail when set.
+func TestRunTreeViewEvents(t *testing.T) {
+	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	at := func(us int64) time.Time { return start.Add(time.Duration(us) * time.Microsecond) }
+	cases := []struct {
+		name  string
+		event obs.SpanEvent
+		want  string
+	}{
+		{"name only", obs.SpanEvent{Time: at(0), Name: "standby_takeover"}, "@+0s standby_takeover"},
+		{"detail", obs.SpanEvent{Time: at(1500), Name: "screened_out", Detail: "t3"}, "@+1.5ms screened_out t3"},
+		{"bytes and detail", obs.SpanEvent{Time: at(2), Name: "byzantine_reject", Bytes: 640, Detail: "t1"}, "@+2µs byzantine_reject 640B t1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			span := obs.Span{
+				Name: "fetch_gradients", Actor: "agg-p0-0",
+				Context: obs.SpanContext{Session: "run", SpanID: "f0"},
+				Start:   start, End: at(5000),
+				Events: []obs.SpanEvent{tc.event},
+			}
+			path := filepath.Join(t.TempDir(), "ev.spans")
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := obs.NewSpanJSONLWriter(f)
+			w.EmitSpan(span)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			var out bytes.Buffer
+			if err := run([]string{"-tree", path}, &out); err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
+			if len(lines) != 3 {
+				t.Fatalf("tree output:\n%s", out.String())
+			}
+			if got := strings.TrimSpace(lines[2]); got != tc.want {
+				t.Fatalf("event line %q, want %q", got, tc.want)
+			}
+			indent := func(s string) int { return len(s) - len(strings.TrimLeft(s, " ")) }
+			if indent(lines[2]) <= indent(lines[1]) {
+				t.Fatalf("event not indented under its span:\n%s", out.String())
+			}
+		})
+	}
+}
+
 func TestRunChromeExport(t *testing.T) {
 	dir := t.TempDir()
 	aggFile, storeFile := writeSpanFiles(t, dir)

@@ -44,7 +44,7 @@ type sessionMetrics struct {
 }
 
 // SetMetrics points the session's instrumentation at a registry (nil
-// detaches). Like SetTracer, call it before the session is used
+// detaches). Like SetSpans, call it before the session is used
 // concurrently.
 func (s *Session) SetMetrics(reg *obs.Registry) {
 	if reg == nil {

@@ -388,7 +388,7 @@ func (r *ScenarioRunner) applyRoleEvent(ctx context.Context, round int, ev scena
 // checkpoint DAG — the §VI joining-party path — instead of replaying
 // from iteration 0. The loaded parameters are CID-verified per chunk by
 // the DAG layer and must match the task's model dimension.
-func (r *ScenarioRunner) bootstrapTrainer(ctx context.Context, round int, trainer string) (string, error) {
+func (r *ScenarioRunner) bootstrapTrainer(ctx context.Context, round int, trainer string) (_ string, err error) {
 	if r.net == nil || !r.hasCheckpoint {
 		return fmt.Sprintf("rejoin %s (trainer, no checkpoint yet)", trainer), nil
 	}
@@ -396,6 +396,10 @@ func (r *ScenarioRunner) bootstrapTrainer(ctx context.Context, round int, traine
 	if node == "" {
 		return "", fmt.Errorf("core: scenario rejoin %s: no live storage node to bootstrap from", trainer)
 	}
+	sc := r.task.session.startSpan("bootstrap", trainer, round, obs.SpanContext{})
+	sc.attr("node", node)
+	sc.attr("checkpoint", r.checkpoint.CID.Short())
+	defer func() { sc.endErr(err) }()
 	params, err := LoadCheckpoint(ctx, r.net, node, r.checkpoint)
 	if err != nil {
 		return "", fmt.Errorf("core: scenario rejoin %s: %w", trainer, err)
@@ -405,8 +409,6 @@ func (r *ScenarioRunner) bootstrapTrainer(ctx context.Context, round int, traine
 			trainer, len(params), r.task.session.cfg.Spec.Dim)
 	}
 	r.bootstraps.Inc()
-	r.task.session.emit(EventTrainerRejoin, trainer, round, -1,
-		"bootstrapped %d params from checkpoint %s", len(params), r.checkpoint.CID.Short())
 	return fmt.Sprintf("rejoin %s (trainer, bootstrapped %d params from checkpoint %s)",
 		trainer, len(params), r.checkpoint.CID.Short()), nil
 }

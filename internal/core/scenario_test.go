@@ -164,6 +164,8 @@ func TestQuorumRoundProceedsAndFoldsLateDelta(t *testing.T) {
 	task, net, _, _ := newScenarioTask(t, "t%d", false, 0)
 	reg := obs.NewRegistry()
 	task.session.SetMetrics(reg)
+	col := obs.NewSpanCollector(0)
+	task.session.SetSpans(col)
 	plan, err := scenario.Parse("late:t2@iter0")
 	if err != nil {
 		t.Fatal(err)
@@ -192,6 +194,10 @@ func TestQuorumRoundProceedsAndFoldsLateDelta(t *testing.T) {
 	if got := reg.Counter("quorum_proceed_total").Value(); got == 0 {
 		t.Fatal("quorum_proceed_total = 0, want > 0")
 	}
+	events, on := spanEvents(col.Spans(), "quorum_proceed")
+	if len(events) == 0 || on[0].Name != "gradient_wait" || events[0].Detail != "7 of 8" {
+		t.Fatalf("quorum_proceed events %+v, want \"7 of 8\" on gradient_wait", events)
+	}
 
 	metrics, _, _, err = runner.RunRound(ctx)
 	if err != nil {
@@ -199,6 +205,35 @@ func TestQuorumRoundProceedsAndFoldsLateDelta(t *testing.T) {
 	}
 	if metrics.LateFolded != 1 {
 		t.Fatalf("round 1 folded %d late deltas, want 1", metrics.LateFolded)
+	}
+}
+
+// TestScenarioLateFoldAndBootstrapSpans checks the two round-level
+// actions that run outside any protocol role get spans of their own: a
+// late trainer's delta folding into the next round, and a crashed
+// trainer's checkpoint bootstrap on rejoin.
+func TestScenarioLateFoldAndBootstrapSpans(t *testing.T) {
+	task, net, _, _ := newScenarioTask(t, "t%d", false, 0)
+	col := obs.NewSpanCollector(0)
+	task.session.SetSpans(col)
+	plan, err := scenario.Parse("late:t2@iter0,crash:t5@iter0,rejoin:t5@iter1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := NewScenarioRunner(task, net, plan)
+	for round := 0; round < 2; round++ {
+		if _, _, applied, err := runner.RunRound(context.Background()); err != nil {
+			t.Fatalf("round %d (%v): %v", round, applied, err)
+		}
+	}
+	spans := col.Spans()
+	folds := spansNamed(spans, "late_fold")
+	if len(folds) != 1 || folds[0].Actor != "t2" || folds[0].Context.Iter != 1 || folds[0].Attrs["from_round"] != "0" {
+		t.Fatalf("late_fold spans = %+v, want t2's round-0 delta folded in round 1", folds)
+	}
+	boots := spansNamed(spans, "bootstrap")
+	if len(boots) != 1 || boots[0].Actor != "t5" || boots[0].Context.Iter != 1 || boots[0].Attrs["checkpoint"] == "" {
+		t.Fatalf("bootstrap spans = %+v, want t5 bootstrapping in round 1", boots)
 	}
 }
 
@@ -225,6 +260,8 @@ func TestCorruptUploadQuarantinedEndToEnd(t *testing.T) {
 	task, net, dir, data := newScenarioTask(t, "t%d", true, 2)
 	reg := obs.NewRegistry()
 	task.session.SetMetrics(reg)
+	col := obs.NewSpanCollector(0)
+	task.session.SetSpans(col)
 	plan, err := scenario.Parse("corrupt:t1@iter1..2")
 	if err != nil {
 		t.Fatal(err)
@@ -257,6 +294,16 @@ func TestCorruptUploadQuarantinedEndToEnd(t *testing.T) {
 	}
 	if got := dir.Stats().Expunged; got != 2 {
 		t.Fatalf("expunged = %d, want 2", got)
+	}
+	// The span stream carries the same story: one reject per partition's
+	// fetch, the second of which quarantines t1.
+	rejects, _ := spanEvents(col.Spans(), "byzantine_reject")
+	quarantines, _ := spanEvents(col.Spans(), "byzantine_quarantine")
+	if len(rejects) != 2 || !strings.HasPrefix(rejects[0].Detail, "t1 ") {
+		t.Fatalf("byzantine_reject events = %+v, want 2 naming t1", rejects)
+	}
+	if len(quarantines) != 1 || quarantines[0].Detail != "t1" {
+		t.Fatalf("byzantine_quarantine events = %+v, want 1 naming t1", quarantines)
 	}
 
 	acc, _, err := task.Evaluate(data)

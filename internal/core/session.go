@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/big"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -71,7 +72,6 @@ type Session struct {
 	params  *pedersen.Params
 	quant   *scalar.Quantizer
 	field   *scalar.Field
-	tracer  Tracer
 	spans   obs.SpanSink
 	clock   func() time.Time
 	meter   obs.ResourceMeter
@@ -228,7 +228,6 @@ func (s *Session) trainerUpload(ctx context.Context, parent obs.SpanContext, tra
 		return fmt.Errorf("core: trainer %s: %w", trainer, err)
 	}
 	recs := make([]directory.Record, 0, len(parts))
-	sizes := make([]int64, 0, len(parts))
 	for i, part := range parts {
 		block, err := model.Quantize(s.quant, part)
 		if err != nil {
@@ -279,7 +278,6 @@ func (s *Session) trainerUpload(ctx context.Context, parent obs.SpanContext, tra
 		}
 		s.signRecord(&rec)
 		recs = append(recs, rec)
-		sizes = append(sizes, int64(len(data)))
 	}
 	// Announce all partitions in one directory round trip when the
 	// backend supports batching (§VI's load-reduction optimization).
@@ -312,9 +310,6 @@ func (s *Session) trainerUpload(ctx context.Context, parent obs.SpanContext, tra
 		pub.end()
 	}
 	s.metrics.gradientsUploaded.Add(int64(len(recs)))
-	for i, rec := range recs {
-		s.emitBytes(EventGradientUploaded, trainer, iter, rec.Addr.Partition, sizes[i], "cid %s on %s", rec.CID.Short(), rec.Node)
-	}
 	return nil
 }
 
@@ -383,7 +378,6 @@ func (s *Session) trainerCollect(ctx context.Context, parent obs.SpanContext, it
 		}
 		parts[i] = avg
 		s.metrics.updatesCollected.Inc()
-		s.emitBytes(EventUpdateCollected, "trainer", iter, i, int64(len(data)), "update %s", rec.CID.Short())
 	}
 	return model.Join(s.cfg.Spec, parts)
 }
@@ -428,19 +422,24 @@ type AggregatorReport struct {
 // taking over for missing or cheating peers), and publish the global
 // update. The behavior parameter injects the malicious deviations of §III-A.
 func (s *Session) AggregatorRun(ctx context.Context, agg string, partition, iter int, behavior Behavior) (*AggregatorReport, error) {
-	return s.aggregatorRun(ctx, obs.SpanContext{}, agg, partition, iter, behavior, IterationOptions{})
+	return s.aggregatorRun(ctx, obs.SpanContext{}, agg, partition, iter, behavior, IterationOptions{}, "")
 }
 
-func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg string, partition, iter int, behavior Behavior, opts IterationOptions) (_ *AggregatorReport, err error) {
+// aggregatorRun executes the role; executedBy names the standby peer
+// running it after a failover (empty when the aggregator runs itself).
+func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg string, partition, iter int, behavior Behavior, opts IterationOptions, executedBy string) (_ *AggregatorReport, err error) {
 	if behavior == 0 {
 		behavior = BehaviorHonest
 	}
-	report := &AggregatorReport{ID: agg, Partition: partition, Iter: iter, Behavior: behavior}
+	report := &AggregatorReport{ID: agg, Partition: partition, Iter: iter, Behavior: behavior, ExecutedBy: executedBy}
 	if behavior == BehaviorDropout {
 		return report, nil // crashed before doing anything
 	}
 	sc := s.startSpan("aggregate", agg, iter, parent)
 	sc.attr("partition", fmt.Sprint(partition))
+	if executedBy != "" {
+		sc.event("standby_takeover", 0, executedBy)
+	}
 	defer func() { sc.endErr(err) }()
 	start := time.Now()
 	defer func() {
@@ -463,7 +462,7 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 
 	// Phase 1: collect gradients from my trainers (Algorithm 1, 28-34).
 	wait := sc.child("gradient_wait")
-	recs, err := s.awaitGradients(ctx, iter, partition, agg, want, time.Now().Add(s.cfg.TTrain), opts)
+	recs, err := s.awaitGradients(ctx, wait, iter, partition, agg, want, time.Now().Add(s.cfg.TTrain), opts)
 	wait.attr("gradients", fmt.Sprint(len(recs)))
 	wait.endErr(err)
 	if err != nil {
@@ -483,10 +482,6 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 	observeSince(s.metrics.phaseGradients, start)
 	report.GradientsAggregated = len(recs) - len(report.ScreenedOut)
 	report.MergeDownloads = merges
-	s.emit(EventGradientsCollected, agg, iter, partition, "%d gradients, %d merged downloads", report.GradientsAggregated, merges)
-	for _, tr := range report.ScreenedOut {
-		s.emit(EventScreenedOut, agg, iter, partition, "dropped %s (norm bound %v)", tr, s.cfg.ScreenNorm)
-	}
 
 	// Phase 2: aggregate (possibly maliciously) and publish the partial.
 	partial, err := applyBehavior(s.field, blocks, behavior)
@@ -523,7 +518,6 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 		pp.endErr(err)
 		return report, fmt.Errorf("core: %s publish partial: %w", agg, err)
 	}
-	s.emitBytes(EventPartialPublished, agg, iter, partition, int64(len(partialData)), "cid %s", partialCID.Short())
 	// Announce the partial's hash over pub/sub so peers discover it
 	// without polling the directory (§IV-B).
 	announcer, hasPubSub := s.store.(Announcer)
@@ -563,11 +557,12 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 		}
 		return recs
 	}
-	markInvalid := func(peer, reason string) {
-		if !contains(report.InvalidPartials, peer) {
-			report.InvalidPartials = append(report.InvalidPartials, peer)
-			s.emit(EventPartialInvalid, agg, iter, partition, "partial from %s rejected: %s", peer, reason)
-		}
+	// markInvalid records a peer whose partial failed; the verify span's
+	// verdict attribute says why.
+	markInvalid := func(peer, verdict string, vs *spanScope) {
+		report.InvalidPartials = appendUnique(report.InvalidPartials, peer)
+		vs.attr("verdict", verdict)
+		vs.end()
 	}
 	sync := sc.child("sync_wait")
 	processRecs := func(recs []directory.Record) error {
@@ -583,9 +578,7 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 			vs.link(rec.Span)
 			data, err := s.store.Get(ctx, rec.Node, rec.CID)
 			if err != nil || !cid.Verify(data, rec.CID) {
-				markInvalid(peer, "unretrievable or CID mismatch")
-				vs.attr("verdict", "unretrievable")
-				vs.end()
+				markInvalid(peer, "unretrievable", vs)
 				continue
 			}
 			vs.bytes(int64(len(data)))
@@ -599,24 +592,19 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 				}
 				if !ok {
 					s.metrics.verifyFail.Inc()
-					markInvalid(peer, "commitment verification failed")
-					vs.attr("verdict", "rejected")
-					vs.end()
+					markInvalid(peer, "rejected", vs)
 					continue
 				}
 				s.metrics.verifyPass.Inc()
 			}
 			block, err := model.DecodeBlock(data)
 			if err != nil {
-				markInvalid(peer, "malformed block")
-				vs.attr("verdict", "malformed")
-				vs.end()
+				markInvalid(peer, "malformed", vs)
 				continue
 			}
 			partials[peer] = block
 			vs.attr("verdict", "accepted")
 			vs.end()
-			s.emitBytes(EventPartialVerified, agg, iter, partition, int64(len(data)), "accepted partial from %s", peer)
 		}
 		return nil
 	}
@@ -655,7 +643,7 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 		to := sc.child("takeover")
 		to.attr("peer", peer)
 		peerExpected := s.cfg.TrainersOf(partition, peer)
-		peerRecs, err := s.awaitGradients(ctx, iter, partition, peer, len(peerExpected), time.Now().Add(s.cfg.TTrain), opts)
+		peerRecs, err := s.awaitGradients(ctx, to, iter, partition, peer, len(peerExpected), time.Now().Add(s.cfg.TTrain), opts)
 		if err != nil || len(peerRecs) == 0 {
 			to.endErr(err)
 			continue
@@ -678,7 +666,6 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 		report.TookOverFor = append(report.TookOverFor, peer)
 		report.GradientsAggregated += len(peerRecs)
 		s.metrics.takeovers.Inc()
-		s.emit(EventTakeover, agg, iter, partition, "redid %s's aggregation over %d gradients", peer, len(peerRecs))
 	}
 
 	// Phase 5: fold all partials into the global update (Algorithm 1, 43-44).
@@ -733,12 +720,7 @@ func (s *Session) standbyWatch(ctx context.Context, parent obs.SpanContext, stan
 	}
 	lead := s.cfg.Aggregators[partition][0]
 	s.metrics.standbyTakeovers.Inc()
-	s.emit(EventStandbyTakeover, standby, iter, partition,
-		"no life signs from partition %d aggregators by failover deadline; %s executing %s", partition, standby, lead)
-	rep, err := s.aggregatorRun(ctx, parent, lead, partition, iter, BehaviorHonest, opts)
-	if rep != nil {
-		rep.ExecutedBy = standby
-	}
+	rep, err := s.aggregatorRun(ctx, parent, lead, partition, iter, BehaviorHonest, opts, standby)
 	if err != nil {
 		// The watch can race a slow-but-alive aggregator; if the partition
 		// completed anyway, the takeover losing that race is not a failure.
@@ -754,8 +736,9 @@ func (s *Session) standbyWatch(ctx context.Context, parent obs.SpanContext, stan
 // for (iter, partition, aggregator) are visible. With a quorum option, a
 // round that has m = ceil(Quorum·want) gradients after QuorumWait
 // proceeds without the stragglers — graceful degradation instead of
-// idling out the whole t_train window on one slow trainer.
-func (s *Session) awaitGradients(ctx context.Context, iter, partition int, agg string, want int, deadline time.Time, opts IterationOptions) ([]directory.Record, error) {
+// idling out the whole t_train window on one slow trainer. A quorum cut
+// is a quorum_proceed event on sc naming how many of want arrived.
+func (s *Session) awaitGradients(ctx context.Context, sc *spanScope, iter, partition int, agg string, want int, deadline time.Time, opts IterationOptions) ([]directory.Record, error) {
 	need := want
 	var quorumAt time.Time
 	if opts.Quorum > 0 && opts.Quorum < 1 {
@@ -773,8 +756,7 @@ func (s *Session) awaitGradients(ctx context.Context, iter, partition int, agg s
 		}
 		if need < want && len(recs) >= need && !time.Now().Before(quorumAt) {
 			s.metrics.quorumProceeds.Inc()
-			s.emit(EventQuorumProceed, agg, iter, partition,
-				"quorum reached: proceeding with %d of %d gradients", len(recs), want)
+			sc.event("quorum_proceed", 0, strconv.Itoa(len(recs))+" of "+strconv.Itoa(want))
 			return true, nil
 		}
 		return false, nil
@@ -808,6 +790,7 @@ func (s *Session) collectBlocks(ctx context.Context, sc *spanScope, recs []direc
 			report.ScreenedOut = appendUnique(report.ScreenedOut, rec.Addr.Uploader)
 			if len(report.ScreenedOut) > before {
 				s.metrics.screenedOut.Inc()
+				sc.event("screened_out", 0, rec.Addr.Uploader)
 			}
 			continue
 		}
@@ -835,11 +818,9 @@ func (s *Session) blockNorm(b model.Block) float64 {
 // published commitments it must open, and the records to re-fetch
 // individually if it does not.
 type pendingMerge struct {
-	node  string
 	grp   []directory.Record
 	block model.Block
 	want  pedersen.Commitment
-	size  int64
 }
 
 // downloadGradients retrieves gradient blocks, using merge-and-download for
@@ -910,8 +891,6 @@ func (s *Session) downloadGradients(ctx context.Context, sc *spanScope, recs []d
 				merges++
 				out[ni] = []model.Block{block}
 				s.metrics.mergeDownloads.Inc()
-				s.emitBytes(EventMergeDownload, "aggregator", grp[0].Addr.Iter, grp[0].Addr.Partition,
-					int64(len(data)), "%s pre-aggregated %d gradients", node, len(grp))
 				continue
 			}
 			// §IV-B: the merged block must open the product of the
@@ -925,9 +904,7 @@ func (s *Session) downloadGradients(ctx context.Context, sc *spanScope, recs []d
 				return nil, merges, err
 			}
 			pendingSlot[ni] = len(pending)
-			pending = append(pending, pendingMerge{
-				node: node, grp: grp, block: block, want: want, size: int64(len(data)),
-			})
+			pending = append(pending, pendingMerge{grp: grp, block: block, want: want})
 		}
 		if len(pending) > 0 {
 			// One random-linear-combination multiexp covers every merged
@@ -977,7 +954,7 @@ func (s *Session) downloadGradients(ctx context.Context, sc *spanScope, recs []d
 							return nil, merges, err
 						}
 						if !recOK {
-							s.reportByzantine(ctx, rec)
+							s.reportByzantine(ctx, sc, rec)
 							continue
 						}
 						out[ni] = append(out[ni], b)
@@ -987,8 +964,6 @@ func (s *Session) downloadGradients(ctx context.Context, sc *spanScope, recs []d
 				merges++
 				out[ni] = []model.Block{pm.block}
 				s.metrics.mergeDownloads.Inc()
-				s.emitBytes(EventMergeDownload, "aggregator", pm.grp[0].Addr.Iter, pm.grp[0].Addr.Partition,
-					pm.size, "%s pre-aggregated %d gradients", pm.node, len(pm.grp))
 			}
 		}
 		for _, grpBlocks := range out {
@@ -1012,8 +987,8 @@ func (s *Session) downloadGradients(ctx context.Context, sc *spanScope, recs []d
 // is expunged from the directory (which independently re-verifies before
 // removing anything), so the honest remainder of the round still
 // verifies against the partition accumulator, and a repeat offender is
-// quarantined at the strike limit.
-func (s *Session) reportByzantine(ctx context.Context, rec directory.Record) {
+// quarantined at the strike limit. Each step is an event on sc.
+func (s *Session) reportByzantine(ctx context.Context, sc *spanScope, rec directory.Record) {
 	s.byzMu.Lock()
 	if s.byzSeen[rec.Addr] {
 		s.byzMu.Unlock()
@@ -1029,22 +1004,19 @@ func (s *Session) reportByzantine(ctx context.Context, rec directory.Record) {
 	s.byzMu.Unlock()
 
 	s.metrics.byzantineRejects.Inc()
-	s.emit(EventByzantineReject, "aggregator", rec.Addr.Iter, rec.Addr.Partition,
-		"gradient %s from %s does not open its commitment (strike %d)", rec.CID.Short(), rec.Addr.Uploader, strikes)
+	sc.event("byzantine_reject", 0, rec.Addr.Uploader+" "+rec.CID.Short()+" strike "+strconv.Itoa(strikes))
 	if expunger, ok := s.dir.(interface {
 		ExpungeGradient(ctx context.Context, addr directory.Addr) error
 	}); ok {
 		if err := expunger.ExpungeGradient(ctx, rec.Addr); err != nil && !errors.Is(err, directory.ErrNotFound) {
-			s.emit(EventByzantineReject, "aggregator", rec.Addr.Iter, rec.Addr.Partition,
-				"expunge of %s failed: %v", rec.CID.Short(), err)
+			sc.event("expunge_failed", 0, err.Error())
 		}
 	}
 	if !quarantine {
 		return
 	}
 	s.metrics.byzantineQuarantines.Inc()
-	s.emit(EventByzantineQuarantine, "aggregator", rec.Addr.Iter, rec.Addr.Partition,
-		"%s quarantined after %d byzantine uploads", rec.Addr.Uploader, strikes)
+	sc.event("byzantine_quarantine", 0, rec.Addr.Uploader)
 	if q, ok := s.dir.(interface {
 		Quarantine(trainer string, fromIter int)
 	}); ok {
@@ -1169,13 +1141,11 @@ func (s *Session) publishGlobal(ctx context.Context, parent *spanScope, report *
 		report.PublishedGlobal = true
 		gp.attr("outcome", "accepted")
 		s.metrics.globalsPublished.Inc()
-		s.emitBytes(EventGlobalPublished, agg, iter, partition, int64(len(data)), "cid %s on %s", c.Short(), node)
 		return nil
 	case errors.Is(err, directory.ErrVerificationFailed):
 		report.GlobalRejected = true
 		gp.attr("outcome", "rejected")
 		s.metrics.globalsRejected.Inc()
-		s.emit(EventGlobalRejected, agg, iter, partition, "directory refused the update")
 		return nil
 	case errors.Is(err, directory.ErrAlreadyFinal):
 		gp.attr("outcome", "peer-won")
@@ -1348,7 +1318,7 @@ func (s *Session) runIteration(ctx context.Context, parent obs.SpanContext, iter
 		wg.Add(1)
 		go func(ref AggregatorRef, b Behavior) {
 			defer wg.Done()
-			rep, err := s.aggregatorRun(ctx, it.ctx(), ref.ID, ref.Partition, iter, b, opts)
+			rep, err := s.aggregatorRun(ctx, it.ctx(), ref.ID, ref.Partition, iter, b, opts, "")
 			mu.Lock()
 			result.Reports[ref.ID] = rep
 			mu.Unlock()

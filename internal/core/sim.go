@@ -84,10 +84,6 @@ type SimConfig struct {
 	// the same names real runs use (bytes_uploaded_total{node=...} etc.),
 	// so snapshots from simulated and emulated experiments line up.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, receives protocol events stamped with the
-	// simulation's virtual clock (anchored at the Unix epoch), so the
-	// same trace tooling folds simulated and real runs.
-	Tracer Tracer
 	// Spans, when non-nil, receives per-role causal spans (upload,
 	// aggregate, merge_download, sync_wait) in virtual time under the
 	// trace (session "sim", iter 0).
@@ -309,19 +305,9 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	for k, n := range expected {
 		arrived[k] = env.NewCounter(n)
 	}
-	// Observability: simulated runs emit the same event stream and span
-	// trees real runs do, stamped with the virtual clock anchored at the
-	// Unix epoch.
+	// Observability: simulated runs emit the same span trees real runs do,
+	// stamped with the virtual clock anchored at the Unix epoch.
 	simClock := env.Clock(time.Unix(0, 0).UTC())
-	emitEvent := func(kind EventKind, actor string, partition int, bytes int64, detail string) {
-		if cfg.Tracer == nil {
-			return
-		}
-		cfg.Tracer.Emit(Event{
-			Time: simClock(), Kind: kind, Actor: actor,
-			Partition: partition, Bytes: bytes, Detail: detail,
-		})
-	}
 	spanSink := cfg.Spans
 	if cfg.Watchdog != nil {
 		// The watchdog rides the span stream: every phase span is a
@@ -402,7 +388,6 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 				ckBytes := cfg.PartitionBytes * int64(cfg.Partitions)
 				env.Transfer(stores[place(t%cfg.StorageNodes)], trainers[t], ckBytes)
 				bootstraps++
-				emitEvent(EventTrainerRejoin, trainers[t].Name, -1, ckBytes, "simulated checkpoint bootstrap")
 				emitSpan("bootstrap", trainers[t].Name, bCtx, bStart, ckBytes)
 			}
 			upCtx := simRoot()
@@ -424,7 +409,6 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 					arrived[slotKey{p, j, providerOf(p, j, t)}].Add()
 					gradArrived[[2]int{p, t}].Add()
 				}
-				emitEvent(EventGradientUploaded, trainers[t].Name, p, cfg.PartitionBytes, "simulated upload")
 			}
 			uploadDone[t] = env.Now()
 			emitSpan("upload", trainers[t].Name, upCtx, upStart, cfg.PartitionBytes*int64(cfg.Partitions))
@@ -488,7 +472,6 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 								// partition-sized block over what arrived.
 								env.Transfer(stores[node], agg, cfg.PartitionBytes)
 								mergeDownloads++
-								emitEvent(EventMergeDownload, agg.Name, p, cfg.PartitionBytes, "simulated merge-and-download")
 								emitSpan("merge_download", stores[node].Name, mdCtx, mdStart, cfg.PartitionBytes)
 							}
 							done.Add()
@@ -527,7 +510,6 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 					syncStart := simClock()
 					home := stores[place((p*cfg.AggregatorsPerPartition+j)%len(stores))]
 					env.Transfer(agg, home, cfg.PartitionBytes)
-					emitEvent(EventPartialPublished, agg.Name, p, cfg.PartitionBytes, "simulated partial upload")
 					partialReady[[2]int{p, j}].Fire()
 					done := env.NewCounter(cfg.AggregatorsPerPartition - 1)
 					for k := 0; k < cfg.AggregatorsPerPartition; k++ {
@@ -551,7 +533,6 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 				if env.Now() > totalDone {
 					totalDone = env.Now()
 				}
-				emitEvent(EventGlobalPublished, agg.Name, p, cfg.PartitionBytes, "simulated global update")
 				emitSpan("aggregate", agg.Name, aggCtx, aggStart, agg.BytesReceived)
 			})
 		}
@@ -629,7 +610,6 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 				if cfg.AggregatorsPerPartition > 1 && !cfg.Direct {
 					home := stores[place((p*cfg.AggregatorsPerPartition+j)%len(stores))]
 					env.Transfer(standby, home, cfg.PartitionBytes)
-					emitEvent(EventPartialPublished, standby.Name, p, cfg.PartitionBytes, "simulated takeover partial")
 					partialReady[[2]int{p, j}].Fire()
 					for k := 0; k < cfg.AggregatorsPerPartition; k++ {
 						if k == j {
@@ -648,9 +628,6 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 				if env.Now() > totalDone {
 					totalDone = env.Now()
 				}
-				emitEvent(EventStandbyTakeover, standby.Name, p,
-					got, fmt.Sprintf("executed agg-p%d-%d after %v failover timeout", p, j, failover))
-				emitEvent(EventGlobalPublished, standby.Name, p, cfg.PartitionBytes, "simulated takeover global update")
 				emitSpan("takeover", standby.Name, toCtx, toStart, got)
 			})
 		}

@@ -277,10 +277,8 @@ func TestSimValidation(t *testing.T) {
 
 func TestSimEmitsVirtualTimeSpans(t *testing.T) {
 	col := obs.NewSpanCollector(0)
-	rec := &Recorder{}
 	cfg := fig1Config(2)
 	cfg.Spans = col
-	cfg.Tracer = rec
 	res, err := Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -332,17 +330,13 @@ func TestSimEmitsVirtualTimeSpans(t *testing.T) {
 		t.Fatal("merge_download not parented under fetch_gradients")
 	}
 
-	// Events share the virtual timeline, so SummarizeTrace latency is the
-	// simulated iteration duration, not wall time.
-	sums := SummarizeTrace(rec.Events())
-	if len(sums) != 1 {
-		t.Fatalf("summaries = %+v", sums)
-	}
-	if sums[0].Latency <= 0 || sums[0].Latency > res.TotalDelay {
-		t.Fatalf("virtual latency %v vs total delay %v", sums[0].Latency, res.TotalDelay)
-	}
-	// And the critical-path breakdown tiles the traced window.
+	// Spans share the virtual timeline, so the breakdown's latency is the
+	// simulated iteration duration, not wall time, and its critical path
+	// tiles the traced window.
 	b := obs.Breakdown(spans)
+	if b.Latency <= 0 || b.Latency > res.TotalDelay {
+		t.Fatalf("virtual latency %v vs total delay %v", b.Latency, res.TotalDelay)
+	}
 	var sum time.Duration
 	for _, p := range b.Phases {
 		sum += p.Duration

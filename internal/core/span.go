@@ -11,20 +11,20 @@ import (
 )
 
 // Span plumbing for the session: the protocol engine emits causal spans
-// (obs.Span) alongside the flat event stream, one tree per FL iteration.
-// Role entry points (upload, collect, aggregate) open root spans — or
-// children, when RunIteration supplies its iteration-wide parent — and
-// phase helpers open children under them. Contexts cross process
-// boundaries inside directory records (Record.Span) and the
-// merge-and-download RPC, which is what lets an aggregator's trace
-// reference the uploads and storage-side merges it depended on.
+// (obs.Span), one tree per FL iteration; occurrences no span records of
+// its own become events on the span open when they happen. Role entry
+// points (upload, collect, aggregate) open root spans — or children, when
+// RunIteration supplies its iteration-wide parent — and phase helpers
+// open children under them. Contexts cross process boundaries inside
+// directory records (Record.Span) and the merge-and-download RPC, which
+// is what lets an aggregator's trace reference the uploads and
+// storage-side merges it depended on.
 
 // SetSpans attaches the sink that receives the session's completed spans
-// (nil detaches). Like SetTracer it must be called before the session
-// runs roles.
+// (nil detaches). It must be called before the session runs roles.
 func (s *Session) SetSpans(sink obs.SpanSink) { s.spans = sink }
 
-// SetClock overrides the session's notion of "now" for event and span
+// SetClock overrides the session's notion of "now" for span and span-event
 // timestamps (nil restores the wall clock). Deadlines and polling still
 // use the wall clock — the clock only stamps observability output, so a
 // virtual-time harness (netsim) can produce traces in its own timeline.
@@ -142,6 +142,16 @@ func (sc *spanScope) attr(k, v string) {
 		sc.span.Attrs = make(map[string]string)
 	}
 	sc.span.Attrs[k] = v
+}
+
+// event annotates the span with a point-in-time occurrence. It returns
+// before touching its arguments when spans are off, so an event built
+// from values the caller already holds costs nothing then.
+func (sc *spanScope) event(name string, bytes int64, detail string) {
+	if sc == nil {
+		return
+	}
+	sc.span.Events = append(sc.span.Events, obs.SpanEvent{Time: sc.s.now(), Name: name, Bytes: bytes, Detail: detail})
 }
 
 // link records a causal reference to a span in another role's tree.

@@ -165,35 +165,52 @@ func TestRoleSpansRootPerRole(t *testing.T) {
 	}
 }
 
-// TestSessionSetClock pins event and span timestamps to an injected
+// TestSessionSetClock pins span and span-event timestamps to an injected
 // clock, the hook sim.Simulate uses to stamp traces in virtual time.
 func TestSessionSetClock(t *testing.T) {
-	sess, _, _ := testStack(t, nil)
+	// Screening a poisoned gradient makes the run emit span events too.
+	sess, _, _ := testStack(t, func(ts *TaskSpec) { ts.ScreenNorm = 100 })
 	frozen := time.Date(2026, 2, 3, 4, 5, 6, 0, time.UTC)
 	sess.SetClock(func() time.Time { return frozen })
 
 	col := obs.NewSpanCollector(0)
-	rec := &Recorder{}
 	sess.SetSpans(col)
-	sess.SetTracer(rec)
 	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 9)
+	for i := range deltas["t3"] {
+		deltas["t3"][i] = 1e6
+	}
 	if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err != nil {
 		t.Fatal(err)
 	}
+	events := 0
 	for _, s := range col.Spans() {
 		if !s.Start.Equal(frozen) || !s.End.Equal(frozen) {
 			t.Fatalf("span %s stamped %v..%v, want frozen clock", s.Name, s.Start, s.End)
 		}
-	}
-	for _, e := range rec.Events() {
-		if !e.Time.Equal(frozen) {
-			t.Fatalf("event %s stamped %v, want frozen clock", e.Kind, e.Time)
+		for _, e := range s.Events {
+			events++
+			if !e.Time.Equal(frozen) {
+				t.Fatalf("event %s stamped %v, want frozen clock", e.Name, e.Time)
+			}
 		}
+	}
+	if events == 0 {
+		t.Fatal("screening run emitted no span events")
 	}
 
 	// nil restores the wall clock.
 	sess.SetClock(nil)
 	if sess.now().Year() == 2026 && sess.now().Equal(frozen) {
 		t.Fatal("wall clock not restored")
+	}
+}
+
+// TestNilScopeEventAllocatesNothing pins the cost of an event with spans
+// off: the nil scope returns before touching its arguments.
+func TestNilScopeEventAllocatesNothing(t *testing.T) {
+	var sc *spanScope
+	trainer, n := "t3", int64(4096)
+	if allocs := testing.AllocsPerRun(1000, func() { sc.event("screened_out", n, trainer) }); allocs != 0 {
+		t.Fatalf("nil-scope event allocates %v times", allocs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"ipls/internal/directory"
@@ -255,14 +256,16 @@ func (t *Task) foldLate(round int) int {
 			kept = append(kept, ld)
 			continue
 		}
+		sc := t.session.startSpan("late_fold", ld.trainer, round, obs.SpanContext{})
 		age := round - ld.round
 		w := math.Pow(lateDecay, float64(age)) / n
 		for i := range t.global {
 			t.global[i] += w * ld.delta[i]
 		}
 		folded++
-		t.session.emit(EventLateFolded, ld.trainer, round, -1,
-			"folded round-%d delta at weight %.3g (%d rounds late)", ld.round, w, age)
+		sc.attr("from_round", strconv.Itoa(ld.round))
+		sc.attr("weight", strconv.FormatFloat(w, 'g', 3, 64))
+		sc.end()
 	}
 	t.late = kept
 	return folded

@@ -1,11 +1,39 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
 	"time"
+
+	"ipls/internal/obs"
 )
+
+// spansNamed filters spans by name.
+func spansNamed(spans []obs.Span, name string) []obs.Span {
+	var out []obs.Span
+	for _, s := range spans {
+		if s.Name == name {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// spanEvents lists the events of the given name across spans, with the
+// span each sits on.
+func spanEvents(spans []obs.Span, name string) (events []obs.SpanEvent, on []obs.Span) {
+	for _, s := range spans {
+		for _, e := range s.Events {
+			if e.Name == name {
+				events = append(events, e)
+				on = append(on, s)
+			}
+		}
+	}
+	return events, on
+}
 
 func TestTracerRecordsHonestIteration(t *testing.T) {
 	sess, _, _ := testStack(t, func(ts *TaskSpec) {
@@ -13,38 +41,52 @@ func TestTracerRecordsHonestIteration(t *testing.T) {
 		ts.ProvidersPerAggregator = 1
 		ts.Verifiable = true
 	})
-	rec := &Recorder{}
-	sess.SetTracer(rec)
+	col := obs.NewSpanCollector(0)
+	sess.SetSpans(col)
 	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 95)
 	if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err != nil {
 		t.Fatal(err)
 	}
-	// 4 trainers x 3 partitions gradients.
-	if got := rec.Count(EventGradientUploaded); got != 12 {
-		t.Fatalf("gradient-uploaded events = %d, want 12", got)
+	spans := col.Spans()
+	// 4 trainers x 3 partitions gradients, each stored with its size.
+	puts := spansNamed(spans, "store_put")
+	if len(puts) != 12 {
+		t.Fatalf("store_put spans = %d, want 12", len(puts))
 	}
-	// 6 aggregators (3 partitions x 2) each collect once and publish a partial.
-	if got := rec.Count(EventGradientsCollected); got != 6 {
-		t.Fatalf("gradients-collected events = %d, want 6", got)
+	for _, p := range puts {
+		if p.Bytes <= 0 {
+			t.Fatalf("store_put without payload size: %+v", p)
+		}
 	}
-	if got := rec.Count(EventPartialPublished); got != 6 {
-		t.Fatalf("partial-published events = %d, want 6", got)
+	// 6 aggregators (3 partitions x 2) each wait once, publish a partial
+	// and accept their peer's.
+	if got := len(spansNamed(spans, "gradient_wait")); got != 6 {
+		t.Fatalf("gradient_wait spans = %d, want 6", got)
 	}
-	// Exactly one global per partition.
-	if got := rec.Count(EventGlobalPublished); got != 3 {
-		t.Fatalf("global-published events = %d, want 3", got)
+	if got := len(spansNamed(spans, "partial_publish")); got != 6 {
+		t.Fatalf("partial_publish spans = %d, want 6", got)
 	}
-	// One trainer (the result collection) reads 3 updates.
-	if got := rec.Count(EventUpdateCollected); got != 3 {
-		t.Fatalf("update-collected events = %d, want 3", got)
+	for _, v := range spansNamed(spans, "verify") {
+		if v.Attrs["verdict"] != "accepted" {
+			t.Fatalf("honest partial not accepted: %+v", v)
+		}
 	}
-	if got := rec.Count(EventGlobalRejected); got != 0 {
-		t.Fatal("honest run must not be rejected")
+	// Exactly one accepted global per partition; none rejected.
+	outcomes := map[string]int{}
+	for _, g := range spansNamed(spans, "global_publish") {
+		outcomes[g.Attrs["outcome"]]++
 	}
-	// Events render usefully.
-	events := rec.Events()
-	if len(events) == 0 || !strings.Contains(events[0].String(), "iter 0") {
-		t.Fatalf("event formatting broken: %v", events[0])
+	if outcomes["accepted"] != 3 || outcomes["rejected"] != 0 {
+		t.Fatalf("global_publish outcomes = %v, want 3 accepted", outcomes)
+	}
+	// The result collection downloads 3 updates.
+	if got := len(spansNamed(spans, "download")); got != 3 {
+		t.Fatalf("download spans = %d, want 3", got)
+	}
+	for _, s := range spans {
+		if len(s.Events) != 0 {
+			t.Fatalf("honest round annotated %s with %+v", s.Name, s.Events)
+		}
 	}
 }
 
@@ -54,10 +96,10 @@ func TestTracerRecordsDetectionAndTakeover(t *testing.T) {
 		ts.Verifiable = true
 		ts.TSync = time.Second
 	})
-	rec := &Recorder{}
-	sess.SetTracer(rec)
+	col := obs.NewSpanCollector(0)
+	sess.SetSpans(col)
 	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 96)
-	evil := AggregatorID(0, 1)
+	honest, evil := AggregatorID(0, 0), AggregatorID(0, 1)
 	res, err := sess.RunIteration(context.Background(), 0, deltas,
 		map[string]Behavior{evil: BehaviorAlterGradient})
 	if err != nil {
@@ -66,30 +108,41 @@ func TestTracerRecordsDetectionAndTakeover(t *testing.T) {
 	if !res.Detected() {
 		t.Fatal("not detected")
 	}
-	if rec.Count(EventPartialInvalid) == 0 {
-		t.Fatal("no partial-invalid event recorded")
+	spans := col.Spans()
+	rejected := false
+	for _, v := range spansNamed(spans, "verify") {
+		if v.Attrs["peer"] == evil && v.Attrs["verdict"] == "rejected" && v.Actor == honest {
+			rejected = true
+		}
 	}
-	if rec.Count(EventTakeover) == 0 {
-		t.Fatal("no takeover event recorded")
+	if !rejected {
+		t.Fatal("no verify span rejecting the cheater's partial")
 	}
-	// The takeover must be attributed to the honest peer redoing the evil
-	// aggregator's partition, with the timestamp populated.
-	for _, e := range rec.Events() {
-		if e.Kind != EventTakeover {
-			continue
+	// The takeover is attributed to the honest peer redoing the evil
+	// aggregator's work, in the iteration's trace, with timestamps.
+	takeovers := spansNamed(spans, "takeover")
+	if len(takeovers) == 0 {
+		t.Fatal("no takeover span recorded")
+	}
+	for _, to := range takeovers {
+		if to.Actor == evil {
+			t.Fatalf("takeover attributed to the malicious aggregator: %+v", to)
 		}
-		if e.Actor == evil {
-			t.Fatalf("takeover attributed to the malicious aggregator: %v", e)
+		if to.Attrs["peer"] != evil {
+			t.Fatalf("takeover does not name the replaced peer: %+v", to)
 		}
-		if e.Partition != 0 || e.Iter != 0 {
-			t.Fatalf("takeover event misaddressed: %v", e)
+		if to.Context.Iter != 0 || to.Start.IsZero() || to.End.Before(to.Start) {
+			t.Fatalf("takeover span misaddressed or unstamped: %+v", to)
 		}
-		if e.Time.IsZero() {
-			t.Fatalf("takeover event has no timestamp: %v", e)
+	}
+	accepted := false
+	for _, g := range spansNamed(spans, "global_publish") {
+		if g.Actor == honest && g.Attrs["outcome"] == "accepted" {
+			accepted = true
 		}
-		if !strings.Contains(e.Detail, evil) {
-			t.Fatalf("takeover detail does not name the replaced peer: %v", e)
-		}
+	}
+	if !accepted {
+		t.Fatal("honest aggregator's global_publish outcome not accepted")
 	}
 }
 
@@ -97,8 +150,8 @@ func TestTracerRecordsScreenedOut(t *testing.T) {
 	// Screening is incompatible with verifiable mode, so this exercises the
 	// non-verifiable path.
 	sess, _, _ := testStack(t, func(ts *TaskSpec) { ts.ScreenNorm = 100 })
-	rec := NewRecorder(256)
-	sess.SetTracer(rec)
+	col := obs.NewSpanCollector(0)
+	sess.SetSpans(col)
 	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 97)
 	for i := range deltas["t3"] {
 		deltas["t3"][i] = 1e6 // way past the norm bound
@@ -106,80 +159,54 @@ func TestTracerRecordsScreenedOut(t *testing.T) {
 	if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Count(EventScreenedOut) == 0 {
-		t.Fatal("no screened-out event recorded")
-	}
-	found := false
-	for _, e := range rec.Events() {
-		if e.Kind == EventScreenedOut && strings.Contains(e.Detail, "t3") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("screened-out event does not name the poisoned trainer")
-	}
-}
-
-func TestRecorderCapacityEvictsOldest(t *testing.T) {
-	rec := NewRecorder(3)
-	for i := 0; i < 5; i++ {
-		rec.Emit(Event{Iter: i})
-	}
-	events := rec.Events()
-	if len(events) != 3 {
-		t.Fatalf("retained %d events, want 3", len(events))
+	events, on := spanEvents(col.Spans(), "screened_out")
+	if len(events) == 0 {
+		t.Fatal("no screened_out event recorded")
 	}
 	for i, e := range events {
-		if e.Iter != i+2 { // 0 and 1 evicted; 2,3,4 retained oldest-first
-			t.Fatalf("events[%d].Iter = %d, want %d", i, e.Iter, i+2)
+		if e.Detail != "t3" || on[i].Name != "fetch_gradients" {
+			t.Fatalf("screened_out %+v on %s, want t3 on fetch_gradients", e, on[i].Name)
 		}
-	}
-	if rec.Dropped() != 2 {
-		t.Fatalf("Dropped() = %d, want 2", rec.Dropped())
+		if e.Time.Before(on[i].Start) || e.Time.After(on[i].End) {
+			t.Fatalf("screened_out at %v outside its span [%v, %v]", e.Time, on[i].Start, on[i].End)
+		}
 	}
 }
 
-func TestRecorderZeroValueIsUnbounded(t *testing.T) {
-	rec := &Recorder{}
-	for i := 0; i < 100; i++ {
-		rec.Emit(Event{Iter: i})
+// TestJSONLRoundTrip writes a live run's spans through the JSONL writer
+// and reads them back: span events survive, and spans without events
+// serialise without an events key.
+func TestJSONLRoundTrip(t *testing.T) {
+	sess, _, _ := testStack(t, func(ts *TaskSpec) { ts.ScreenNorm = 100 })
+	var buf bytes.Buffer
+	w := obs.NewSpanJSONLWriter(&buf)
+	sess.SetSpans(w)
+	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 98)
+	for i := range deltas["t3"] {
+		deltas["t3"][i] = 1e6
 	}
-	if len(rec.Events()) != 100 || rec.Dropped() != 0 {
-		t.Fatalf("zero-value recorder: %d events, %d dropped", len(rec.Events()), rec.Dropped())
+	if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestEventStringIncludesTimestamp(t *testing.T) {
-	at := time.Date(2026, 3, 14, 15, 9, 26, 535_000_000, time.UTC)
-	e := Event{Time: at, Kind: EventTakeover, Actor: "agg-0-0", Iter: 2, Partition: 1, Detail: "x"}
-	s := e.String()
-	if !strings.Contains(s, "2026-03-14T15:09:26.535Z") {
-		t.Fatalf("event string %q missing RFC 3339 timestamp", s)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(s, "takeover") || !strings.Contains(s, "iter 2") {
-		t.Fatalf("event string %q lost kind or iteration", s)
-	}
-}
-
-func TestEventKindStrings(t *testing.T) {
-	kinds := []EventKind{
-		EventGradientUploaded, EventGradientsCollected, EventMergeDownload,
-		EventPartialPublished, EventPartialVerified, EventPartialInvalid,
-		EventTakeover, EventGlobalPublished, EventGlobalRejected,
-		EventUpdateCollected, EventScreenedOut,
-	}
-	seen := make(map[string]bool)
-	for _, k := range kinds {
-		s := k.String()
-		if s == "" || strings.HasPrefix(s, "event(") {
-			t.Fatalf("kind %d has no name", int(k))
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	withEvents := 0
+	for _, l := range lines {
+		if strings.Contains(l, `"events"`) {
+			withEvents++
 		}
-		if seen[s] {
-			t.Fatalf("duplicate kind name %q", s)
-		}
-		seen[s] = true
 	}
-	if EventKind(99).String() != "event(99)" {
-		t.Fatal("unknown kind formatting wrong")
+	spans, err := obs.ReadSpanJSONL(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, on := spanEvents(spans, "screened_out")
+	if len(events) == 0 || withEvents != len(on) {
+		t.Fatalf("%d lines carry events, %d screened_out events read back", withEvents, len(events))
+	}
+	if events[0].Detail != "t3" || events[0].Time.IsZero() {
+		t.Fatalf("event mangled in the round trip: %+v", events[0])
 	}
 }

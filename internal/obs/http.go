@@ -24,9 +24,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 type HandlerConfig struct {
 	// Registry backs /metrics (Prometheus text) and /metrics.json.
 	Registry *Registry
-	// Events, when non-nil, backs /events with a JSON-marshalable value
-	// (typically a recorder's recent trace events).
-	Events func() any
 	// Spans, when non-nil, backs /spans with a JSON-marshalable value
 	// (typically a span collector's recent spans).
 	Spans func() any
@@ -91,7 +88,6 @@ func ReadBuildInfo() BuildInfo {
 //
 //	/metrics       Prometheus text exposition of the registry
 //	/metrics.json  JSON snapshot of the registry
-//	/events        recent trace events as JSON
 //	/spans         recent spans as JSON
 //	/scoreboard    cluster resource scoreboard as JSON
 //	/alerts        alert-rule states, sliding windows and stragglers as JSON
@@ -106,7 +102,7 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprint(w, "ipls introspection\n\n/metrics\n/metrics.json\n/events\n/spans\n/scoreboard\n/alerts\n/buildinfo\n/healthz\n/readyz\n")
+		fmt.Fprint(w, "ipls introspection\n\n/metrics\n/metrics.json\n/spans\n/scoreboard\n/alerts\n/buildinfo\n/healthz\n/readyz\n")
 		if cfg.Pprof {
 			fmt.Fprint(w, "/debug/pprof/\n")
 		}
@@ -123,54 +119,26 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var payload any = []any{}
-		if cfg.Events != nil {
-			payload = cfg.Events()
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(payload); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var payload any = []any{}
-		if cfg.Spans != nil {
-			payload = cfg.Spans()
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(payload); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/scoreboard", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var payload any = Scoreboard{}
-		if cfg.Scoreboard != nil {
-			payload = cfg.Scoreboard()
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(payload); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/alerts", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var payload any = HealthStatus{}
-		if cfg.Alerts != nil {
-			payload = cfg.Alerts()
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(payload); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	// serveJSON mounts an indented-JSON endpoint over src, answering
+	// empty when src is nil.
+	serveJSON := func(path string, src func() any, empty any) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, req *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			payload := empty
+			if src != nil {
+				payload = src()
+			}
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(payload); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+			}
+		})
+	}
+	serveJSON("/spans", cfg.Spans, []any{})
+	serveJSON("/scoreboard", cfg.Scoreboard, Scoreboard{})
+	serveJSON("/alerts", cfg.Alerts, HealthStatus{})
+	serveJSON("/buildinfo", func() any { return ReadBuildInfo() }, nil)
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, req *http.Request) {
 		report := cfg.Readiness.Report()
 		ready := true
@@ -189,14 +157,6 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 			Ready  bool          `json:"ready"`
 			Checks []CheckResult `json:"checks"`
 		}{ready, report}); err != nil && ready {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/buildinfo", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(ReadBuildInfo()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

@@ -21,10 +21,7 @@ func get(t *testing.T, h http.Handler, path string) (int, string) {
 func TestHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("bytes_uploaded_total", "node", "s0").Add(42)
-	h := NewHandler(HandlerConfig{
-		Registry: reg,
-		Events:   func() any { return []string{"e1", "e2"} },
-	})
+	h := NewHandler(HandlerConfig{Registry: reg})
 
 	code, body := get(t, h, "/metrics")
 	if code != 200 || !strings.Contains(body, `bytes_uploaded_total{node="s0"} 42`) {
@@ -41,18 +38,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 	if snap.Counters[`bytes_uploaded_total{node="s0"}`] != 42 {
 		t.Fatalf("snapshot counters = %v", snap.Counters)
-	}
-
-	code, body = get(t, h, "/events")
-	if code != 200 {
-		t.Fatalf("/events = %d", code)
-	}
-	var events []string
-	if err := json.Unmarshal([]byte(body), &events); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2 || events[0] != "e1" {
-		t.Fatalf("events = %v", events)
 	}
 
 	code, body = get(t, h, "/healthz")
@@ -131,9 +116,12 @@ func TestHandlerWithoutEventsOrRegistry(t *testing.T) {
 	if code, _ := get(t, h, "/metrics"); code != 200 {
 		t.Fatalf("/metrics without registry = %d", code)
 	}
-	code, body := get(t, h, "/events")
+	code, body := get(t, h, "/spans")
 	if code != 200 || strings.TrimSpace(body) != "[]" {
-		t.Fatalf("/events without source = %d %q", code, body)
+		t.Fatalf("/spans without source = %d %q", code, body)
+	}
+	if code, _ := get(t, h, "/events"); code != 404 {
+		t.Fatalf("/events = %d, want 404", code)
 	}
 }
 

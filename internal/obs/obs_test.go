@@ -159,49 +159,3 @@ func TestRegistryConcurrency(t *testing.T) {
 		t.Fatalf("histogram count = %d, want 8000", got)
 	}
 }
-
-func TestRingEviction(t *testing.T) {
-	r := NewRing(3)
-	for i := 0; i < 5; i++ {
-		r.Add(i)
-	}
-	items := r.Items()
-	if len(items) != 3 {
-		t.Fatalf("ring holds %d items, want 3", len(items))
-	}
-	for i, want := range []int{2, 3, 4} {
-		if items[i] != want {
-			t.Fatalf("items = %v, want [2 3 4]", items)
-		}
-	}
-	if r.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", r.Dropped())
-	}
-	if r.Len() != 3 {
-		t.Fatalf("len = %d, want 3", r.Len())
-	}
-}
-
-func TestRingConcurrency(t *testing.T) {
-	r := NewRing(64)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				r.Add(j)
-				if j%50 == 0 {
-					r.Items()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Len() != 64 {
-		t.Fatalf("len = %d, want 64", r.Len())
-	}
-	if r.Dropped() != 4*500-64 {
-		t.Fatalf("dropped = %d, want %d", r.Dropped(), 4*500-64)
-	}
-}

@@ -72,14 +72,17 @@ func NewSpanID() string {
 // participant or node that did the work. Bytes carries the payload size
 // the span moved, when applicable. Links reference causally related spans
 // in other roles that are not the span's tree parent (e.g. the trainer
-// upload spans an aggregation folded in).
+// upload spans an aggregation folded in). Events are point-in-time
+// occurrences inside the span that no span of their own records (a
+// screened-out gradient, a quorum cut, a Byzantine strike), in the order
+// they happened.
 type Span struct {
-	Name    string            `json:"name"`
-	Actor   string            `json:"actor,omitempty"`
-	Context SpanContext       `json:"ctx"`
-	Start   time.Time         `json:"start"`
-	End     time.Time         `json:"end"`
-	Bytes   int64             `json:"bytes,omitempty"`
+	Name    string      `json:"name"`
+	Actor   string      `json:"actor,omitempty"`
+	Context SpanContext `json:"ctx"`
+	Start   time.Time   `json:"start"`
+	End     time.Time   `json:"end"`
+	Bytes   int64       `json:"bytes,omitempty"`
 	// CPUNanos and AllocBytes are the resource deltas metered over the
 	// span (see ResourceMeter): CPU time burned and heap bytes allocated
 	// while the span was open. Process-wide meters make them upper
@@ -88,6 +91,17 @@ type Span struct {
 	AllocBytes int64             `json:"alloc_bytes,omitempty"`
 	Attrs      map[string]string `json:"attrs,omitempty"`
 	Links      []SpanContext     `json:"links,omitempty"`
+	Events     []SpanEvent       `json:"events,omitempty"`
+}
+
+// SpanEvent is one annotation on a span: what happened (Name), when,
+// the payload size it concerns (zero when none) and a free-form detail
+// naming its subject.
+type SpanEvent struct {
+	Time   time.Time `json:"time"`
+	Name   string    `json:"name"`
+	Bytes  int64     `json:"bytes,omitempty"`
+	Detail string    `json:"detail,omitempty"`
 }
 
 // Duration is the span's elapsed time (zero if End precedes Start).

@@ -195,6 +195,7 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 	in[0].Bytes = 612
 	in[0].Attrs = map[string]string{"partition": "1"}
 	in[1].Links = []SpanContext{{Session: "s", Iter: 0, SpanID: "a"}}
+	in[1].Events = []SpanEvent{{Time: in[1].Start.Add(time.Millisecond), Name: "screened_out", Bytes: 64, Detail: "t3"}}
 	for _, s := range in {
 		w.EmitSpan(s)
 	}
@@ -203,6 +204,10 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 	}
 	if w.Emitted() != 2 || w.Dropped() != 0 || w.Err() != nil {
 		t.Fatalf("emitted=%d dropped=%d err=%v", w.Emitted(), w.Dropped(), w.Err())
+	}
+	// A span without events serialises with no events key at all.
+	if first, _, _ := strings.Cut(buf.String(), "\n"); strings.Contains(first, "events") {
+		t.Fatalf("event-less span line carries an events key: %s", first)
 	}
 
 	out, err := ReadSpanJSONL(&buf)
@@ -223,6 +228,10 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 	}
 	if out[1].Context.Parent != "a" {
 		t.Fatalf("parent did not round-trip: %+v", out[1].Context)
+	}
+	if len(out[1].Events) != 1 || out[1].Events[0].Detail != "t3" || out[1].Events[0].Bytes != 64 ||
+		!out[1].Events[0].Time.Equal(in[1].Events[0].Time) {
+		t.Fatalf("events did not round-trip: %+v", out[1].Events)
 	}
 }
 

@@ -1,21 +1,21 @@
 package transport
 
 import (
+	"strconv"
 	"sync"
 	"time"
 
-	"ipls/internal/core"
 	"ipls/internal/directory"
 	"ipls/internal/obs"
 )
 
 // serverObs is the instrumentation shared by a server's RPC services. The
-// registry and tracer can be swapped at runtime (SetMetrics/SetTracer), so
-// access is guarded; a zero serverObs discards everything.
+// registry and span sink can be swapped at runtime (SetMetrics/SetSpans),
+// so access is guarded; a zero serverObs discards everything.
 type serverObs struct {
-	mu     sync.RWMutex
-	reg    *obs.Registry
-	tracer core.Tracer
+	mu    sync.RWMutex
+	reg   *obs.Registry
+	spans obs.SpanSink
 }
 
 // count bumps rpc_requests_total{method=...} for one served call.
@@ -26,45 +26,30 @@ func (o *serverObs) count(method string) {
 	reg.Counter("rpc_requests_total", "method", method).Inc()
 }
 
-// emit forwards a synthesized protocol event to the tracer, if any.
-func (o *serverObs) emit(e core.Event) {
+// published emits one "publish" span for a record the directory accepted
+// over [start, now], so a serve-mode daemon's /spans shows every upload
+// without the remote sessions shipping their traces home. The span joins
+// the publisher's trace when the record carries its span context, and
+// roots a (directory, iter) trace otherwise.
+func (o *serverObs) published(rec directory.Record, start time.Time) {
 	o.mu.RLock()
-	t := o.tracer
+	sink := o.spans
 	o.mu.RUnlock()
-	if t != nil {
-		t.Emit(e)
-	}
-}
-
-// eventForRecord maps a published directory record to the protocol event it
-// witnesses, so a serve-mode daemon has a live /events feed without the
-// remote sessions shipping their traces home.
-func eventForRecord(rec directory.Record) (core.EventKind, bool) {
-	switch rec.Addr.Type {
-	case directory.TypeGradient:
-		return core.EventGradientUploaded, true
-	case directory.TypePartialUpdate:
-		return core.EventPartialPublished, true
-	case directory.TypeUpdate:
-		return core.EventGlobalPublished, true
-	default:
-		return 0, false
-	}
-}
-
-// recordPublished synthesizes the trace event for one accepted record.
-func (o *serverObs) recordPublished(rec directory.Record) {
-	kind, ok := eventForRecord(rec)
-	if !ok {
+	if sink == nil {
 		return
 	}
-	o.emit(core.Event{
-		Time:      time.Now(),
-		Kind:      kind,
-		Actor:     rec.Addr.Uploader,
-		Iter:      rec.Addr.Iter,
-		Partition: rec.Addr.Partition,
-		Detail:    "cid " + rec.CID.Short() + " on " + rec.Node + " (rpc)",
+	ctx := obs.SpanContext{Session: "directory", Iter: rec.Addr.Iter, SpanID: obs.NewSpanID()}
+	if rec.Span != nil && rec.Span.Valid() {
+		ctx = rec.Span.Child()
+	}
+	sink.EmitSpan(obs.Span{
+		Name: "publish", Actor: rec.Addr.Uploader, Context: ctx, Start: start, End: time.Now(),
+		Attrs: map[string]string{
+			"type":      rec.Addr.Type.String(),
+			"partition": strconv.Itoa(rec.Addr.Partition),
+			"cid":       rec.CID.Short(),
+			"node":      rec.Node,
+		},
 	})
 }
 
@@ -77,11 +62,11 @@ func (s *Server) SetMetrics(reg *obs.Registry) {
 	s.obs.mu.Unlock()
 }
 
-// SetTracer attaches a tracer that receives protocol events synthesized
-// from directory publishes (gradient/partial/global); nil detaches.
-func (s *Server) SetTracer(t core.Tracer) {
+// SetSpans attaches the sink that receives one "publish" span per record
+// the directory service accepts; nil detaches.
+func (s *Server) SetSpans(sink obs.SpanSink) {
 	s.obs.mu.Lock()
-	s.obs.tracer = t
+	s.obs.spans = sink
 	s.obs.mu.Unlock()
 }
 

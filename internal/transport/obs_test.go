@@ -38,9 +38,9 @@ func TestServerAndClientObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	serverReg := obs.NewRegistry()
-	rec := core.NewRecorder(16)
+	col := obs.NewSpanCollector(16)
 	srv.SetMetrics(serverReg)
-	srv.SetTracer(rec)
+	srv.SetSpans(col)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -66,12 +66,22 @@ func TestServerAndClientObservability(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// A traced publisher's record carries its span context across the wire.
+	upload := obs.SpanContext{Session: "tcp-obs", Iter: 1, SpanID: obs.NewSpanID()}
+	if err := c.Publish(context.Background(), directory.Record{
+		Addr: directory.Addr{Uploader: "t0", Partition: 0, Iter: 1, Type: directory.TypeGradient},
+		CID:  id,
+		Node: "s0",
+		Span: &upload,
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	if got := serverReg.Counter("rpc_requests_total", "method", "Storage.Put").Value(); got != 1 {
 		t.Fatalf("rpc_requests_total{Storage.Put} = %d, want 1", got)
 	}
-	if got := serverReg.Counter("rpc_requests_total", "method", "Directory.Publish").Value(); got != 1 {
-		t.Fatalf("rpc_requests_total{Directory.Publish} = %d, want 1", got)
+	if got := serverReg.Counter("rpc_requests_total", "method", "Directory.Publish").Value(); got != 2 {
+		t.Fatalf("rpc_requests_total{Directory.Publish} = %d, want 2", got)
 	}
 	if got := clientReg.Counter("bytes_uploaded_total", "node", "s0").Value(); got != int64(len(data)) {
 		t.Fatalf("client bytes_uploaded_total = %d, want %d", got, len(data))
@@ -79,13 +89,26 @@ func TestServerAndClientObservability(t *testing.T) {
 	if got := clientReg.Counter("bytes_downloaded_total", "node", "s0").Value(); got != int64(len(data)) {
 		t.Fatalf("client bytes_downloaded_total = %d, want %d", got, len(data))
 	}
-	// The accepted gradient publish must surface as a synthesized event.
-	if n := rec.Count(core.EventGradientUploaded); n != 1 {
-		t.Fatalf("synthesized gradient-uploaded events = %d, want 1", n)
+	// Each accepted publish surfaces as one server-side publish span: the
+	// untraced one roots a directory trace, the traced one joins the
+	// publisher's trace under its upload span.
+	spans := col.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("publish spans = %+v, want 2", spans)
 	}
-	events := rec.Events()
-	if len(events) != 1 || events[0].Actor != "t0" {
-		t.Fatalf("events = %+v", events)
+	for _, s := range spans {
+		if s.Name != "publish" || s.Actor != "t0" || s.Attrs["type"] != "gradient" || s.Attrs["node"] != "s0" {
+			t.Fatalf("publish span = %+v", s)
+		}
+		if s.End.Before(s.Start) {
+			t.Fatalf("publish span inverted: %+v", s)
+		}
+	}
+	if ctx := spans[0].Context; ctx.Session != "directory" || ctx.Parent != "" || ctx.Iter != 0 {
+		t.Fatalf("untraced publish context = %+v", ctx)
+	}
+	if ctx := spans[1].Context; ctx.Session != "tcp-obs" || ctx.Parent != upload.SpanID || ctx.Iter != 1 {
+		t.Fatalf("traced publish context = %+v, want a child of %+v", ctx, upload)
 	}
 }
 

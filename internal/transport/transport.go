@@ -264,9 +264,10 @@ func (d *DirectoryService) Publish(args *PublishArgs, reply *ErrReply) error {
 	d.obs.count("Directory.Publish")
 	ctx, cancel := serverCtx(args.Deadline)
 	defer cancel()
+	start := time.Now()
 	err := d.svc.Publish(ctx, args.Rec)
 	if err == nil {
-		d.obs.recordPublished(args.Rec)
+		d.obs.published(args.Rec, start)
 	}
 	reply.Err = encodeErr(err)
 	return nil
@@ -283,10 +284,11 @@ func (d *DirectoryService) PublishBatch(args *BatchArgs, reply *ErrReply) error 
 	d.obs.count("Directory.PublishBatch")
 	ctx, cancel := serverCtx(args.Deadline)
 	defer cancel()
+	start := time.Now()
 	err := d.svc.PublishBatch(ctx, args.Recs)
 	if err == nil {
 		for _, rec := range args.Recs {
-			d.obs.recordPublished(rec)
+			d.obs.published(rec, start)
 		}
 	}
 	reply.Err = encodeErr(err)

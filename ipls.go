@@ -79,13 +79,6 @@ type IterationResult = core.IterationResult
 // AggregatorReport summarizes one aggregator's iteration.
 type AggregatorReport = core.AggregatorReport
 
-// Tracer receives structured protocol events; Recorder collects them.
-type (
-	Tracer   = core.Tracer
-	Recorder = core.Recorder
-	Event    = core.Event
-)
-
 // ---- Federated-learning driver -------------------------------------------
 
 // Task drives a complete FL job (local SGD → protocol → global model).

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ipls"
+	"ipls/internal/obs"
 )
 
 // TestFacadeEndToEnd drives a complete FL job purely through the public
@@ -93,8 +94,8 @@ func TestFacadeMaliciousDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &ipls.Recorder{}
-	sess.SetTracer(rec)
+	col := obs.NewSpanCollector(0)
+	sess.SetSpans(col)
 	deltas := map[string][]float64{"t0": make([]float64, 12), "t1": make([]float64, 12)}
 	res, err := sess.RunIteration(context.Background(), 0, deltas,
 		map[string]ipls.Behavior{ipls.AggregatorID(0, 0): ipls.BehaviorForgeUpdate})
@@ -104,8 +105,15 @@ func TestFacadeMaliciousDetection(t *testing.T) {
 	if !res.Detected() {
 		t.Fatal("facade failed to detect forged update")
 	}
-	if len(rec.Events()) == 0 {
-		t.Fatal("facade tracer recorded nothing")
+	// The directory's refusal of the forged update is on the span stream.
+	rejected := false
+	for _, s := range col.Spans() {
+		if s.Name == "global_publish" && s.Attrs["outcome"] == "rejected" {
+			rejected = true
+		}
+	}
+	if !rejected {
+		t.Fatal("no global_publish span with a rejected outcome")
 	}
 }
 
