@@ -26,9 +26,12 @@ test:
 # storage and resilience joined when puts, gets and merges left the network
 # lock; the storage suite follows IPLS_STORE, so CI's two matrix legs race
 # both backends. The commands joined to keep their introspection
-# bundles (a ticker goroutine beside the roles) race-clean.
+# bundles (a ticker goroutine beside the roles) race-clean. directory
+# joined when its state split into per-partition locks: partitions serve
+# concurrently and Snapshot takes every lock in order.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/transport/...
+	$(GO) test -race ./internal/directory/...
 	$(GO) test -race ./cmd/...
 	$(GO) test -race ./internal/group/... ./internal/pedersen/...
 	$(GO) test -race ./internal/scalar/... ./internal/model/...
@@ -37,15 +40,17 @@ race:
 # Short fuzz passes: the parallel multiexp against the sequential one
 # (the differential harness's randomized arm), the scenario-plan parser
 # (never panics; String∘Parse is a fixpoint), the slab-backed vector
-# kernels against their one-element-at-a-time reference, and the limb merge
-# kernel against decode → SumVecs → Encode. CI runs these as smoke tests;
-# let them run longer locally with FUZZTIME.
+# kernels against their one-element-at-a-time reference, the limb merge
+# kernel against decode → SumVecs → Encode, and directory snapshot loading
+# (never panics; Snapshot∘Restore is a fixpoint). CI runs these as smoke
+# tests; let them run longer locally with FUZZTIME.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzMultiExpParallel -fuzztime $(FUZZTIME) ./internal/group
 	$(GO) test -fuzz=FuzzParseScenario -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -fuzz=FuzzVectorKernels -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -fuzz=FuzzMerge -fuzztime $(FUZZTIME) ./internal/model
+	$(GO) test -fuzz=FuzzRestore -fuzztime $(FUZZTIME) ./internal/directory
 
 # Fault-injection suite under the race detector: the resilience layer's
 # retry/failover paths, the netsim link-loss scheduling, and the

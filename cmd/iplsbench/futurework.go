@@ -4,11 +4,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"slices"
 	"time"
 
 	"ipls/internal/core"
-	"ipls/internal/distdir"
 	"ipls/internal/group"
 	"ipls/internal/mimc"
 	"ipls/internal/scalar"
@@ -16,8 +17,10 @@ import (
 )
 
 // dirLoad quantifies the §VI directory-load reductions: request batching
-// (one round trip per trainer instead of one per partition) and sharding
-// the directory maps across the storage nodes.
+// (one round trip per trainer instead of one per partition) and spreading
+// the directory's partitions across hosts. It runs one iteration on one
+// directory and derives each host's load from the per-partition counters,
+// mapping partitions to hosts by a task-salted FNV hash.
 func dirLoad() error {
 	fmt.Println("== Directory load reduction (§VI) ==")
 	const (
@@ -28,75 +31,53 @@ func dirLoad() error {
 	for i := range names {
 		names[i] = fmt.Sprintf("t%02d", i)
 	}
-	build := func(taskID string, shards int) (*core.Session, *distdir.Sharded, error) {
-		cfg, err := core.NewConfig(core.TaskSpec{
-			TaskID:                  taskID,
-			ModelDim:                partitions * 8,
-			Partitions:              partitions,
-			Trainers:                names,
-			AggregatorsPerPartition: 1,
-			StorageNodes:            []string{"s0", "s1", "s2", "s3"},
-			TTrain:                  10 * time.Second,
-			TSync:                   10 * time.Second,
-			PollInterval:            time.Millisecond,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		field := scalar.NewField(cfg.Curve.N)
-		net := storage.NewNetwork(field, 1)
-		for _, id := range cfg.StorageNodes {
-			net.AddNode(id)
-		}
-		sharded, err := distdir.New(cfg.TaskID, shards, nil, net)
-		if err != nil {
-			return nil, nil, err
-		}
-		for p := 0; p < cfg.Spec.Partitions; p++ {
-			for _, agg := range cfg.Aggregators[p] {
-				for _, tr := range cfg.TrainersOf(p, agg) {
-					sharded.SetAssignment(p, tr, agg)
-				}
-			}
-		}
-		sess, err := core.NewSession(cfg, net, sharded)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sess, sharded, nil
+	cfg, err := core.NewConfig(core.TaskSpec{
+		TaskID:                  "dirload",
+		ModelDim:                partitions * 8,
+		Partitions:              partitions,
+		Trainers:                names,
+		AggregatorsPerPartition: 1,
+		StorageNodes:            []string{"s0", "s1", "s2", "s3"},
+		TTrain:                  10 * time.Second,
+		TSync:                   10 * time.Second,
+		PollInterval:            time.Millisecond,
+	})
+	if err != nil {
+		return err
 	}
+	sess, _, dir, err := core.NewLocalStack(cfg, 1)
+	if err != nil {
+		return err
+	}
+	rng := rand.New(rand.NewSource(6))
+	deltas := make(map[string][]float64)
+	for _, tr := range names {
+		d := make([]float64, partitions*8)
+		for i := range d {
+			d[i] = rng.NormFloat64()
+		}
+		deltas[tr] = d
+	}
+	if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err != nil {
+		return err
+	}
+	total, perPart := dir.Stats(), dir.PartitionStats()
 
-	fmt.Printf("%-10s %12s %12s %12s %24s\n",
-		"shards", "records", "requests", "lookups", "busiest shard ops (max)")
-	for _, shards := range []int{1, 2, 4, 8} {
-		sess, sharded, err := build(fmt.Sprintf("dirload-%d", shards), shards)
-		if err != nil {
-			return err
+	fmt.Printf("%-8s %10s %10s %10s %26s\n",
+		"hosts", "records", "requests", "lookups", "busiest host ops (share)")
+	for _, hosts := range []int{1, 2, 4, 8} {
+		load := make([]int, hosts)
+		for p, st := range perPart {
+			h := fnv.New32a()
+			fmt.Fprintf(h, "%s/%d", cfg.TaskID, p)
+			load[int(h.Sum32()%uint32(hosts))] += st.Publishes + st.Lookups
 		}
-		rng := rand.New(rand.NewSource(6))
-		deltas := make(map[string][]float64)
-		for _, tr := range names {
-			d := make([]float64, partitions*8)
-			for i := range d {
-				d[i] = rng.NormFloat64()
-			}
-			deltas[tr] = d
-		}
-		if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err != nil {
-			return err
-		}
-		agg := sharded.Stats()
-		maxOps := 0
-		for _, st := range sharded.ShardStats() {
-			if ops := st.Requests + st.Lookups; ops > maxOps {
-				maxOps = ops
-			}
-		}
-		fmt.Printf("%-10d %12d %12d %12d %24d\n",
-			shards, agg.Publishes, agg.Requests, agg.Lookups, maxOps)
+		busiest := slices.Max(load)
+		fmt.Printf("%-8d %10d %10d %10d %19d (%3.0f%%)\n", hosts, total.Publishes, total.Requests,
+			total.Lookups, busiest, 100*float64(busiest)/float64(total.Publishes+total.Lookups))
 	}
 	fmt.Printf("without batching a trainer would issue %d publish requests per iteration; with it, 1\n", partitions)
-	fmt.Println("sharding then divides the remaining per-host request load across the storage nodes")
+	fmt.Println("host ops = records published plus queries served on the host's partitions")
 	return nil
 }
 

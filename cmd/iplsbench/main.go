@@ -14,7 +14,7 @@
 //	iplsbench verify     malicious-aggregator detection matrix
 //	iplsbench faults     dropout / storage-failure recovery
 //	iplsbench churn      membership churn: departures, failover, repair (-churn)
-//	iplsbench dirload    directory load reduction: batching + sharding (§VI)
+//	iplsbench dirload    directory load reduction: batching + per-host load (§VI)
 //	iplsbench hash       proof-friendly MiMC hash vs SHA-256 (§VI)
 //	iplsbench profile    commitment bench under the resource meter (-cpuprofile/-memprofile)
 //	iplsbench all        everything above

@@ -23,7 +23,7 @@
 //
 // This package itself is the public API: a curated facade (ipls.go) over
 // the implementation — TaskSpec/Config/Session/Task for the protocol,
-// StorageNetwork/DirectoryService/ShardedDirectory for backends,
+// StorageNetwork/DirectoryService for backends,
 // Server/Dial for TCP deployment, Simulate for the evaluation harness, and
 // the ML, identity, gossip-baseline and storage-market entry points.
 //

@@ -26,9 +26,13 @@ func durableSpec() TaskSpec {
 	}
 }
 
-func openDurable(t *testing.T, dir string) *DurableStack {
+func openDurable(t *testing.T, dir string, opts ...func(*TaskSpec)) *DurableStack {
 	t.Helper()
-	cfg, err := NewConfig(durableSpec())
+	spec := durableSpec()
+	for _, o := range opts {
+		o(&spec)
+	}
+	cfg, err := NewConfig(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +212,27 @@ func TestGCSupersededKeepsWorkingSet(t *testing.T) {
 // the reopened task replays the completed rounds' published updates from
 // the directory, continues the round numbering, and keeps training.
 func TestTaskResumeOnDurableStack(t *testing.T) {
+	testTaskResume(t, func(*TaskSpec) {})
+}
+
+// TestTaskResumeOnDurableStackVerifiable resumes a verifiable task. The
+// restart re-applies the task's assignments to the restored directory, so
+// every trainer must still be expected once: a doubled count would hold
+// every global publish at ErrTooEarly until t_train passes.
+func TestTaskResumeOnDurableStackVerifiable(t *testing.T) {
+	stack2 := testTaskResume(t, func(ts *TaskSpec) { ts.Verifiable = true })
+	cfg := stack2.Session.Config()
+	agg := cfg.Aggregators[0][0]
+	if got, want := stack2.Dir.TrainersFor(0, agg), cfg.TrainersOf(0, agg); len(got) != len(want) {
+		t.Fatalf("TrainersFor after restart = %v, want %v", got, want)
+	}
+}
+
+// testTaskResume runs two rounds, restarts the durable stack, resumes and
+// runs one more round, which must finish well inside t_train. It returns
+// the reopened stack.
+func testTaskResume(t *testing.T, spec func(*TaskSpec)) *DurableStack {
+	t.Helper()
 	dir := t.TempDir()
 	newTask := func(stack *DurableStack) *Task {
 		t.Helper()
@@ -230,7 +255,7 @@ func TestTaskResumeOnDurableStack(t *testing.T) {
 		return task
 	}
 
-	stack := openDurable(t, dir)
+	stack := openDurable(t, dir, spec)
 	task := newTask(stack)
 	for r := 0; r < 2; r++ {
 		if _, _, err := task.RunRound(context.Background(), nil); err != nil {
@@ -242,8 +267,8 @@ func TestTaskResumeOnDurableStack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stack2 := openDurable(t, dir)
-	defer stack2.Close()
+	stack2 := openDurable(t, dir, spec)
+	t.Cleanup(func() { stack2.Close() })
 	task2 := newTask(stack2)
 	replayed, err := task2.Resume(context.Background())
 	if err != nil {
@@ -255,7 +280,8 @@ func TestTaskResumeOnDurableStack(t *testing.T) {
 	if diff := maxAbsDiff(task2.Global(), preCrash); diff > 1e-3 {
 		t.Fatalf("replayed model off by %g from the pre-crash global", diff)
 	}
-	// Training continues where it left off.
+	// Training continues where it left off, without waiting out t_train.
+	start := time.Now()
 	metrics, _, err := task2.RunRound(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -263,4 +289,8 @@ func TestTaskResumeOnDurableStack(t *testing.T) {
 	if metrics.Round != 2 || !metrics.Applied {
 		t.Fatalf("post-resume round = %+v, want applied round 2", metrics)
 	}
+	if took, limit := time.Since(start), stack2.Session.Config().TTrain/4; took >= limit {
+		t.Fatalf("post-resume round took %v, want under %v (t_train/4)", took, limit)
+	}
+	return stack2
 }

@@ -14,9 +14,11 @@
 package directory
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -153,18 +155,9 @@ type BlockFetcher interface {
 	Get(ctx context.Context, nodeID string, c cid.CID) ([]byte, error)
 }
 
-type iterPart struct {
-	iter, part int
-}
-
-type iterPartAgg struct {
-	iter, part int
-	agg        string
-}
-
-type partTrainer struct {
-	part    int
-	trainer string
+type iterAgg struct {
+	iter int
+	agg  string
 }
 
 // Stats counts directory traffic, relevant to the paper's "minimize the
@@ -182,44 +175,82 @@ type Stats struct {
 	Expunged int
 }
 
-// Service is an in-process directory service.
-type Service struct {
+func (s *Stats) add(o Stats) {
+	s.Publishes += o.Publishes
+	s.Requests += o.Requests
+	s.Lookups += o.Lookups
+	s.Verifications += o.Verifications
+	s.Rejections += o.Rejections
+	s.Expunged += o.Expunged
+}
+
+// partition holds everything the directory keys by (iter, partition) for
+// one model partition, behind the partition's own lock, so traffic on one
+// partition never waits for another partition's verification (§VI's
+// sharded directory, without a second implementation).
+type partition struct {
 	mu      sync.Mutex
+	records map[Addr]Record
+	// Gradient records per iteration in publication order, so aggregators
+	// can poll for new CIDs.
+	gradients     map[int][]Record
+	accPartition  map[int]pedersen.Commitment
+	accAggregator map[iterAgg]pedersen.Commitment
+	gradCount     map[iterAgg]int
+	assignment    map[string]string   // trainer -> aggregator (T_ij)
+	trainers      map[string][]string // aggregator -> trainers, registration order
+	finals        map[int]Record
+	// expunged counts gradients removed per iteration by ExpungeGradient,
+	// so the gradient-set closure gate still accounts for every assigned
+	// trainer.
+	expunged map[int]int
+	// stats counts the traffic this partition served; Requests stays
+	// service-wide because one batch spans partitions.
+	stats Stats
+}
+
+func newPartition() *partition {
+	return &partition{
+		records:       make(map[Addr]Record),
+		gradients:     make(map[int][]Record),
+		accPartition:  make(map[int]pedersen.Commitment),
+		accAggregator: make(map[iterAgg]pedersen.Commitment),
+		gradCount:     make(map[iterAgg]int),
+		assignment:    make(map[string]string),
+		trainers:      make(map[string][]string),
+		finals:        make(map[int]Record),
+		expunged:      make(map[int]int),
+	}
+}
+
+// Service is an in-process directory service.
+//
+// Lock order: partsMu, then partition locks in ascending partition index,
+// then mu. partsMu guards only the partition table; every path but
+// Snapshot releases it before taking a partition lock. Snapshot holds it
+// and takes every partition lock, so it is one atomic cut.
+type Service struct {
 	params  *pedersen.Params // nil => non-verifiable mode
 	fetcher BlockFetcher
 
-	records map[Addr]Record
-	// Gradient records in publication order, per (iter, partition) and per
-	// aggregator assignment, so aggregators can poll for new CIDs.
-	gradients map[iterPart][]Record
+	partsMu sync.Mutex
+	parts   map[int]*partition
 
-	accPartition  map[iterPart]pedersen.Commitment
-	accAggregator map[iterPartAgg]pedersen.Commitment
-	gradCount     map[iterPartAgg]int
-
-	assignment map[partTrainer]string // (partition, trainer) -> aggregator
-	trainers   map[int]map[string][]string
-
-	finalUpdate map[iterPart]Record
-
-	// expunged counts gradients removed per (iter, partition) by
-	// ExpungeGradient, so the gradient-set closure gate still accounts
-	// for every assigned trainer. quarantined maps a trainer to the
-	// first iteration from which its publishes are rejected and it no
-	// longer counts toward a partition's expected gradient set.
-	expunged    map[iterPart]int
+	mu sync.Mutex
+	// quarantined maps a trainer to the first iteration from which its
+	// publishes are rejected and it no longer counts toward a partition's
+	// expected gradient set.
 	quarantined map[string]int
-
 	// schedules holds each iteration's t_train deadline; gradients
 	// published later are rejected so the partition accumulator can
 	// never drift from what aggregators collected (§III-D).
 	schedules map[int]time.Time
 	now       func() time.Time
-
 	// registry, when set, makes the directory authenticate every publish
 	// against the uploader's registered public key.
 	registry *identity.Registry
-
+	// stats holds the request count plus the counters a restored snapshot
+	// carried in; Stats adds every partition's counters to it.
 	stats Stats
 }
 
@@ -228,20 +259,59 @@ type Service struct {
 // where the directory downloads published updates to check them.
 func New(params *pedersen.Params, fetcher BlockFetcher) *Service {
 	return &Service{
-		params:        params,
-		fetcher:       fetcher,
-		records:       make(map[Addr]Record),
-		gradients:     make(map[iterPart][]Record),
-		accPartition:  make(map[iterPart]pedersen.Commitment),
-		accAggregator: make(map[iterPartAgg]pedersen.Commitment),
-		gradCount:     make(map[iterPartAgg]int),
-		assignment:    make(map[partTrainer]string),
-		trainers:      make(map[int]map[string][]string),
-		finalUpdate:   make(map[iterPart]Record),
-		expunged:      make(map[iterPart]int),
-		quarantined:   make(map[string]int),
-		schedules:     make(map[int]time.Time),
-		now:           time.Now,
+		params:      params,
+		fetcher:     fetcher,
+		parts:       make(map[int]*partition),
+		quarantined: make(map[string]int),
+		schedules:   make(map[int]time.Time),
+		now:         time.Now,
+	}
+}
+
+// part returns the state of partition p, creating it on first use.
+func (s *Service) part(p int) *partition {
+	s.partsMu.Lock()
+	defer s.partsMu.Unlock()
+	pt := s.parts[p]
+	if pt == nil {
+		pt = newPartition()
+		s.parts[p] = pt
+	}
+	return pt
+}
+
+// lock returns partition p with its lock held.
+func (s *Service) lock(p int) *partition {
+	pt := s.part(p)
+	pt.mu.Lock()
+	return pt
+}
+
+// partitionsLocked returns the partition indices in ascending (lock) order.
+// The caller holds partsMu.
+func (s *Service) partitionsLocked() []int {
+	idx := make([]int, 0, len(s.parts))
+	for p := range s.parts {
+		idx = append(idx, p)
+	}
+	sort.Ints(idx)
+	return idx
+}
+
+// eachPartition calls fn on every partition in ascending order, holding
+// one partition lock at a time.
+func (s *Service) eachPartition(fn func(p int, pt *partition)) {
+	s.partsMu.Lock()
+	idx := s.partitionsLocked()
+	pts := make([]*partition, len(idx))
+	for i, p := range idx {
+		pts[i] = s.parts[p]
+	}
+	s.partsMu.Unlock()
+	for i, pt := range pts {
+		pt.mu.Lock()
+		fn(idx[i], pt)
+		pt.mu.Unlock()
 	}
 }
 
@@ -269,33 +339,58 @@ func (s *Service) SetSchedule(iter int, tTrain time.Time) {
 	s.schedules[iter] = tTrain
 }
 
+// pastDeadline reports whether iter has a t_train deadline that has passed.
+func (s *Service) pastDeadline(iter int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	deadline, ok := s.schedules[iter]
+	return ok && s.now().After(deadline)
+}
+
 // Verifiable reports whether the directory enforces commitment checks.
 func (s *Service) Verifiable() bool { return s.params != nil }
 
 // SetAssignment registers that the trainer sends its gradients for the
 // given partition to the given aggregator (the T_ij sets of §II). The
-// bootstrapper configures this before the task starts.
+// bootstrapper configures this before the task starts. Registering a
+// trainer again moves it to the new aggregator; re-registering the same
+// assignment (a restart re-applying its config) changes nothing.
 func (s *Service) SetAssignment(partition int, trainer, aggregator string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.assignment[partTrainer{partition, trainer}] = aggregator
-	byAgg, ok := s.trainers[partition]
-	if !ok {
-		byAgg = make(map[string][]string)
-		s.trainers[partition] = byAgg
+	pt := s.lock(partition)
+	defer pt.mu.Unlock()
+	pt.assign(trainer, aggregator)
+}
+
+func (pt *partition) assign(trainer, aggregator string) {
+	prev, ok := pt.assignment[trainer]
+	if ok && prev == aggregator {
+		return
 	}
-	byAgg[aggregator] = append(byAgg[aggregator], trainer)
+	if ok {
+		kept := pt.trainers[prev][:0]
+		for _, t := range pt.trainers[prev] {
+			if t != trainer {
+				kept = append(kept, t)
+			}
+		}
+		pt.trainers[prev] = kept
+	}
+	pt.assignment[trainer] = aggregator
+	pt.trainers[aggregator] = append(pt.trainers[aggregator], trainer)
 }
 
 // TrainersFor returns the trainers assigned to an aggregator for a
 // partition, in registration order.
 func (s *Service) TrainersFor(partition int, aggregator string) []string {
+	pt := s.lock(partition)
+	defer pt.mu.Unlock()
+	return append([]string(nil), pt.trainers[aggregator]...)
+}
+
+func (s *Service) countRequest() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	list := s.trainers[partition][aggregator]
-	out := make([]string, len(list))
-	copy(out, list)
-	return out
+	s.stats.Requests++
+	s.mu.Unlock()
 }
 
 // Publish records an uploaded block. For gradients in verifiable mode the
@@ -307,10 +402,8 @@ func (s *Service) Publish(ctx context.Context, rec Record) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Requests++
-	return s.publishLocked(ctx, rec)
+	s.countRequest()
+	return s.publish(ctx, rec)
 }
 
 // PublishBatch records several uploads in one request — the §VI
@@ -321,32 +414,36 @@ func (s *Service) PublishBatch(ctx context.Context, recs []Record) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Requests++
+	s.countRequest()
 	for i, rec := range recs {
-		if err := s.publishLocked(ctx, rec); err != nil {
+		if err := s.publish(ctx, rec); err != nil {
 			return fmt.Errorf("directory: batch record %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-func (s *Service) publishLocked(ctx context.Context, rec Record) error {
-	s.stats.Publishes++
-	if s.registry != nil {
-		pub, err := s.registry.Lookup(rec.Addr.Uploader)
+// publish applies one record under its partition's lock.
+func (s *Service) publish(ctx context.Context, rec Record) error {
+	pt := s.lock(rec.Addr.Partition)
+	defer pt.mu.Unlock()
+	pt.stats.Publishes++
+	s.mu.Lock()
+	registry := s.registry
+	s.mu.Unlock()
+	if registry != nil {
+		pub, err := registry.Lookup(rec.Addr.Uploader)
 		if err != nil {
-			s.stats.Rejections++
+			pt.stats.Rejections++
 			return fmt.Errorf("%w: %v", ErrBadSignature, err)
 		}
 		if !identity.Verify(pub, rec.SigningBytes(), rec.Signature) {
-			s.stats.Rejections++
+			pt.stats.Rejections++
 			return fmt.Errorf("%w: record from %q", ErrBadSignature, rec.Addr.Uploader)
 		}
 	}
 
-	if existing, ok := s.records[rec.Addr]; ok {
+	if existing, ok := pt.records[rec.Addr]; ok {
 		if existing.CID == rec.CID {
 			return nil // idempotent re-publish
 		}
@@ -355,26 +452,29 @@ func (s *Service) publishLocked(ctx context.Context, rec Record) error {
 
 	switch rec.Addr.Type {
 	case TypeGradient:
-		return s.publishGradientLocked(rec)
+		return s.publishGradientLocked(pt, rec)
 	case TypePartialUpdate:
-		s.records[rec.Addr] = rec
+		pt.records[rec.Addr] = rec
 		return nil
 	case TypeUpdate:
-		return s.publishUpdateLocked(ctx, rec)
+		return s.publishUpdateLocked(ctx, pt, rec)
 	default:
 		return fmt.Errorf("directory: unknown block type %v", rec.Addr.Type)
 	}
 }
 
-func (s *Service) publishGradientLocked(rec Record) error {
-	key := iterPart{rec.Addr.Iter, rec.Addr.Partition}
-	if from, bad := s.quarantined[rec.Addr.Uploader]; bad && rec.Addr.Iter >= from {
-		s.stats.Rejections++
+func (s *Service) publishGradientLocked(pt *partition, rec Record) error {
+	iter := rec.Addr.Iter
+	s.mu.Lock()
+	from, bad := s.quarantined[rec.Addr.Uploader]
+	s.mu.Unlock()
+	if bad && iter >= from {
+		pt.stats.Rejections++
 		return fmt.Errorf("%w: %q since iter %d", ErrQuarantined, rec.Addr.Uploader, from)
 	}
-	if deadline, ok := s.schedules[rec.Addr.Iter]; ok && s.now().After(deadline) {
-		s.stats.Rejections++
-		return fmt.Errorf("%w: iter %d from %q", ErrTooLate, rec.Addr.Iter, rec.Addr.Uploader)
+	if s.pastDeadline(iter) {
+		pt.stats.Rejections++
+		return fmt.Errorf("%w: iter %d from %q", ErrTooLate, iter, rec.Addr.Uploader)
 	}
 	if s.params != nil {
 		if len(rec.Commitment) == 0 {
@@ -384,40 +484,41 @@ func (s *Service) publishGradientLocked(rec Record) error {
 			return fmt.Errorf("directory: malformed commitment from %q", rec.Addr.Uploader)
 		}
 		// Accumulate C_i = ∏ C_ik for the partition.
-		acc, ok := s.accPartition[key]
-		if !ok {
-			acc = s.params.Identity()
-		}
-		combined, err := s.params.Combine(acc, rec.Commitment)
+		combined, err := s.combine(pt.accPartition[iter], rec.Commitment)
 		if err != nil {
 			return fmt.Errorf("directory: accumulate partition commitment: %w", err)
 		}
-		s.accPartition[key] = combined
+		pt.accPartition[iter] = combined
 
 		// Accumulate per-aggregator commitment for the trainers in T_ij.
-		if agg, ok := s.assignment[partTrainer{rec.Addr.Partition, rec.Addr.Uploader}]; ok {
-			akey := iterPartAgg{rec.Addr.Iter, rec.Addr.Partition, agg}
-			aacc, ok := s.accAggregator[akey]
-			if !ok {
-				aacc = s.params.Identity()
-			}
-			acomb, err := s.params.Combine(aacc, rec.Commitment)
+		if agg, ok := pt.assignment[rec.Addr.Uploader]; ok {
+			akey := iterAgg{iter, agg}
+			acomb, err := s.combine(pt.accAggregator[akey], rec.Commitment)
 			if err != nil {
 				return fmt.Errorf("directory: accumulate aggregator commitment: %w", err)
 			}
-			s.accAggregator[akey] = acomb
-			s.gradCount[akey]++
+			pt.accAggregator[akey] = acomb
+			pt.gradCount[akey]++
 		}
 	}
-	s.records[rec.Addr] = rec
-	s.gradients[key] = append(s.gradients[key], rec)
+	pt.records[rec.Addr] = rec
+	pt.gradients[iter] = append(pt.gradients[iter], rec)
 	return nil
 }
 
-func (s *Service) publishUpdateLocked(ctx context.Context, rec Record) error {
-	key := iterPart{rec.Addr.Iter, rec.Addr.Partition}
-	if _, done := s.finalUpdate[key]; done {
-		return fmt.Errorf("%w: iter %d partition %d", ErrAlreadyFinal, rec.Addr.Iter, rec.Addr.Partition)
+// combine folds c into an accumulator; a missing accumulator is the
+// identity.
+func (s *Service) combine(acc, c pedersen.Commitment) (pedersen.Commitment, error) {
+	if acc == nil {
+		acc = s.params.Identity()
+	}
+	return s.params.Combine(acc, c)
+}
+
+func (s *Service) publishUpdateLocked(ctx context.Context, pt *partition, rec Record) error {
+	iter := rec.Addr.Iter
+	if _, done := pt.finals[iter]; done {
+		return fmt.Errorf("%w: iter %d partition %d", ErrAlreadyFinal, iter, rec.Addr.Partition)
 	}
 	if s.params != nil {
 		// A global update may only land once the partition's gradient
@@ -426,42 +527,44 @@ func (s *Service) publishUpdateLocked(ctx context.Context, rec Record) error {
 		// Otherwise a gradient arriving between aggregation and
 		// verification would silently be dropped from an accepted
 		// update.
-		expected := s.expectedTrainersLocked(rec.Addr.Partition, rec.Addr.Iter)
+		expected := s.expectedTrainers(pt, iter)
 		// Expunged gradients still count toward closure: their trainers
 		// did publish, the directory just removed the proven-Byzantine
 		// records afterwards.
-		got := len(s.gradients[key]) + s.expunged[key]
-		if expected > 0 && got < expected {
-			deadline, scheduled := s.schedules[rec.Addr.Iter]
-			if !scheduled || !s.now().After(deadline) {
-				return fmt.Errorf("%w: iter %d partition %d has %d of %d gradients and t_train has not passed",
-					ErrTooEarly, rec.Addr.Iter, rec.Addr.Partition, got, expected)
-			}
+		got := len(pt.gradients[iter]) + pt.expunged[iter]
+		if expected > 0 && got < expected && !s.pastDeadline(iter) {
+			return fmt.Errorf("%w: iter %d partition %d has %d of %d gradients and t_train has not passed",
+				ErrTooEarly, iter, rec.Addr.Partition, got, expected)
 		}
-	}
-	if s.params != nil {
-		ok, err := s.verifyAgainstLocked(ctx, rec, s.accPartition[key])
+		want := pt.accPartition[iter]
+		if len(want) == 0 {
+			return fmt.Errorf("directory: no accumulated commitment for %+v", rec.Addr)
+		}
+		pt.stats.Verifications++
+		ok, err := s.verifyBlock(ctx, &rec, nil, want)
 		if err != nil {
 			return err
 		}
 		if !ok {
-			s.stats.Rejections++
+			pt.stats.Rejections++
 			return fmt.Errorf("%w: iter %d partition %d by %q",
-				ErrVerificationFailed, rec.Addr.Iter, rec.Addr.Partition, rec.Addr.Uploader)
+				ErrVerificationFailed, iter, rec.Addr.Partition, rec.Addr.Uploader)
 		}
 	}
-	s.records[rec.Addr] = rec
-	s.finalUpdate[key] = rec
+	pt.records[rec.Addr] = rec
+	pt.finals[iter] = rec
 	return nil
 }
 
-// expectedTrainersLocked returns how many trainers are assigned to a
-// partition at the given iteration (0 when no assignments were
-// registered, which disables the completeness gate). Trainers
-// quarantined before the iteration are not expected to publish.
-func (s *Service) expectedTrainersLocked(partition, iter int) int {
+// expectedTrainers returns how many trainers are assigned to the partition
+// at the given iteration (0 when no assignments were registered, which
+// disables the completeness gate). Trainers quarantined before the
+// iteration are not expected to publish. The caller holds pt.mu.
+func (s *Service) expectedTrainers(pt *partition, iter int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	total := 0
-	for _, trainers := range s.trainers[partition] {
+	for _, trainers := range pt.trainers {
 		for _, t := range trainers {
 			if from, bad := s.quarantined[t]; bad && iter >= from {
 				continue
@@ -472,22 +575,23 @@ func (s *Service) expectedTrainersLocked(partition, iter int) int {
 	return total
 }
 
-// verifyAgainstLocked fetches the published block and checks it is a
-// pre-image of the expected accumulated commitment.
-func (s *Service) verifyAgainstLocked(ctx context.Context, rec Record, want pedersen.Commitment) (bool, error) {
-	if s.fetcher == nil {
-		return false, errors.New("directory: verifiable mode requires a block fetcher")
-	}
-	if len(want) == 0 {
-		return false, fmt.Errorf("directory: no accumulated commitment for %+v", rec.Addr)
-	}
-	s.stats.Verifications++
-	data, err := s.fetcher.Get(ctx, rec.Node, rec.CID)
-	if err != nil {
-		return false, fmt.Errorf("directory: fetch update for verification: %w", err)
-	}
-	if !cid.Verify(data, rec.CID) {
-		return false, nil // storage returned tampered bytes
+// verifyBlock reports whether a block is a pre-image of the commitment
+// want. With a record it fetches the block from the record's storage node
+// first; bytes that do not hash to the record's CID (tampering storage) or
+// do not decode verify false. Fetch and commit failures are errors: they
+// prove nothing about the block.
+func (s *Service) verifyBlock(ctx context.Context, rec *Record, data []byte, want pedersen.Commitment) (bool, error) {
+	if rec != nil {
+		if s.fetcher == nil {
+			return false, errors.New("directory: verifiable mode requires a block fetcher")
+		}
+		var err error
+		if data, err = s.fetcher.Get(ctx, rec.Node, rec.CID); err != nil {
+			return false, fmt.Errorf("directory: fetch %v for verification: %w", rec.Addr.Type, err)
+		}
+		if !cid.Verify(data, rec.CID) {
+			return false, nil
+		}
 	}
 	block, err := model.DecodeBlock(data)
 	if err != nil {
@@ -495,7 +599,7 @@ func (s *Service) verifyAgainstLocked(ctx context.Context, rec Record, want pede
 	}
 	got, err := s.params.Commit(block.Values)
 	if err != nil {
-		return false, fmt.Errorf("directory: recommit update: %w", err)
+		return false, fmt.Errorf("directory: recommit block: %w", err)
 	}
 	return got.Equal(want), nil
 }
@@ -513,16 +617,16 @@ func (s *Service) ExpungeGradient(ctx context.Context, addr Addr) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Requests++
+	s.countRequest()
 	if s.params == nil {
 		return errors.New("directory: expunge requires verifiable mode")
 	}
 	if addr.Type != TypeGradient {
 		return fmt.Errorf("directory: expunge of non-gradient %+v", addr)
 	}
-	rec, ok := s.records[addr]
+	pt := s.lock(addr.Partition)
+	defer pt.mu.Unlock()
+	rec, ok := pt.records[addr]
 	if !ok {
 		return fmt.Errorf("%w: %+v", ErrNotFound, addr)
 	}
@@ -530,56 +634,45 @@ func (s *Service) ExpungeGradient(ctx context.Context, addr Addr) error {
 	// Independent re-verification against the record's own commitment. A
 	// fetch error is inconclusive (storage fault, not proof of tampering)
 	// and aborts the expunge; a clean verification refutes the accusation.
-	if s.fetcher == nil {
-		return errors.New("directory: verifiable mode requires a block fetcher")
-	}
-	s.stats.Verifications++
-	data, err := s.fetcher.Get(ctx, rec.Node, rec.CID)
+	pt.stats.Verifications++
+	clean, err := s.verifyBlock(ctx, &rec, nil, rec.Commitment)
 	if err != nil {
-		return fmt.Errorf("directory: fetch gradient for expunge: %w", err)
+		return err
 	}
-	if cid.Verify(data, rec.CID) {
-		if block, err := model.DecodeBlock(data); err == nil {
-			got, err := s.params.Commit(block.Values)
-			if err != nil {
-				return fmt.Errorf("directory: recommit gradient: %w", err)
-			}
-			if got.Equal(rec.Commitment) {
-				return fmt.Errorf("%w: %+v", ErrNotByzantine, addr)
-			}
-		}
+	if clean {
+		return fmt.Errorf("%w: %+v", ErrNotByzantine, addr)
 	}
 
-	key := iterPart{addr.Iter, addr.Partition}
-	if acc, ok := s.accPartition[key]; ok {
+	iter := addr.Iter
+	if acc, ok := pt.accPartition[iter]; ok {
 		rem, err := s.params.Uncombine(acc, rec.Commitment)
 		if err != nil {
 			return fmt.Errorf("directory: remove from partition accumulator: %w", err)
 		}
-		s.accPartition[key] = rem
+		pt.accPartition[iter] = rem
 	}
-	if agg, ok := s.assignment[partTrainer{addr.Partition, addr.Uploader}]; ok {
-		akey := iterPartAgg{addr.Iter, addr.Partition, agg}
-		if aacc, ok := s.accAggregator[akey]; ok {
+	if agg, ok := pt.assignment[addr.Uploader]; ok {
+		akey := iterAgg{iter, agg}
+		if aacc, ok := pt.accAggregator[akey]; ok {
 			rem, err := s.params.Uncombine(aacc, rec.Commitment)
 			if err != nil {
 				return fmt.Errorf("directory: remove from aggregator accumulator: %w", err)
 			}
-			s.accAggregator[akey] = rem
-			s.gradCount[akey]--
+			pt.accAggregator[akey] = rem
+			pt.gradCount[akey]--
 		}
 	}
-	delete(s.records, addr)
-	kept := s.gradients[key][:0]
-	for _, g := range s.gradients[key] {
+	delete(pt.records, addr)
+	kept := pt.gradients[iter][:0]
+	for _, g := range pt.gradients[iter] {
 		if g.Addr != addr {
 			kept = append(kept, g)
 		}
 	}
-	s.gradients[key] = kept
-	s.expunged[key]++
-	s.stats.Expunged++
-	s.stats.Rejections++
+	pt.gradients[iter] = kept
+	pt.expunged[iter]++
+	pt.stats.Expunged++
+	pt.stats.Rejections++
 	return nil
 }
 
@@ -613,10 +706,10 @@ func (s *Service) Lookup(ctx context.Context, addr Addr) (Record, error) {
 	if err := ctx.Err(); err != nil {
 		return Record{}, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Lookups++
-	rec, ok := s.records[addr]
+	pt := s.lock(addr.Partition)
+	defer pt.mu.Unlock()
+	pt.stats.Lookups++
+	rec, ok := pt.records[addr]
 	if !ok {
 		return Record{}, fmt.Errorf("%w: %+v", ErrNotFound, addr)
 	}
@@ -628,15 +721,13 @@ func (s *Service) Lookup(ctx context.Context, addr Addr) (Record, error) {
 // an empty aggregator it returns all gradients for the partition.
 func (s *Service) GradientsFor(ctx context.Context, iter, partition int, aggregator string) []Record {
 	_ = ctx
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Lookups++
+	pt := s.lock(partition)
+	defer pt.mu.Unlock()
+	pt.stats.Lookups++
 	var out []Record
-	for _, rec := range s.gradients[iterPart{iter, partition}] {
-		if aggregator != "" {
-			if s.assignment[partTrainer{partition, rec.Addr.Uploader}] != aggregator {
-				continue
-			}
+	for _, rec := range pt.gradients[iter] {
+		if aggregator != "" && pt.assignment[rec.Addr.Uploader] != aggregator {
+			continue
 		}
 		out = append(out, rec)
 	}
@@ -647,12 +738,12 @@ func (s *Service) GradientsFor(ctx context.Context, iter, partition int, aggrega
 // partition), sorted by uploader for determinism.
 func (s *Service) PartialUpdates(ctx context.Context, iter, partition int) []Record {
 	_ = ctx
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Lookups++
+	pt := s.lock(partition)
+	defer pt.mu.Unlock()
+	pt.stats.Lookups++
 	var out []Record
-	for addr, rec := range s.records {
-		if addr.Type == TypePartialUpdate && addr.Iter == iter && addr.Partition == partition {
+	for addr, rec := range pt.records {
+		if addr.Type == TypePartialUpdate && addr.Iter == iter {
 			out = append(out, rec)
 		}
 	}
@@ -665,10 +756,10 @@ func (s *Service) Update(ctx context.Context, iter, partition int) (Record, erro
 	if err := ctx.Err(); err != nil {
 		return Record{}, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Lookups++
-	rec, ok := s.finalUpdate[iterPart{iter, partition}]
+	pt := s.lock(partition)
+	defer pt.mu.Unlock()
+	pt.stats.Lookups++
+	rec, ok := pt.finals[iter]
 	if !ok {
 		return Record{}, fmt.Errorf("%w: update for iter %d partition %d", ErrNotFound, iter, partition)
 	}
@@ -681,12 +772,12 @@ func (s *Service) PartitionAccumulator(ctx context.Context, iter, partition int)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.params == nil {
 		return nil, errors.New("directory: not in verifiable mode")
 	}
-	acc, ok := s.accPartition[iterPart{iter, partition}]
+	pt := s.lock(partition)
+	defer pt.mu.Unlock()
+	acc, ok := pt.accPartition[iter]
 	if !ok {
 		return nil, fmt.Errorf("%w: partition accumulator iter %d partition %d", ErrNotFound, iter, partition)
 	}
@@ -700,45 +791,28 @@ func (s *Service) AggregatorAccumulator(ctx context.Context, iter, partition int
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.params == nil {
 		return nil, 0, errors.New("directory: not in verifiable mode")
 	}
-	key := iterPartAgg{iter, partition, aggregator}
-	acc, ok := s.accAggregator[key]
+	pt := s.lock(partition)
+	defer pt.mu.Unlock()
+	key := iterAgg{iter, aggregator}
+	acc, ok := pt.accAggregator[key]
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: aggregator accumulator for %q", ErrNotFound, aggregator)
 	}
-	return acc, s.gradCount[key], nil
+	return acc, pt.gradCount[key], nil
 }
 
 // VerifyPartialUpdate checks that serialized block data matches the
 // per-aggregator accumulated commitment — the check a peer aggregator runs
 // before folding another aggregator's partial update into the global one.
 func (s *Service) VerifyPartialUpdate(ctx context.Context, iter, partition int, aggregator string, data []byte) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	s.mu.Lock()
-	acc, ok := s.accAggregator[iterPartAgg{iter, partition, aggregator}]
-	params := s.params
-	s.mu.Unlock()
-	if params == nil {
-		return false, errors.New("directory: not in verifiable mode")
-	}
-	if !ok {
-		return false, fmt.Errorf("%w: aggregator accumulator for %q", ErrNotFound, aggregator)
-	}
-	block, err := model.DecodeBlock(data)
-	if err != nil {
-		return false, nil
-	}
-	got, err := params.Commit(block.Values)
+	acc, _, err := s.AggregatorAccumulator(ctx, iter, partition, aggregator)
 	if err != nil {
 		return false, err
 	}
-	return got.Equal(acc), nil
+	return s.verifyBlock(ctx, nil, data, acc)
 }
 
 // RecordsForIter returns every gradient and partial-update record of an
@@ -747,31 +821,39 @@ func (s *Service) VerifyPartialUpdate(ctx context.Context, iter, partition int, 
 // per-iteration garbage collection (§VI: blocks are "only needed for a
 // short period of time").
 func (s *Service) RecordsForIter(iter int) []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var out []Record
-	for addr, rec := range s.records {
-		if addr.Iter != iter || addr.Type == TypeUpdate {
-			continue
+	s.eachPartition(func(_ int, pt *partition) {
+		for addr, rec := range pt.records {
+			if addr.Iter == iter && addr.Type != TypeUpdate {
+				out = append(out, rec)
+			}
 		}
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Addr, out[j].Addr
-		if a.Type != b.Type {
-			return a.Type < b.Type
-		}
-		if a.Partition != b.Partition {
-			return a.Partition < b.Partition
-		}
-		return a.Uploader < b.Uploader
+	})
+	slices.SortFunc(out, func(a, b Record) int {
+		return cmp.Or(cmp.Compare(a.Addr.Type, b.Addr.Type), cmp.Compare(a.Addr.Partition, b.Addr.Partition),
+			cmp.Compare(a.Addr.Uploader, b.Addr.Uploader))
 	})
 	return out
 }
 
-// Stats returns a copy of the traffic counters.
+// Stats returns the traffic counters, summed over partitions.
 func (s *Service) Stats() Stats {
+	var total Stats
+	for _, st := range s.PartitionStats() {
+		total.add(st)
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	total.add(s.stats)
+	s.mu.Unlock()
+	return total
+}
+
+// PartitionStats returns each partition's traffic counters: the load a
+// directory host would carry for the partitions it owns (§VI). Requests
+// are counted service-wide, since one batch spans partitions, and a
+// restored directory's carried-in counters belong to no partition.
+func (s *Service) PartitionStats() map[int]Stats {
+	out := make(map[int]Stats)
+	s.eachPartition(func(p int, pt *partition) { out[p] = pt.stats })
+	return out
 }

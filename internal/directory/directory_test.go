@@ -54,6 +54,17 @@ func newFixture(t *testing.T, verifiable bool) *fixture {
 // publishes its record. It returns the block for later summing.
 func (f *fixture) uploadGradient(t *testing.T, trainer string, iter, partition, dim int) model.Block {
 	t.Helper()
+	rec, block := f.gradientRecord(t, trainer, iter, partition, dim)
+	if err := f.dir.Publish(context.Background(), rec); err != nil {
+		t.Fatal(err)
+	}
+	return block
+}
+
+// gradientRecord quantizes and stores a random gradient for a trainer and
+// returns its (unpublished) record and block.
+func (f *fixture) gradientRecord(t *testing.T, trainer string, iter, partition, dim int) (Record, model.Block) {
+	t.Helper()
 	part := make([]float64, dim)
 	for i := range part {
 		part[i] = f.rng.NormFloat64()
@@ -82,10 +93,7 @@ func (f *fixture) uploadGradient(t *testing.T, trainer string, iter, partition, 
 		}
 		rec.Commitment = com
 	}
-	if err := f.dir.Publish(context.Background(), rec); err != nil {
-		t.Fatal(err)
-	}
-	return block
+	return rec, block
 }
 
 // publishUpdate stores an update block and publishes it as the global
@@ -401,7 +409,7 @@ func TestTypeString(t *testing.T) {
 	if Type(9).String() != "type(9)" {
 		t.Fatal("unknown type formatting wrong")
 	}
-	if err := (&Service{records: map[Addr]Record{}}).Publish(context.Background(), Record{Addr: Addr{Type: Type(9)}}); err == nil {
+	if err := New(nil, nil).Publish(context.Background(), Record{Addr: Addr{Type: Type(9)}}); err == nil {
 		t.Fatal("unknown type should be rejected")
 	}
 }

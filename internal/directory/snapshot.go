@@ -1,9 +1,10 @@
 package directory
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"ipls/internal/pedersen"
@@ -11,11 +12,14 @@ import (
 
 // The directory service is the one (trusted but not infallible) component
 // the bootstrapper hosts. Snapshot/Restore give it crash recovery: the
-// full state — records, commitment accumulators, assignments, schedules —
-// serializes to a deterministic JSON document that a restarted
-// bootstrapper can restore and continue the iteration from.
+// full state — records, commitment accumulators, assignments, schedules,
+// quarantine and expunge tombstones — serializes to a deterministic JSON
+// document that a restarted bootstrapper can restore and continue the
+// iteration from.
 
-// snapshot is the serialized directory state.
+// snapshot is the serialized directory state. Quarantined and Expunged
+// are omitted when empty, so a directory that never expunged serializes
+// exactly as it did before they were persisted.
 type snapshot struct {
 	Records       []Record          `json:"records"`
 	Gradients     []gradientLog     `json:"gradients"`
@@ -24,6 +28,8 @@ type snapshot struct {
 	Assignments   []assignmentEntry `json:"assignments"`
 	Finals        []Record          `json:"finals"`
 	Schedules     []scheduleEntry   `json:"schedules"`
+	Quarantined   []quarantineEntry `json:"quarantined,omitempty"`
+	Expunged      []expungedEntry   `json:"expunged,omitempty"`
 	Stats         Stats             `json:"stats"`
 }
 
@@ -58,91 +64,94 @@ type scheduleEntry struct {
 	TTrain time.Time `json:"tTrain"`
 }
 
-// Snapshot serializes the full directory state.
+type quarantineEntry struct {
+	Trainer  string `json:"trainer"`
+	FromIter int    `json:"fromIter"`
+}
+
+type expungedEntry struct {
+	Iter      int `json:"iter"`
+	Partition int `json:"partition"`
+	Count     int `json:"count"`
+}
+
+// Snapshot serializes the full directory state as one atomic cut: it
+// holds every partition lock, in lock order, while it reads.
 func (s *Service) Snapshot() ([]byte, error) {
+	s.partsMu.Lock()
+	defer s.partsMu.Unlock()
+	idx := s.partitionsLocked()
+	for _, p := range idx {
+		pt := s.parts[p]
+		pt.mu.Lock()
+		defer pt.mu.Unlock()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+
 	var snap snapshot
-	for _, rec := range s.records {
-		snap.Records = append(snap.Records, rec)
-	}
-	sort.Slice(snap.Records, func(i, j int) bool { return recordLess(snap.Records[i], snap.Records[j]) })
-	for key, recs := range s.gradients {
-		snap.Gradients = append(snap.Gradients, gradientLog{Iter: key.iter, Partition: key.part, Recs: recs})
-	}
-	sort.Slice(snap.Gradients, func(i, j int) bool {
-		a, b := snap.Gradients[i], snap.Gradients[j]
-		if a.Iter != b.Iter {
-			return a.Iter < b.Iter
+	snap.Stats = s.stats
+	for _, p := range idx {
+		pt := s.parts[p]
+		snap.Stats.add(pt.stats)
+		for _, rec := range pt.records {
+			snap.Records = append(snap.Records, rec)
 		}
-		return a.Partition < b.Partition
-	})
-	for key, acc := range s.accPartition {
-		snap.AccPartition = append(snap.AccPartition, partitionAcc{Iter: key.iter, Partition: key.part, Commitment: acc})
-	}
-	sort.Slice(snap.AccPartition, func(i, j int) bool {
-		a, b := snap.AccPartition[i], snap.AccPartition[j]
-		if a.Iter != b.Iter {
-			return a.Iter < b.Iter
+		for iter, recs := range pt.gradients {
+			snap.Gradients = append(snap.Gradients, gradientLog{Iter: iter, Partition: p, Recs: recs})
 		}
-		return a.Partition < b.Partition
-	})
-	for key, acc := range s.accAggregator {
-		snap.AccAggregator = append(snap.AccAggregator, aggregatorAcc{
-			Iter: key.iter, Partition: key.part, Aggregator: key.agg,
-			Commitment: acc, Count: s.gradCount[key],
-		})
-	}
-	sort.Slice(snap.AccAggregator, func(i, j int) bool {
-		a, b := snap.AccAggregator[i], snap.AccAggregator[j]
-		if a.Iter != b.Iter {
-			return a.Iter < b.Iter
+		for iter, acc := range pt.accPartition {
+			snap.AccPartition = append(snap.AccPartition, partitionAcc{Iter: iter, Partition: p, Commitment: acc})
 		}
-		if a.Partition != b.Partition {
-			return a.Partition < b.Partition
+		for key, acc := range pt.accAggregator {
+			snap.AccAggregator = append(snap.AccAggregator, aggregatorAcc{
+				Iter: key.iter, Partition: p, Aggregator: key.agg,
+				Commitment: acc, Count: pt.gradCount[key],
+			})
 		}
-		return a.Aggregator < b.Aggregator
-	})
-	for p, byAgg := range s.trainers {
-		for agg, trainers := range byAgg {
+		for agg, trainers := range pt.trainers {
 			for _, tr := range trainers {
 				snap.Assignments = append(snap.Assignments, assignmentEntry{Partition: p, Trainer: tr, Aggregator: agg})
 			}
 		}
+		for _, rec := range pt.finals {
+			snap.Finals = append(snap.Finals, rec)
+		}
+		for iter, n := range pt.expunged {
+			snap.Expunged = append(snap.Expunged, expungedEntry{Iter: iter, Partition: p, Count: n})
+		}
 	}
-	sort.Slice(snap.Assignments, func(i, j int) bool {
-		a, b := snap.Assignments[i], snap.Assignments[j]
-		if a.Partition != b.Partition {
-			return a.Partition < b.Partition
-		}
-		if a.Aggregator != b.Aggregator {
-			return a.Aggregator < b.Aggregator
-		}
-		return a.Trainer < b.Trainer
+	slices.SortFunc(snap.Records, recordCmp)
+	slices.SortFunc(snap.Finals, recordCmp)
+	slices.SortFunc(snap.Gradients, func(a, b gradientLog) int {
+		return cmp.Or(cmp.Compare(a.Iter, b.Iter), cmp.Compare(a.Partition, b.Partition))
 	})
-	for _, rec := range s.finalUpdate {
-		snap.Finals = append(snap.Finals, rec)
-	}
-	sort.Slice(snap.Finals, func(i, j int) bool { return recordLess(snap.Finals[i], snap.Finals[j]) })
+	slices.SortFunc(snap.AccPartition, func(a, b partitionAcc) int {
+		return cmp.Or(cmp.Compare(a.Iter, b.Iter), cmp.Compare(a.Partition, b.Partition))
+	})
+	slices.SortFunc(snap.AccAggregator, func(a, b aggregatorAcc) int {
+		return cmp.Or(cmp.Compare(a.Iter, b.Iter), cmp.Compare(a.Partition, b.Partition), cmp.Compare(a.Aggregator, b.Aggregator))
+	})
+	slices.SortFunc(snap.Assignments, func(a, b assignmentEntry) int {
+		return cmp.Or(cmp.Compare(a.Partition, b.Partition), cmp.Compare(a.Aggregator, b.Aggregator), cmp.Compare(a.Trainer, b.Trainer))
+	})
+	slices.SortFunc(snap.Expunged, func(a, b expungedEntry) int {
+		return cmp.Or(cmp.Compare(a.Iter, b.Iter), cmp.Compare(a.Partition, b.Partition))
+	})
 	for iter, deadline := range s.schedules {
 		snap.Schedules = append(snap.Schedules, scheduleEntry{Iter: iter, TTrain: deadline})
 	}
-	sort.Slice(snap.Schedules, func(i, j int) bool { return snap.Schedules[i].Iter < snap.Schedules[j].Iter })
-	snap.Stats = s.stats
+	slices.SortFunc(snap.Schedules, func(a, b scheduleEntry) int { return cmp.Compare(a.Iter, b.Iter) })
+	for tr, from := range s.quarantined {
+		snap.Quarantined = append(snap.Quarantined, quarantineEntry{Trainer: tr, FromIter: from})
+	}
+	slices.SortFunc(snap.Quarantined, func(a, b quarantineEntry) int { return cmp.Compare(a.Trainer, b.Trainer) })
 	return json.Marshal(snap)
 }
 
-func recordLess(a, b Record) bool {
-	if a.Addr.Iter != b.Addr.Iter {
-		return a.Addr.Iter < b.Addr.Iter
-	}
-	if a.Addr.Partition != b.Addr.Partition {
-		return a.Addr.Partition < b.Addr.Partition
-	}
-	if a.Addr.Type != b.Addr.Type {
-		return a.Addr.Type < b.Addr.Type
-	}
-	return a.Addr.Uploader < b.Addr.Uploader
+func recordCmp(a, b Record) int {
+	return cmp.Or(cmp.Compare(a.Addr.Iter, b.Addr.Iter), cmp.Compare(a.Addr.Partition, b.Addr.Partition),
+		cmp.Compare(a.Addr.Type, b.Addr.Type), cmp.Compare(a.Addr.Uploader, b.Addr.Uploader))
 }
 
 // Restore reconstructs a directory service from a snapshot. The commitment
@@ -155,27 +164,38 @@ func Restore(data []byte, params *pedersen.Params, fetcher BlockFetcher) (*Servi
 	}
 	s := New(params, fetcher)
 	for _, rec := range snap.Records {
-		s.records[rec.Addr] = rec
+		s.part(rec.Addr.Partition).records[rec.Addr] = rec
 	}
 	for _, g := range snap.Gradients {
-		s.gradients[iterPart{g.Iter, g.Partition}] = g.Recs
+		s.part(g.Partition).gradients[g.Iter] = g.Recs
 	}
 	for _, acc := range snap.AccPartition {
-		s.accPartition[iterPart{acc.Iter, acc.Partition}] = pedersen.Commitment(acc.Commitment)
+		s.part(acc.Partition).accPartition[acc.Iter] = pedersen.Commitment(acc.Commitment)
 	}
 	for _, acc := range snap.AccAggregator {
-		key := iterPartAgg{acc.Iter, acc.Partition, acc.Aggregator}
-		s.accAggregator[key] = pedersen.Commitment(acc.Commitment)
-		s.gradCount[key] = acc.Count
+		pt, key := s.part(acc.Partition), iterAgg{acc.Iter, acc.Aggregator}
+		pt.accAggregator[key] = pedersen.Commitment(acc.Commitment)
+		pt.gradCount[key] = acc.Count
 	}
 	for _, a := range snap.Assignments {
-		s.SetAssignment(a.Partition, a.Trainer, a.Aggregator)
+		s.part(a.Partition).assign(a.Trainer, a.Aggregator)
 	}
 	for _, rec := range snap.Finals {
-		s.finalUpdate[iterPart{rec.Addr.Iter, rec.Addr.Partition}] = rec
+		s.part(rec.Addr.Partition).finals[rec.Addr.Iter] = rec
+	}
+	for _, e := range snap.Expunged {
+		s.part(e.Partition).expunged[e.Iter] = e.Count
 	}
 	for _, sched := range snap.Schedules {
+		// JSON parsing accepts deadlines (a +24:00 offset) that it cannot
+		// write back; refuse them here rather than at the next save.
+		if _, err := sched.TTrain.MarshalJSON(); err != nil {
+			return nil, fmt.Errorf("directory: restore: iter %d deadline: %w", sched.Iter, err)
+		}
 		s.schedules[sched.Iter] = sched.TTrain
+	}
+	for _, q := range snap.Quarantined {
+		s.quarantined[q.Trainer] = q.FromIter
 	}
 	s.stats = snap.Stats
 	return s, nil

@@ -11,10 +11,10 @@ import (
 
 // DirectoryService is the full directory surface the resilient wrapper
 // requires: the session's core view plus the batch-publish, scheduling and
-// cleanup capabilities the session discovers structurally. All three
-// concrete directories in this repo (*directory.Service, *distdir.Sharded,
-// *transport.Client) implement it, so requiring the whole surface costs
-// nothing and keeps the wrapper from silently hiding a capability.
+// cleanup capabilities the session discovers structurally. The one
+// directory implementation (*directory.Service) and its RPC client
+// (*transport.Client) both implement it, so requiring the whole surface
+// costs nothing and keeps the wrapper from silently hiding a capability.
 type DirectoryService interface {
 	Publish(ctx context.Context, rec directory.Record) error
 	Lookup(ctx context.Context, addr directory.Addr) (directory.Record, error)
@@ -126,10 +126,9 @@ func (d *Directory) SetSchedule(iter int, tTrain time.Time) { d.inner.SetSchedul
 
 func (d *Directory) RecordsForIter(iter int) []directory.Record { return d.inner.RecordsForIter(iter) }
 
-// byzantineDirectory is the optional Byzantine-tolerance surface. Only
-// *directory.Service implements it today, so the wrapper forwards by
-// assertion rather than growing DirectoryService and forcing stubs onto
-// every directory implementation.
+// byzantineDirectory is the optional Byzantine-tolerance surface.
+// *directory.Service implements it and *transport.Client does not yet, so
+// the wrapper forwards by assertion rather than growing DirectoryService.
 type byzantineDirectory interface {
 	ExpungeGradient(ctx context.Context, addr directory.Addr) error
 	Quarantine(trainer string, fromIter int)

@@ -7,7 +7,6 @@ import (
 
 	"ipls/internal/core"
 	"ipls/internal/directory"
-	"ipls/internal/distdir"
 	"ipls/internal/obs"
 	"ipls/internal/resilience"
 	"ipls/internal/storage"
@@ -18,7 +17,6 @@ import (
 // resilient wrapper forwards, and the wrapper must remain a core.Directory.
 var (
 	_ resilience.DirectoryService = (*directory.Service)(nil)
-	_ resilience.DirectoryService = (*distdir.Sharded)(nil)
 	_ resilience.DirectoryService = (*transport.Client)(nil)
 	_ core.Directory              = (*resilience.Directory)(nil)
 	_ resilience.DirectoryService = (*resilience.Directory)(nil)

@@ -5,7 +5,6 @@ import (
 	"ipls/internal/core"
 	"ipls/internal/deals"
 	"ipls/internal/directory"
-	"ipls/internal/distdir"
 	"ipls/internal/gossip"
 	"ipls/internal/group"
 	"ipls/internal/identity"
@@ -225,29 +224,6 @@ func OpenDurableStack(cfg *Config, opts DurableOptions) (*DurableStack, error) {
 
 // DirectoryService is the in-process directory service.
 type DirectoryService = directory.Service
-
-// ShardedDirectory spreads the directory maps across shards (§VI).
-type ShardedDirectory = distdir.Sharded
-
-// NewShardedDirectory creates a partition-sharded directory.
-func NewShardedDirectory(taskID string, shards int, cfg *Config, fetcher directory.BlockFetcher) (*ShardedDirectory, error) {
-	params, err := cfg.PedersenParams()
-	if err != nil {
-		return nil, err
-	}
-	s, err := distdir.New(taskID, shards, params, fetcher)
-	if err != nil {
-		return nil, err
-	}
-	for p := 0; p < cfg.Spec.Partitions; p++ {
-		for _, agg := range cfg.Aggregators[p] {
-			for _, tr := range cfg.TrainersOf(p, agg) {
-				s.SetAssignment(p, tr, agg)
-			}
-		}
-	}
-	return s, nil
-}
 
 // Record is a directory record (addr → CID).
 type Record = directory.Record

@@ -198,41 +198,6 @@ func TestFacadeTCP(t *testing.T) {
 	}
 }
 
-// TestFacadeShardedDirectory exercises the §VI sharded directory through
-// the facade.
-func TestFacadeShardedDirectory(t *testing.T) {
-	cfg, err := ipls.NewConfig(ipls.TaskSpec{
-		TaskID:                  "facade-shard",
-		ModelDim:                12,
-		Partitions:              3,
-		Trainers:                []string{"t0", "t1"},
-		AggregatorsPerPartition: 1,
-		StorageNodes:            []string{"s0", "s1"},
-		TTrain:                  2 * time.Second,
-		TSync:                   2 * time.Second,
-		PollInterval:            time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, net, _, err := ipls.NewLocalStack(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := ipls.NewShardedDirectory(cfg.TaskID, 2, cfg, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := ipls.NewSession(cfg, net, sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deltas := map[string][]float64{"t0": make([]float64, 12), "t1": make([]float64, 12)}
-	if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFacadeResilience runs a task through the public resilience wrappers
 // and scenario runner with a storage replica crashed mid-task, and checks
 // the IsRetryable export agrees with the transport's wire-mapped
