@@ -17,25 +17,12 @@ test:
 	$(GO) test ./...
 	IPLS_STORE=fs $(GO) test ./internal/storage/...
 
-# The observability and protocol layers are the concurrency-heavy ones;
-# keep them race-clean without paying for a full-tree race run. The crypto
-# packages joined the list when the multiexp went parallel: the
-# differential suite must hold with concurrent Commit/Extend callers.
-# scalar and model joined when block vectors became slab-backed: one slab
-# is read by several role goroutines at once and must stay race-clean.
-# storage and resilience joined when puts, gets and merges left the network
-# lock; the storage suite follows IPLS_STORE, so CI's two matrix legs race
-# both backends. The commands joined to keep their introspection
-# bundles (a ticker goroutine beside the roles) race-clean. directory
-# joined when its state split into per-partition locks: partitions serve
-# concurrently and Snapshot takes every lock in order.
+# The whole tree under the race detector: role goroutines share slabs,
+# network and directory state, and the crypto paths run parallel, so no
+# package is left out. The storage suite follows IPLS_STORE, so CI's two
+# matrix legs race both backends.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/transport/...
-	$(GO) test -race ./internal/directory/...
-	$(GO) test -race ./cmd/...
-	$(GO) test -race ./internal/group/... ./internal/pedersen/...
-	$(GO) test -race ./internal/scalar/... ./internal/model/...
-	$(GO) test -race ./internal/storage/... ./internal/resilience/...
+	$(GO) test -race ./...
 
 # Short fuzz passes: the parallel multiexp against the sequential one
 # (the differential harness's randomized arm), the scenario-plan parser
@@ -75,10 +62,11 @@ chaos-churn:
 # heals, and a Byzantine trainer whose tampered uploads the BatchVerify
 # fallback must catch and quarantine — all in verifiable mode. The run
 # fails on any panic, on an unhealed partition, and (via -min-accuracy)
-# on a final model that did not converge despite the faults.
+# on a final model that did not converge despite the faults. -watch runs
+# the round watchdog over the same span stream and prints its summary.
 chaos-soak:
 	$(GO) run -race ./cmd/iplssim -rounds 5 -trainers 8 -partitions 2 -aggregators 1 \
-		-storage-nodes 6 -providers 2 -verifiable -min-accuracy 0.9 \
+		-storage-nodes 6 -providers 2 -verifiable -min-accuracy 0.9 -watch \
 		-scenario "crash:trainer-05@iter0,rejoin:trainer-05@iter2,slow:ipfs-00@iter0..1:5ms,partition:mainline|ipfs-01@iter1..2,corrupt:trainer-01@iter1..2"
 
 # Per-phase benchmark regression gate: deterministic virtual-clock

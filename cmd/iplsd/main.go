@@ -136,23 +136,17 @@ func (tf *taskFlags) attachKey(sess *core.Session, id string) {
 
 // obsFlags holds the observability flags shared by every subcommand:
 // the introspection endpoint, span JSONL output (with sampling and
-// size-capped rotation), and the live alerting knobs (watchdog deadline,
-// straggler factor, declarative rules from thresholds or a bench-gate
-// baseline file).
+// size-capped rotation), and the round watchdog's stuck deadline. The
+// watchdog behind /alerts needs no other knob: it reports stuck_round
+// once no span has ended for -stuck-after, and flags stragglers against
+// their own iteration's peers.
 type obsFlags struct {
-	metricsAddr     string
-	spanOut         string
-	spanSample      string
-	rotateMB        int
-	pprof           bool
-	stuckAfter      time.Duration
-	stragglerFactor float64
-	alertWindow     time.Duration
-	alertFor        time.Duration
-	alertPhaseMax   time.Duration
-	alertBudget     string
-	alertScenario   string
-	alertBurn       float64
+	metricsAddr string
+	spanOut     string
+	spanSample  string
+	rotateMB    int
+	pprof       bool
+	stuckAfter  time.Duration
 }
 
 func registerObsFlags(fs *flag.FlagSet) *obsFlags {
@@ -162,81 +156,34 @@ func registerObsFlags(fs *flag.FlagSet) *obsFlags {
 	fs.StringVar(&of.spanSample, "span-sample", "", "sample spans before -span-out: slowest=N,rate=F (off = keep everything)")
 	fs.IntVar(&of.rotateMB, "rotate-mb", 0, "rotate the -span-out file at this size in MiB, keeping one predecessor (0 = unbounded)")
 	fs.BoolVar(&of.pprof, "pprof", false, "expose /debug/pprof/ on the -metrics-addr endpoint")
-	fs.DurationVar(&of.stuckAfter, "stuck-after", 0, "raise the stuck_round alert when no phase heartbeat arrives for this long (0 disables)")
-	fs.Float64Var(&of.stragglerFactor, "straggler-factor", 3, "flag actors whose phase latency exceeds this multiple of the window p90")
-	fs.DurationVar(&of.alertWindow, "alert-window", 30*time.Second, "sliding-window width for alert rules and /alerts dashboards")
-	fs.DurationVar(&of.alertFor, "alert-for", 0, "hold an alert condition this long before firing")
-	fs.DurationVar(&of.alertPhaseMax, "alert-phase-max", 0, "fire phase_latency_max when any phase's windowed max latency exceeds this (0 disables)")
-	fs.StringVar(&of.alertBudget, "alert-budget", "", "derive per-phase alert rules from this bench-gate baseline file")
-	fs.StringVar(&of.alertScenario, "alert-scenario", "sim-merge", "scenario inside -alert-budget to take phase budgets from")
-	fs.Float64Var(&of.alertBurn, "alert-burn", 2, "burn-rate multiple of the -alert-budget phase budgets before firing")
+	fs.DurationVar(&of.stuckAfter, "stuck-after", 0, "report stuck_round when no span ends for this long (0 disables)")
 	return of
 }
 
 // introspection is a process's observability bundle: a metrics registry,
 // a bounded span ring for /spans (plus an optional span JSONL file), the
-// alert monitor and round watchdog behind /alerts, the readiness probe
-// behind /readyz and /healthz, and the HTTP server exposing them when
-// -metrics-addr is set.
+// round watchdog behind /alerts, the readiness probe behind /readyz and
+// /healthz, and the HTTP server exposing them when -metrics-addr is set.
 type introspection struct {
-	reg      *obs.Registry
-	spans    *obs.SpanCollector
-	sink     obs.SpanSink
-	spanW    *obs.SpanJSONLWriter
-	spanF    *obs.RotatingFile
-	sampler  *obs.SpanSampler
-	mon      *obs.Monitor
-	watch    *core.Watchdog
-	ready    *obs.Readiness
-	srv      *obs.HTTPServer
-	evalStop chan struct{}
+	reg     *obs.Registry
+	spans   *obs.SpanCollector
+	sink    obs.SpanSink
+	spanW   *obs.SpanJSONLWriter
+	spanF   *obs.RotatingFile
+	sampler *obs.SpanSampler
+	watch   *obs.Watchdog
+	ready   *obs.Readiness
+	srv     *obs.HTTPServer
 }
 
 // startIntrospection builds the bundle. The watchdog rides the span
-// fan-out so every phase span is a heartbeat, and a 1s ticker evaluates
-// the rules against wall time; alert transitions surface on /alerts and
-// in the alert_firing gauge and fired/resolved counters.
+// fan-out and judges on read, so /alerts needs no evaluation loop.
 func startIntrospection(of *obsFlags, seed int64) (*introspection, error) {
 	in := &introspection{
 		reg:   obs.NewRegistry(),
 		spans: obs.NewSpanCollector(4096),
+		watch: obs.NewWatchdog(of.stuckAfter),
 		ready: obs.NewReadiness(),
-	}
-	in.mon = obs.NewMonitor(obs.MonitorConfig{Window: of.alertWindow, Metrics: in.reg})
-	in.watch = core.NewWatchdog(in.mon, core.WatchdogConfig{
-		StuckAfter:      of.stuckAfter,
-		StragglerFactor: of.stragglerFactor,
-	})
-	if of.alertPhaseMax > 0 {
-		if err := in.mon.AddRule(obs.AlertRule{
-			Name:      "phase_latency_max",
-			Metric:    obs.MetricPhaseLatency,
-			Stat:      "max",
-			Threshold: of.alertPhaseMax.Seconds(),
-			For:       of.alertFor,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if of.alertBudget != "" {
-		f, err := os.Open(of.alertBudget)
-		if err != nil {
-			return nil, fmt.Errorf("alert-budget: %w", err)
-		}
-		base, err := obs.ReadBaseline(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("alert-budget: %w", err)
-		}
-		rules, err := obs.RulesFromBaseline(base, of.alertScenario, of.alertBurn, of.alertWindow, of.alertFor)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range rules {
-			if err := in.mon.AddRule(r); err != nil {
-				return nil, err
-			}
-		}
 	}
 	sinks := obs.MultiSpanSink{in.spans, in.watch}
 	if of.spanOut != "" {
@@ -261,22 +208,6 @@ func startIntrospection(of *obsFlags, seed int64) (*introspection, error) {
 		return nil, fmt.Errorf("-span-sample needs -span-out")
 	}
 	in.sink = sinks
-	// The goroutine owns its copy of the stop channel: close() clears the
-	// field while the ticker may still be running.
-	stop := make(chan struct{})
-	in.evalStop = stop
-	go func() {
-		tick := time.NewTicker(time.Second)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				in.watch.Evaluate(time.Now())
-			}
-		}
-	}()
 	if of.metricsAddr == "" {
 		return in, nil
 	}
@@ -303,10 +234,6 @@ func startIntrospection(of *obsFlags, seed int64) (*introspection, error) {
 }
 
 func (in *introspection) close() {
-	if in.evalStop != nil {
-		close(in.evalStop)
-		in.evalStop = nil
-	}
 	if in.srv != nil {
 		in.srv.Close()
 	}

@@ -1,13 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ipls/internal/obs"
 )
@@ -173,6 +176,48 @@ func TestStartIntrospectionServes(t *testing.T) {
 	}
 	if body := get("/healthz"); !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz = %q", body)
+	}
+}
+
+// TestStartIntrospectionAlerts drives /alerts through iplsd's own bundle:
+// a same-iteration upload crowd with one 10x actor is a straggler at
+// once, and silence past -stuck-after adds stuck_round.
+func TestStartIntrospectionAlerts(t *testing.T) {
+	of := testObsFlags("127.0.0.1:0", "", "", false)
+	of.stuckAfter = 50 * time.Millisecond
+	in, err := startIntrospection(of, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.close()
+	end := time.Now()
+	for i, d := range []time.Duration{10, 11, 9, 10, 12, 100} {
+		in.sink.EmitSpan(obs.Span{
+			Name: "upload", Actor: fmt.Sprintf("trainer-%02d", i),
+			Context: obs.SpanContext{Session: "d", Iter: 2, SpanID: obs.NewSpanID()},
+			Start:   end.Add(-d * time.Millisecond), End: end,
+		})
+	}
+
+	alerts := func() obs.HealthStatus {
+		resp, err := http.Get("http://" + in.srv.Addr + "/alerts")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st obs.HealthStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	st := alerts()
+	if len(st.Stragglers) != 1 || st.Stragglers[0].Actor != "trainer-05" || st.Stragglers[0].Iter != 2 {
+		t.Fatalf("/alerts stragglers = %+v, want trainer-05 in iteration 2", st.Stragglers)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if st := alerts(); len(st.Firing) != 1 || st.Firing[0] != obs.StuckRound || len(st.Stragglers) != 1 {
+		t.Fatalf("/alerts after the deadline = %+v, want stuck_round and the straggler", st)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Command iplsmon is a live terminal dashboard over a running node's
 // introspection endpoint: it polls /metrics.json and /alerts and renders
-// per-phase sliding-window latencies, firing alert rules and the
-// straggler list, refreshing in place. With -once it prints a single
-// snapshot and exits; with -json it emits the combined document for
-// scripting, so `iplsmon -addr HOST:PORT -once -json | jq .alerts`
-// works as a health probe.
+// the round watchdog's firing verdicts and straggler table, refreshing
+// in place. With -once it prints a single snapshot and exits; with -json
+// it emits the combined document for scripting, so
+// `iplsmon -addr HOST:PORT -once -json | jq .health.firing` works as a
+// health probe.
 package main
 
 import (
@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"time"
 
@@ -120,45 +119,15 @@ func render(w io.Writer, snap monSnapshot, asJSON, clear bool) error {
 	fmt.Fprintf(&b, "iplsmon %s  %s  firing=%d  stragglers=%d\n",
 		snap.Addr, snap.At.Format("15:04:05"), len(snap.Health.Firing), len(snap.Health.Stragglers))
 
-	// Per-phase sliding windows, phase_latency first, then other series.
-	keys := make([]string, 0, len(snap.Health.Windows))
-	for k := range snap.Health.Windows {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		pi := strings.HasPrefix(keys[i], obs.MetricPhaseLatency)
-		pj := strings.HasPrefix(keys[j], obs.MetricPhaseLatency)
-		if pi != pj {
-			return pi
-		}
-		return keys[i] < keys[j]
-	})
-	if len(keys) > 0 {
-		fmt.Fprintf(&b, "\n%-34s %7s %9s %9s %9s %9s\n", "window", "count", "rate/s", "p50", "p90", "max")
-		for _, k := range keys {
-			ws := snap.Health.Windows[k]
-			fmt.Fprintf(&b, "%-34s %7d %9.2f %9s %9s %9s\n",
-				k, ws.Count, ws.Rate, fmtSeconds(ws.P50), fmtSeconds(ws.P90), fmtSeconds(ws.Max))
-		}
-	}
-
-	if len(snap.Health.Alerts) > 0 {
-		fmt.Fprintf(&b, "\n%-34s %-8s %12s %12s  %s\n", "alert", "state", "value", "limit", "since")
-		for _, a := range snap.Health.Alerts {
-			since := ""
-			if !a.Since.IsZero() {
-				since = a.Since.Format("15:04:05")
-			}
-			fmt.Fprintf(&b, "%-34s %-8s %12.4f %12.4f  %s\n",
-				a.Rule.Name, a.State, a.Value, a.Limit, since)
-		}
+	for _, name := range snap.Health.Firing {
+		fmt.Fprintf(&b, "firing: %s\n", name)
 	}
 
 	if len(snap.Health.Stragglers) > 0 {
-		fmt.Fprintf(&b, "\n%-20s %-18s %9s %9s %7s\n", "straggler", "phase", "last", "p90", "ratio")
+		fmt.Fprintf(&b, "\n%-20s %-18s %5s %9s %9s %7s\n", "straggler", "phase", "iter", "last", "median", "ratio")
 		for _, s := range snap.Health.Stragglers {
-			fmt.Fprintf(&b, "%-20s %-18s %9s %9s %6.1fx\n",
-				s.Actor, s.Phase, fmtSeconds(s.LastSeconds), fmtSeconds(s.P90Seconds), s.Ratio)
+			fmt.Fprintf(&b, "%-20s %-18s %5d %9s %9s %6.1fx\n",
+				s.Actor, s.Phase, s.Iter, fmtSeconds(s.LastSeconds), fmtSeconds(s.MedianSeconds), s.Ratio)
 		}
 	}
 
@@ -166,7 +135,7 @@ func render(w io.Writer, snap monSnapshot, asJSON, clear bool) error {
 	var counters []string
 	for _, name := range []string{
 		"gradients_uploaded_total", "globals_published_total",
-		"merge_downloads_total", "alerts_fired_total",
+		"merge_downloads_total",
 	} {
 		total := int64(0)
 		found := false

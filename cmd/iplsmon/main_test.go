@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -15,22 +16,23 @@ func startMonitoredEndpoint(t *testing.T) string {
 	base := time.Unix(0, 0).UTC()
 	now := base.Add(time.Minute)
 
-	mon := obs.NewMonitor(obs.MonitorConfig{Window: 30 * time.Second})
-	if err := mon.AddRule(obs.AlertRule{
-		Name: "slow_upload", Metric: obs.MetricPhaseLatency, Phase: "upload",
-		Stat: "max", Threshold: 1.0,
-	}); err != nil {
-		t.Fatal(err)
+	// A same-iteration upload crowd with one straggler, then silence
+	// past the watchdog's deadline.
+	wd := obs.NewWatchdog(time.Second)
+	for i, d := range []time.Duration{400, 420, 380, 410, 390, 4200} {
+		wd.EmitSpan(obs.Span{
+			Name: "upload", Actor: fmt.Sprintf("trainer-%02d", i),
+			Context: obs.SpanContext{Session: "s", Iter: 4, SpanID: obs.NewSpanID()},
+			Start:   base, End: base.Add(d * time.Millisecond),
+		})
 	}
-	mon.Observe(now, obs.MetricPhaseLatency, "upload", 4.2)
-	mon.Evaluate(now)
 
 	reg := obs.NewRegistry()
 	reg.Counter("iterations_total").Inc()
 
 	srv, err := obs.StartHTTP("127.0.0.1:0", obs.HandlerConfig{
 		Registry: reg,
-		Alerts:   func() any { return mon.Status(now) },
+		Alerts:   func() any { return wd.Status(now) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,20 +51,13 @@ func TestRunOnceJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
 		t.Fatalf("output is not a single JSON document: %v\n%s", err, buf.String())
 	}
-	if len(snap.Health.Firing) != 1 || snap.Health.Firing[0] != "slow_upload" {
-		t.Fatalf("firing = %v, want the injected alert", snap.Health.Firing)
+	if len(snap.Health.Firing) != 1 || snap.Health.Firing[0] != obs.StuckRound {
+		t.Fatalf("firing = %v, want [%s]", snap.Health.Firing, obs.StuckRound)
 	}
-	var alert *obs.Alert
-	for i := range snap.Health.Alerts {
-		if snap.Health.Alerts[i].Rule.Name == "slow_upload" {
-			alert = &snap.Health.Alerts[i]
-		}
-	}
-	if alert == nil || alert.State != obs.AlertFiring || alert.Value != 4.2 {
-		t.Fatalf("alerts = %+v, want slow_upload firing at 4.2", snap.Health.Alerts)
-	}
-	if snap.Health.Windows["phase_latency/upload"].Count != 1 {
-		t.Fatalf("windows = %+v", snap.Health.Windows)
+	st := snap.Health.Stragglers
+	if len(st) != 1 || st[0].Actor != "trainer-05" || st[0].Phase != "upload" || st[0].Iter != 4 ||
+		st[0].LastSeconds != 4.2 || st[0].MedianSeconds != 0.4 {
+		t.Fatalf("stragglers = %+v, want trainer-05 at 4.2s over a 0.4s median", st)
 	}
 	if len(snap.Metrics.Counters) == 0 {
 		t.Fatalf("metrics snapshot empty: %+v", snap.Metrics)
@@ -76,7 +71,7 @@ func TestRunOnceHumanReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"slow_upload", "firing", "phase_latency/upload"} {
+	for _, want := range []string{"firing: stuck_round", "trainer-05", "upload", "10.5x"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dashboard missing %q:\n%s", want, out)
 		}

@@ -66,7 +66,7 @@ func run(args []string) error {
 		metricsOut  = fs.String("metrics-out", "", "write the final metrics registry snapshot to this file as JSON")
 		scoreboard  = fs.Bool("scoreboard", false, "print the cluster scoreboard after the run: per-node metrics rolled up into percentiles and top-K outliers")
 		watch       = fs.Bool("watch", false, "run the round watchdog over the span stream and print a health summary after the run")
-		stuckAfter  = fs.Duration("stuck-after", 10*time.Second, "watchdog heartbeat deadline for the stuck_round alert (with -watch)")
+		stuckAfter  = fs.Duration("stuck-after", 10*time.Second, "with -watch, report stuck_round when no span ends for this long")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -209,10 +209,9 @@ func run(args []string) error {
 	var spanSink *obs.SpanJSONLWriter
 	var sampler *obs.SpanSampler
 	var spanSinks obs.MultiSpanSink
-	var wd *core.Watchdog
+	var wd *obs.Watchdog
 	if *watch {
-		wd = core.NewWatchdog(obs.NewMonitor(obs.MonitorConfig{Metrics: reg}),
-			core.WatchdogConfig{StuckAfter: *stuckAfter})
+		wd = obs.NewWatchdog(*stuckAfter)
 		spanSinks = append(spanSinks, wd)
 	}
 	if *spanOut != "" {
@@ -359,15 +358,14 @@ func run(args []string) error {
 		}
 	}
 	if wd != nil {
-		wd.Evaluate(time.Now())
 		st := wd.Status(time.Now())
 		fmt.Printf("watchdog: %d heartbeat phases, max gap %v, %d firing alerts, %d stragglers\n",
-			len(st.Windows), wd.MaxGap().Round(time.Millisecond), len(st.Firing), len(st.Stragglers))
+			wd.Phases(), wd.MaxGap().Round(time.Millisecond), len(st.Firing), len(st.Stragglers))
 		for _, name := range st.Firing {
 			fmt.Printf("  firing: %s\n", name)
 		}
 		for _, s := range st.Stragglers {
-			fmt.Printf("  straggler: %s %s %.1fx the window p90\n", s.Actor, s.Phase, s.Ratio)
+			fmt.Printf("  straggler: %s %s iter %d %.1fx its iteration's median\n", s.Actor, s.Phase, s.Iter, s.Ratio)
 		}
 	}
 	if *scoreboard {

@@ -88,11 +88,6 @@ type SimConfig struct {
 	// aggregate, merge_download, sync_wait) in virtual time under the
 	// trace (session "sim", iter 0).
 	Spans obs.SpanSink
-	// Watchdog, when non-nil, receives every span as a heartbeat and has
-	// its alert rules evaluated at each virtual-clock advance plus once
-	// after the run, so straggler and stuck-round alerts fire at
-	// deterministic virtual instants.
-	Watchdog *Watchdog
 }
 
 func (c SimConfig) validate() error {
@@ -308,29 +303,15 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	// Observability: simulated runs emit the same span trees real runs do,
 	// stamped with the virtual clock anchored at the Unix epoch.
 	simClock := env.Clock(time.Unix(0, 0).UTC())
-	spanSink := cfg.Spans
-	if cfg.Watchdog != nil {
-		// The watchdog rides the span stream: every phase span is a
-		// heartbeat, and rules evaluate on virtual-clock advances.
-		if spanSink != nil {
-			spanSink = obs.MultiSpanSink{spanSink, cfg.Watchdog}
-		} else {
-			spanSink = cfg.Watchdog
-		}
-		simBase := time.Unix(0, 0).UTC()
-		env.OnAdvance(func(now time.Duration) {
-			cfg.Watchdog.Evaluate(simBase.Add(now))
-		})
-	}
 	emitSpan := func(name, actor string, ctx obs.SpanContext, start time.Time, bytes int64) {
-		if spanSink == nil || !ctx.Valid() {
+		if cfg.Spans == nil || !ctx.Valid() {
 			return
 		}
 		// Simulated spans charge the deterministic resource model rather
 		// than sampling the host process, so the cpu/alloc budget
 		// dimensions gate byte-identically run after run.
 		cpu, alloc := netsim.ModelCost(bytes)
-		spanSink.EmitSpan(obs.Span{
+		cfg.Spans.EmitSpan(obs.Span{
 			Name: name, Actor: actor, Context: ctx,
 			Start: start, End: simClock(), Bytes: bytes,
 			CPUNanos: cpu, AllocBytes: alloc,
@@ -635,9 +616,6 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 
 	if err := env.Run(); err != nil {
 		return nil, err
-	}
-	if cfg.Watchdog != nil {
-		cfg.Watchdog.Evaluate(simClock())
 	}
 
 	res := &SimResult{

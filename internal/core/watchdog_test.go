@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -8,70 +11,64 @@ import (
 	"ipls/internal/obs"
 )
 
+// The round watchdog lives in obs; these tests drive it with the span
+// shapes sessions and the simulator emit.
+
 // simBase anchors the simulator's virtual clock (see Simulate).
 var simBase = time.Unix(0, 0).UTC()
 
-func TestWatchdogHeartbeatsAndStuckDetection(t *testing.T) {
-	mon := obs.NewMonitor(obs.MonitorConfig{Window: 30 * time.Second})
-	wd := NewWatchdog(mon, WatchdogConfig{StuckAfter: time.Second})
-
-	span := func(name, actor string, start, end time.Duration) obs.Span {
-		return obs.Span{
-			Name: name, Actor: actor,
-			Context: obs.SpanContext{Session: "t", SpanID: obs.NewSpanID()},
-			Start:   simBase.Add(start), End: simBase.Add(end),
-		}
+func watchSpan(name, actor string, iter int, start, end time.Duration) obs.Span {
+	return obs.Span{
+		Name: name, Actor: actor,
+		Context: obs.SpanContext{Session: "t", Iter: iter, SpanID: obs.NewSpanID()},
+		Start:   simBase.Add(start), End: simBase.Add(end),
 	}
-	wd.EmitSpan(span("upload", "trainer-00", 0, 100*time.Millisecond))
-	wd.EmitSpan(span("upload", "trainer-01", 0, 200*time.Millisecond))
-	wd.Evaluate(simBase.Add(300 * time.Millisecond))
-	if err := wd.Check(simBase.Add(300 * time.Millisecond)); err != nil {
+}
+
+func TestWatchdogHeartbeatsAndStuckDetection(t *testing.T) {
+	wd := obs.NewWatchdog(time.Second)
+	if err := wd.Check(simBase.Add(time.Hour)); err != nil {
+		t.Fatalf("nothing started yet, but Check failed: %v", err)
+	}
+	wd.EmitSpan(watchSpan("upload", "trainer-00", 0, 0, 100*time.Millisecond))
+	wd.EmitSpan(watchSpan("upload", "trainer-01", 0, 0, 200*time.Millisecond))
+	at := simBase.Add(300 * time.Millisecond)
+	if err := wd.Check(at); err != nil {
 		t.Fatalf("healthy cadence flagged: %v", err)
 	}
-	if firing := mon.Firing(); len(firing) != 0 {
+	if firing := wd.Status(at).Firing; len(firing) != 0 {
 		t.Fatalf("firing = %v on healthy cadence", firing)
 	}
 
-	// Silence past the deadline: Check fails and the stuck_round rule
-	// fires on the next evaluation.
+	// Silence past the deadline: Check fails and stuck_round fires.
 	late := simBase.Add(5 * time.Second)
 	if err := wd.Check(late); err == nil {
 		t.Fatal("stalled session passed Check")
 	}
-	wd.Evaluate(late)
-	if firing := mon.Firing(); len(firing) != 1 || firing[0] != StuckRoundAlert {
-		t.Fatalf("firing = %v, want [%s]", firing, StuckRoundAlert)
-	}
-	if wd.MaxGap() < 4*time.Second {
-		t.Fatalf("max gap = %v", wd.MaxGap())
+	if firing := wd.Status(late).Firing; len(firing) != 1 || firing[0] != obs.StuckRound {
+		t.Fatalf("firing = %v, want [%s]", firing, obs.StuckRound)
 	}
 
-	// A late heartbeat (e.g. a takeover span) resumes the cadence. The
-	// takeover span itself records the 5.8s gap, so the alarm holds...
-	wd.EmitSpan(span("takeover", "agg-p0-1", 5*time.Second, 6*time.Second))
-	wd.Evaluate(simBase.Add(6 * time.Second))
-	if firing := mon.Firing(); len(firing) != 1 {
-		t.Fatalf("firing = %v right after recovery, want stuck_round held", firing)
-	}
-	// ...until a sustained healthy cadence slides the window past every
-	// over-deadline gap observation.
-	var recovered time.Time
-	for at := 6500 * time.Millisecond; at <= 40*time.Second; at += 500 * time.Millisecond {
-		wd.EmitSpan(span("upload", "trainer-00", at-100*time.Millisecond, at))
-		recovered = simBase.Add(at)
-	}
-	wd.Evaluate(recovered)
-	if firing := mon.Firing(); len(firing) != 0 {
-		t.Fatalf("firing = %v after recovery, want none", firing)
-	}
+	// A late span (e.g. a takeover) clears both verdicts, and MaxGap
+	// keeps the silence it closed.
+	wd.EmitSpan(watchSpan("takeover", "agg-p0-1", 0, 5*time.Second, 6*time.Second))
+	recovered := simBase.Add(6500 * time.Millisecond)
 	if err := wd.Check(recovered); err != nil {
 		t.Fatalf("recovered session flagged: %v", err)
+	}
+	if firing := wd.Status(recovered).Firing; len(firing) != 0 {
+		t.Fatalf("firing = %v after recovery, want none", firing)
+	}
+	if gap := wd.MaxGap(); gap != 5800*time.Millisecond {
+		t.Fatalf("max gap = %v, want the 5.8s silence", gap)
+	}
+	if wd.Phases() != 2 {
+		t.Fatalf("phases = %d, want upload and takeover", wd.Phases())
 	}
 }
 
 func TestWatchdogStragglerDetection(t *testing.T) {
-	mon := obs.NewMonitor(obs.MonitorConfig{Window: 30 * time.Second})
-	wd := NewWatchdog(mon, WatchdogConfig{StragglerFactor: 3, MinSamples: 5})
+	wd := obs.NewWatchdog(0)
 	end := 500 * time.Millisecond
 	for i, d := range []time.Duration{
 		100 * time.Millisecond, 110 * time.Millisecond, 90 * time.Millisecond,
@@ -83,124 +80,136 @@ func TestWatchdogStragglerDetection(t *testing.T) {
 		if i == 11 {
 			actor = "trainer-11"
 		}
-		wd.EmitSpan(obs.Span{
-			Name: "upload", Actor: actor,
-			Context: obs.SpanContext{Session: "t", SpanID: obs.NewSpanID()},
-			Start:   simBase, End: simBase.Add(end + d),
-		})
+		wd.EmitSpan(watchSpan("upload", actor, 0, 0, end+d))
 	}
-	at := simBase.Add(11 * time.Second)
-	got := wd.Stragglers(at)
-	if len(got) != 1 || got[0].Actor != "trainer-11" || got[0].Phase != "upload" {
+	got := wd.Status(simBase.Add(11 * time.Second)).Stragglers
+	if len(got) != 1 || got[0].Actor != "trainer-11" || got[0].Phase != "upload" || got[0].Iter != 0 {
 		t.Fatalf("stragglers = %+v, want trainer-11/upload", got)
 	}
-	if got[0].Ratio < 3 {
-		t.Fatalf("ratio = %v, want > straggler factor", got[0].Ratio)
+	if got[0].Ratio < 3 || got[0].MedianSeconds != 0.6 {
+		t.Fatalf("straggler = %+v, want ratio > 3 over the 0.6s median", got[0])
 	}
-	st := wd.Status(at)
-	if len(st.Stragglers) != 1 {
-		t.Fatalf("status stragglers = %+v", st.Stragglers)
+
+	// The crowd is the iteration, not the phase's history: the same
+	// latency among peers as slow as itself is no straggler.
+	for i := 0; i < 5; i++ {
+		wd.EmitSpan(watchSpan("upload", fmt.Sprintf("trainer-%02d", i), 1, 20*time.Second, 30*time.Second))
+	}
+	// Below 10ms a 50x outlier is scheduler jitter, not a straggler.
+	for i := 0; i < 6; i++ {
+		d := 100 * time.Microsecond
+		if i == 5 {
+			d = 5 * time.Millisecond
+		}
+		wd.EmitSpan(watchSpan("store_put", fmt.Sprintf("trainer-%02d", i), 1, 30*time.Second, 30*time.Second+d))
+	}
+	if got := wd.Status(simBase.Add(31 * time.Second)).Stragglers; len(got) != 1 || got[0].Iter != 0 {
+		t.Fatalf("stragglers = %+v, want only iteration 0's", got)
+	}
+}
+
+// TestWatchdogOrderIndependent: the verdicts are a function of the span
+// multiset. Shuffling the arrival order, across more iterations than the
+// watchdog remembers, must give an identical Status.
+func TestWatchdogOrderIndependent(t *testing.T) {
+	var spans []obs.Span
+	for iter := 0; iter < 7; iter++ {
+		base := time.Duration(iter) * time.Second
+		for i := 0; i < 8; i++ {
+			d := time.Duration(90+i) * time.Millisecond
+			if i == iter%8 {
+				d *= 5 // one straggler per iteration
+			}
+			spans = append(spans,
+				watchSpan("upload", fmt.Sprintf("trainer-%02d", i), iter, base, base+d),
+				watchSpan("aggregate", fmt.Sprintf("agg-p%d-0", i%2), iter, base+d, base+d+50*time.Millisecond))
+		}
+	}
+	status := func(order []obs.Span) obs.HealthStatus {
+		wd := obs.NewWatchdog(2 * time.Second)
+		for _, s := range order {
+			wd.EmitSpan(s)
+		}
+		return wd.Status(simBase.Add(time.Minute))
+	}
+	want := status(spans)
+	if len(want.Stragglers) != 4 {
+		t.Fatalf("stragglers = %+v, want one per remembered iteration 3..6", want.Stragglers)
+	}
+	for _, s := range want.Stragglers {
+		if s.Iter < 3 || s.Phase != "upload" || s.Actor != fmt.Sprintf("trainer-%02d", s.Iter%8) {
+			t.Fatalf("stragglers = %+v, want one per remembered iteration 3..6", want.Stragglers)
+		}
+	}
+	if len(want.Firing) != 1 || want.Firing[0] != obs.StuckRound {
+		t.Fatalf("firing = %v", want.Firing)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		shuffled := append([]obs.Span(nil), spans...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if got := status(shuffled); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: status depends on arrival order:\n%+v\n%+v", trial, got, want)
+		}
 	}
 }
 
 // TestSimulateStragglerFiresAlerts is the acceptance scenario: a
 // deterministic netsim run with one trainer's links degraded by a
-// LossWindow must fire the phase_latency alert, trip the stuck-round
-// watchdog under virtual time, and flag the trainer as a straggler —
-// all without wall-clock dependence.
+// LossWindow must flag the trainer as an upload straggler and record a
+// heartbeat gap past the deadline, all in virtual time.
 func TestSimulateStragglerFiresAlerts(t *testing.T) {
-	// A window wider than the whole run keeps every observation in scope
-	// at the end-of-run evaluation, so the final alert state is a stable
-	// assertion target rather than a race against window sliding.
-	mon := obs.NewMonitor(obs.MonitorConfig{Window: 10 * time.Minute})
-	if err := mon.AddRule(obs.AlertRule{
-		Name:   "upload_latency",
-		Metric: obs.MetricPhaseLatency,
-		Phase:  "upload",
-		Stat:   "max",
-		// The healthy fleet uploads in well under a second; the
-		// straggler takes tens of seconds.
-		Threshold: 1.0,
-	}); err != nil {
-		t.Fatal(err)
+	run := func(spans obs.SpanSink) (*SimResult, *obs.Watchdog) {
+		t.Helper()
+		wd := obs.NewWatchdog(2 * time.Second)
+		sink := obs.MultiSpanSink{wd}
+		if spans != nil {
+			sink = append(sink, spans)
+		}
+		res, err := Simulate(SimConfig{
+			Trainers:                12,
+			Partitions:              1,
+			AggregatorsPerPartition: 1,
+			StorageNodes:            4,
+			PartitionBytes:          1 << 20,
+			BandwidthMbps:           100,
+			// trainer-00's links run at 1% capacity for the first minute:
+			// its 1 MiB upload takes ~100× longer than the fleet's.
+			LinkLoss: []netsim.LossWindow{{Node: "trainer-00", From: 0, To: time.Minute, Factor: 0.01}},
+			Spans:    sink,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, wd
 	}
-	wd := NewWatchdog(mon, WatchdogConfig{StuckAfter: 2 * time.Second, MinSamples: 5})
-
 	collector := obs.NewSpanCollector(4096)
-	res, err := Simulate(SimConfig{
-		Trainers:                12,
-		Partitions:              1,
-		AggregatorsPerPartition: 1,
-		StorageNodes:            4,
-		PartitionBytes:          1 << 20,
-		BandwidthMbps:           100,
-		// trainer-00's links run at 1% capacity for the first minute:
-		// its 1 MiB upload takes ~100× longer than the fleet's.
-		LinkLoss: []netsim.LossWindow{{Node: "trainer-00", From: 0, To: time.Minute, Factor: 0.01}},
-		Spans:    collector,
-		Watchdog: wd,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, wd := run(collector)
 	if res.UploadDelayMax < 5*time.Second {
 		t.Fatalf("straggler not slow: max upload delay %v", res.UploadDelayMax)
 	}
-
 	end := simBase.Add(res.TotalDelay)
-	firing := map[string]bool{}
-	for _, name := range mon.Firing() {
-		firing[name] = true
-	}
-	if !firing["upload_latency"] {
-		t.Fatalf("phase_latency alert not firing: %v", mon.Alerts())
-	}
-	if !firing[StuckRoundAlert] {
-		t.Fatalf("stuck-round alarm not firing: %v", mon.Alerts())
-	}
-	if wd.MaxGap() <= 2*time.Second {
-		t.Fatalf("max heartbeat gap = %v, want past the deadline", wd.MaxGap())
-	}
-	stragglers := wd.Stragglers(end)
+	st := wd.Status(end)
 	found := false
-	for _, s := range stragglers {
+	for _, s := range st.Stragglers {
 		if s.Actor == "trainer-00" && s.Phase == "upload" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("trainer-00 not flagged: %+v", stragglers)
+		t.Fatalf("trainer-00 not flagged: %+v", st.Stragglers)
 	}
-	// The Watchdog shares the span fan-out rather than replacing it.
+	if wd.MaxGap() <= 2*time.Second {
+		t.Fatalf("max heartbeat gap = %v, want past the deadline", wd.MaxGap())
+	}
+	// The watchdog shares the span fan-out rather than replacing it.
 	if len(collector.Spans()) == 0 {
 		t.Fatal("span collector starved by the watchdog")
 	}
 
-	// Determinism: the same config reproduces the same alert values.
-	mon2 := obs.NewMonitor(obs.MonitorConfig{Window: 10 * time.Minute})
-	if err := mon2.AddRule(obs.AlertRule{
-		Name: "upload_latency", Metric: obs.MetricPhaseLatency,
-		Phase: "upload", Stat: "max", Threshold: 1.0,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	wd2 := NewWatchdog(mon2, WatchdogConfig{StuckAfter: 2 * time.Second, MinSamples: 5})
-	if _, err := Simulate(SimConfig{
-		Trainers: 12, Partitions: 1, AggregatorsPerPartition: 1,
-		StorageNodes: 4, PartitionBytes: 1 << 20, BandwidthMbps: 100,
-		LinkLoss: []netsim.LossWindow{{Node: "trainer-00", From: 0, To: time.Minute, Factor: 0.01}},
-		Watchdog: wd2,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	a1, a2 := mon.Alerts(), mon2.Alerts()
-	if len(a1) != len(a2) {
-		t.Fatalf("alert counts differ: %d vs %d", len(a1), len(a2))
-	}
-	for i := range a1 {
-		if a1[i].Rule.Name != a2[i].Rule.Name || a1[i].State != a2[i].State ||
-			a1[i].Value != a2[i].Value || !a1[i].Since.Equal(a2[i].Since) {
-			t.Fatalf("alert %d not deterministic:\n%+v\n%+v", i, a1[i], a2[i])
-		}
+	// Determinism: the same config reproduces the same verdicts.
+	_, wd2 := run(nil)
+	if st2 := wd2.Status(end); !reflect.DeepEqual(st, st2) {
+		t.Fatalf("status not deterministic:\n%+v\n%+v", st, st2)
 	}
 }

@@ -38,8 +38,6 @@ type Env struct {
 	reg       *obs.Registry
 	transfers *obs.Counter
 	clock     *obs.Gauge
-
-	onAdvance []func(now time.Duration)
 }
 
 // NewEnv creates an empty simulation environment.
@@ -351,17 +349,6 @@ func (e *Env) advanceTo(t time.Duration) {
 	}
 	e.now = t
 	e.clock.Set(t.Seconds())
-	for _, fn := range e.onAdvance {
-		fn(t)
-	}
-}
-
-// OnAdvance registers fn to run (on the scheduler goroutine) every time
-// the virtual clock moves. Watchdogs and alert monitors hook here so
-// rule evaluation happens at deterministic virtual instants instead of
-// on a wall-clock ticker. Call before Run.
-func (e *Env) OnAdvance(fn func(now time.Duration)) {
-	e.onAdvance = append(e.onAdvance, fn)
 }
 
 func (e *Env) fireTimers() {

@@ -32,7 +32,7 @@ type HandlerConfig struct {
 	// registry).
 	Scoreboard func() any
 	// Alerts, when non-nil, backs /alerts with a JSON-marshalable value
-	// (typically a Monitor's or watchdog's HealthStatus).
+	// (typically a Watchdog's HealthStatus).
 	Alerts func() any
 	// Health, when non-nil, backs /healthz; an error answers 503.
 	// Typically Readiness.Check when Readiness is also set.
@@ -90,7 +90,7 @@ func ReadBuildInfo() BuildInfo {
 //	/metrics.json  JSON snapshot of the registry
 //	/spans         recent spans as JSON
 //	/scoreboard    cluster resource scoreboard as JSON
-//	/alerts        alert-rule states, sliding windows and stragglers as JSON
+//	/alerts        round-watchdog verdicts (stuck_round, stragglers) as JSON
 //	/buildinfo     go version and VCS identity of the binary
 //	/healthz       liveness probe (composed readiness when wired)
 //	/readyz        per-component readiness checks as JSON; 503 on failure

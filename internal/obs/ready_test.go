@@ -1,11 +1,14 @@
 package obs
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestReadinessComposition(t *testing.T) {
@@ -40,13 +43,18 @@ func TestReadinessComposition(t *testing.T) {
 }
 
 func TestAlertsAndReadyzEndpoints(t *testing.T) {
-	mon := NewMonitor(MonitorConfig{Window: 30e9})
-	if err := mon.AddRule(AlertRule{Name: "hot", Metric: MetricPhaseLatency, Stat: "max", Threshold: 0.5}); err != nil {
-		t.Fatal(err)
+	// A same-iteration upload crowd with one 10x actor, then silence
+	// past the watchdog's deadline.
+	base := time.Unix(0, 0).UTC()
+	wd := NewWatchdog(time.Second)
+	for i, d := range []time.Duration{100, 110, 90, 105, 95, 1000} {
+		wd.EmitSpan(Span{
+			Name: "upload", Actor: fmt.Sprintf("trainer-%02d", i),
+			Context: SpanContext{Session: "s", Iter: 3, SpanID: NewSpanID()},
+			Start:   base, End: base.Add(d * time.Millisecond),
+		})
 	}
-	now := windowBase.Add(60e9)
-	mon.Observe(now, MetricPhaseLatency, "upload", 2.0)
-	mon.Evaluate(now)
+	now := base.Add(5 * time.Second)
 
 	ready := NewReadiness()
 	broken := errors.New("no heartbeat for 7s")
@@ -54,7 +62,7 @@ func TestAlertsAndReadyzEndpoints(t *testing.T) {
 
 	srv, err := StartHTTP("127.0.0.1:0", HandlerConfig{
 		Registry:  NewRegistry(),
-		Alerts:    func() any { return mon.Status(now) },
+		Alerts:    func() any { return wd.Status(now) },
 		Health:    ready.Check,
 		Readiness: ready,
 	})
@@ -75,8 +83,16 @@ func TestAlertsAndReadyzEndpoints(t *testing.T) {
 		}
 		return resp.StatusCode, string(body)
 	}
-	if code, body := get("/alerts"); code != 200 || !strings.Contains(body, `"hot"`) || !strings.Contains(body, `"firing"`) {
-		t.Fatalf("/alerts = %d %s", code, body)
+	code, body := get("/alerts")
+	var st HealthStatus
+	if err := json.Unmarshal([]byte(body), &st); code != 200 || err != nil {
+		t.Fatalf("/alerts = %d %s (%v)", code, body, err)
+	}
+	if len(st.Firing) != 1 || st.Firing[0] != StuckRound {
+		t.Fatalf("/alerts firing = %v, want [%s]", st.Firing, StuckRound)
+	}
+	if len(st.Stragglers) != 1 || st.Stragglers[0].Actor != "trainer-05" || st.Stragglers[0].Iter != 3 {
+		t.Fatalf("/alerts stragglers = %+v, want trainer-05 in iter 3", st.Stragglers)
 	}
 	if code, body := get("/readyz"); code != 503 || !strings.Contains(body, "round_progressing") || !strings.Contains(body, "no heartbeat") {
 		t.Fatalf("/readyz = %d %s", code, body)
