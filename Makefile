@@ -25,7 +25,8 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz passes: the parallel multiexp against the sequential one
-# (the differential harness's randomized arm), the scenario-plan parser
+# (the differential harness's randomized arm), the Montgomery field ops
+# against math/big mod p on both curve primes, the scenario-plan parser
 # (never panics; String∘Parse is a fixpoint), the slab-backed vector
 # kernels against their one-element-at-a-time reference, the limb merge
 # kernel against decode → SumVecs → Encode, and directory snapshot loading
@@ -34,6 +35,7 @@ race:
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzMultiExpParallel -fuzztime $(FUZZTIME) ./internal/group
+	$(GO) test -fuzz=FuzzFieldOps -fuzztime $(FUZZTIME) ./internal/group
 	$(GO) test -fuzz=FuzzParseScenario -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -fuzz=FuzzVectorKernels -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -fuzz=FuzzMerge -fuzztime $(FUZZTIME) ./internal/model

@@ -103,3 +103,24 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkJacobian times the limb-field point operations every multiexp
+// strategy is built from.
+func BenchmarkJacobian(b *testing.B) {
+	for _, c := range []*Curve{Secp256k1(), Secp256r1()} {
+		p := c.toJacobian(c.ScalarBaseMult(benchScalar(b, c)))
+		q := c.jacDouble(c.jacDouble(p))
+		b.Run("add/"+c.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p = c.jacAdd(p, q)
+			}
+		})
+		b.Run("double/"+c.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p = c.jacDouble(p)
+			}
+		})
+	}
+}

@@ -7,10 +7,10 @@ import (
 )
 
 // fixedBaseWindow is the digit width of a FixedBase table. 4 bits gives a
-// 16-entry table (15 stored points beyond the identity): ~2–3.6 KB per
-// generator with math/big coordinates. Pedersen generator sets are
-// per-session and long-lived, so the table amortizes across every
-// commitment of a training run.
+// 16-entry table of Jacobian points with three 32-byte limb coordinates:
+// 1.5 KB per generator. Pedersen generator sets are per-session and
+// long-lived, so the table amortizes across every commitment of a
+// training run.
 const fixedBaseWindow = 4
 
 // FixedBase is a precomputed window table for one long-lived base point.
@@ -25,8 +25,7 @@ type FixedBase struct {
 // a table of infinities, contributing nothing to any multiexp.
 func (c *Curve) NewFixedBase(p Point) *FixedBase {
 	fb := &FixedBase{}
-	jp := toJacobian(p)
-	fb.table[0] = jacobianInfinity()
+	jp := c.toJacobian(p)
 	fb.table[1] = jp
 	for t := 2; t < len(fb.table); t++ {
 		if t%2 == 0 {
@@ -36,16 +35,6 @@ func (c *Curve) NewFixedBase(p Point) *FixedBase {
 		}
 	}
 	return fb
-}
-
-// jacNeg negates a Jacobian point: (X, Y, Z) → (X, P−Y, Z). Needed because
-// signed recoding flips some bases, and a FixedBase stores multiples of the
-// un-negated generator only.
-func (c *Curve) jacNeg(p jacobianPoint) jacobianPoint {
-	if p.isInfinity() || p.y.Sign() == 0 {
-		return p
-	}
-	return jacobianPoint{x: p.x, y: new(big.Int).Sub(c.P, p.y), z: p.z}
 }
 
 // MultiScalarMultFixed computes ∑ kᵢ·basesᵢ using precomputed window
@@ -70,35 +59,20 @@ func (c *Curve) MultiScalarMultFixed(bases []*FixedBase, scalars []*big.Int) (Po
 // cheaper than doubling the stored table).
 func (c *Curve) multiExpFixed(bases []*FixedBase, scalars []*big.Int) Point {
 	const w = fixedBaseWindow
-	n := len(bases)
-	recoded := make([]*big.Int, n)
-	negate := make([]bool, n)
-	half := new(big.Int).Rsh(c.N, 1)
-	maxBits := 0
-	for i := range scalars {
-		kr := new(big.Int).Mod(scalars[i], c.N)
-		if kr.Cmp(half) > 0 {
-			kr.Sub(c.N, kr)
-			negate[i] = true
-		}
-		recoded[i] = kr
-		if bl := kr.BitLen(); bl > maxBits {
-			maxBits = bl
-		}
-	}
+	ks, negate, maxBits := c.recodeScalars(scalars)
 	if maxBits == 0 {
 		return Infinity()
 	}
 	windows := (maxBits + w - 1) / w
-	acc := jacobianInfinity()
+	var acc jacobianPoint
 	for win := windows - 1; win >= 0; win-- {
 		if !acc.isInfinity() {
 			for d := 0; d < w; d++ {
 				acc = c.jacDouble(acc)
 			}
 		}
-		for i := range recoded {
-			digit := windowDigit(recoded[i], win, w)
+		for i := range ks {
+			digit := windowDigit(&ks[i], win, w)
 			if digit == 0 {
 				continue
 			}

@@ -2,11 +2,13 @@
 // Weierstrass form (y² = x³ + ax + b over GF(p)) with the two curves the
 // paper evaluates: secp256k1 and secp256r1 (NIST P-256).
 //
-// The generic implementation uses Jacobian coordinates over math/big, which
-// mirrors the paper's "rather straight-forward" Bouncy Castle usage. An
-// additional stdlib-accelerated secp256r1 variant (Secp256r1Fast) shows the
-// headroom available from optimized curve arithmetic, one of the future-work
-// directions the paper identifies.
+// The generic implementation does its point arithmetic in Jacobian
+// coordinates over a fixed-limb Montgomery field (four uint64 limbs, see
+// field.go), so point additions and doublings allocate nothing. math/big
+// appears only at the affine boundary: the public Point type, encodings,
+// the one inversion per result, and scalar reduction. An additional
+// stdlib-accelerated secp256r1 variant (Secp256r1Fast) uses crypto/elliptic
+// for single-point operations.
 package group
 
 import (
@@ -60,6 +62,9 @@ type Curve struct {
 
 	fast elliptic.Curve // optional stdlib-backed arithmetic
 
+	fp *field    // GF(P) for the Jacobian layer
+	a  fieldElem // A in Montgomery form
+
 	// par bounds StrategyParallel worker goroutines (0 = GOMAXPROCS).
 	// Atomic because the constructors return shared singletons and the
 	// knob may be flipped while multiexps are in flight.
@@ -103,7 +108,7 @@ func ByName(name string) (*Curve, error) {
 
 func newSecp256k1() *Curve {
 	hexInt := mustHex
-	return &Curve{
+	return withField(&Curve{
 		Name: "secp256k1",
 		P:    hexInt("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"),
 		N:    hexInt("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"),
@@ -111,7 +116,7 @@ func newSecp256k1() *Curve {
 		B:    big.NewInt(7),
 		Gx:   hexInt("79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"),
 		Gy:   hexInt("483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8"),
-	}
+	})
 }
 
 func newSecp256r1(fast bool) *Curve {
@@ -131,6 +136,15 @@ func newSecp256r1(fast bool) *Curve {
 		c.Name = "secp256r1-fast"
 		c.fast = std
 	}
+	return withField(c)
+}
+
+// withField attaches the Montgomery field descriptor the Jacobian layer
+// runs on. The stdlib-backed curve gets one too: explicit non-naive
+// multiexp strategies run the generic layer on any curve.
+func withField(c *Curve) *Curve {
+	c.fp = newField(c.P)
+	c.a = c.fp.fromBig(c.A)
 	return c
 }
 
@@ -180,9 +194,7 @@ func (c *Curve) Add(p, q Point) Point {
 		x, y := c.fast.Add(p.X, p.Y, q.X, q.Y)
 		return fromStd(x, y)
 	}
-	jp := toJacobian(p)
-	jq := toJacobian(q)
-	return c.fromJacobian(c.jacAdd(jp, jq))
+	return c.fromJacobian(c.jacAdd(c.toJacobian(p), c.toJacobian(q)))
 }
 
 // Neg returns -p.
@@ -202,7 +214,7 @@ func (c *Curve) Double(p Point) Point {
 		x, y := c.fast.Double(p.X, p.Y)
 		return fromStd(x, y)
 	}
-	return c.fromJacobian(c.jacDouble(toJacobian(p)))
+	return c.fromJacobian(c.jacDouble(c.toJacobian(p)))
 }
 
 // ScalarMult returns k·p. The scalar is reduced modulo the group order.
@@ -215,7 +227,7 @@ func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 		x, y := c.fast.ScalarMult(p.X, p.Y, kr.Bytes())
 		return fromStd(x, y)
 	}
-	return c.fromJacobian(c.jacScalarMult(toJacobian(p), kr))
+	return c.fromJacobian(c.jacScalarMult(c.toJacobian(p), limbsOf(kr)))
 }
 
 // ScalarBaseMult returns k·G.

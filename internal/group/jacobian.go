@@ -2,99 +2,78 @@ package group
 
 import "math/big"
 
-// jacobianPoint is a point in Jacobian projective coordinates:
-// (X, Y, Z) represents the affine point (X/Z², Y/Z³). Z = 0 is the identity.
+// jacobianPoint is a point in Jacobian projective coordinates over the
+// curve's Montgomery field: (X, Y, Z) represents the affine point
+// (X/Z², Y/Z³). Z = 0 is the identity, so the zero value is the identity.
 type jacobianPoint struct {
-	x, y, z *big.Int
+	x, y, z fieldElem
 }
 
-func jacobianInfinity() jacobianPoint {
-	return jacobianPoint{x: big.NewInt(1), y: big.NewInt(1), z: new(big.Int)}
-}
+func (j jacobianPoint) isInfinity() bool { return j.z.isZero() }
 
-func (j jacobianPoint) isInfinity() bool { return j.z.Sign() == 0 }
-
-func toJacobian(p Point) jacobianPoint {
+// toJacobian is the affine boundary into limb arithmetic.
+func (c *Curve) toJacobian(p Point) jacobianPoint {
 	if p.IsInfinity() {
-		return jacobianInfinity()
+		return jacobianPoint{}
 	}
-	return jacobianPoint{
-		x: new(big.Int).Set(p.X),
-		y: new(big.Int).Set(p.Y),
-		z: big.NewInt(1),
-	}
+	return jacobianPoint{x: c.fp.fromBig(p.X), y: c.fp.fromBig(p.Y), z: c.fp.one}
 }
 
+// fromJacobian is the affine boundary out of limb arithmetic. Its one
+// inversion is a math/big ModInverse: 7× faster than Fermat's x^(p−2) in
+// limbs, and at one per multiexp its allocations do not matter.
 func (c *Curve) fromJacobian(j jacobianPoint) Point {
 	if j.isInfinity() {
 		return Point{}
 	}
-	zInv := new(big.Int).ModInverse(j.z, c.P)
-	zInv2 := new(big.Int).Mul(zInv, zInv)
-	zInv2.Mod(zInv2, c.P)
-	x := new(big.Int).Mul(j.x, zInv2)
-	x.Mod(x, c.P)
-	zInv3 := zInv2.Mul(zInv2, zInv)
-	zInv3.Mod(zInv3, c.P)
-	y := new(big.Int).Mul(j.y, zInv3)
-	y.Mod(y, c.P)
-	return Point{X: x, Y: y}
+	f := c.fp
+	zInv := f.fromBig(new(big.Int).ModInverse(f.toBig(j.z), f.pBig))
+	zInv2 := f.square(zInv)
+	x := f.mul(j.x, zInv2)
+	y := f.mul(j.y, f.mul(zInv2, zInv))
+	return Point{X: f.toBig(x), Y: f.toBig(y)}
+}
+
+// jacNeg negates a Jacobian point: (X, Y, Z) → (X, −Y, Z).
+func (c *Curve) jacNeg(p jacobianPoint) jacobianPoint {
+	p.y = c.fp.neg(p.y)
+	return p
 }
 
 // jacDouble computes 2p using the generic-a doubling formula:
 // S = 4XY², M = 3X² + aZ⁴, X' = M² − 2S, Y' = M(S − X') − 8Y⁴, Z' = 2YZ.
 func (c *Curve) jacDouble(p jacobianPoint) jacobianPoint {
-	if p.isInfinity() || p.y.Sign() == 0 {
-		return jacobianInfinity()
+	if p.isInfinity() || p.y.isZero() {
+		return jacobianPoint{}
 	}
-	mod := c.P
+	f := c.fp
+	y2 := f.square(p.y)
+	s := f.mul(p.x, y2)
+	s = f.add(s, s)
+	s = f.add(s, s)
 
-	y2 := new(big.Int).Mul(p.y, p.y)
-	y2.Mod(y2, mod)
-
-	s := new(big.Int).Mul(p.x, y2)
-	s.Lsh(s, 2)
-	s.Mod(s, mod)
-
-	x2 := new(big.Int).Mul(p.x, p.x)
-	x2.Mod(x2, mod)
-	m := new(big.Int).Lsh(x2, 1)
-	m.Add(m, x2) // 3X²
-	if c.A.Sign() != 0 {
-		z2 := new(big.Int).Mul(p.z, p.z)
-		z2.Mod(z2, mod)
-		z4 := z2.Mul(z2, z2)
-		z4.Mod(z4, mod)
-		az4 := z4.Mul(z4, c.A)
-		m.Add(m, az4)
-	}
-	m.Mod(m, mod)
-
-	x3 := new(big.Int).Mul(m, m)
-	x3.Sub(x3, new(big.Int).Lsh(s, 1))
-	x3.Mod(x3, mod)
-	if x3.Sign() < 0 {
-		x3.Add(x3, mod)
+	x2 := f.square(p.x)
+	m := f.add(f.add(x2, x2), x2)
+	if !c.a.isZero() {
+		z2 := f.square(p.z)
+		m = f.add(m, f.mul(c.a, f.square(z2)))
 	}
 
-	y4 := y2.Mul(y2, y2) // y2 now holds Y⁴
-	y4.Mod(y4, mod)
-	y3 := new(big.Int).Sub(s, x3)
-	y3.Mul(y3, m)
-	y3.Sub(y3, new(big.Int).Lsh(y4, 3))
-	y3.Mod(y3, mod)
-	if y3.Sign() < 0 {
-		y3.Add(y3, mod)
-	}
+	x3 := f.sub(f.square(m), f.add(s, s))
 
-	z3 := new(big.Int).Mul(p.y, p.z)
-	z3.Lsh(z3, 1)
-	z3.Mod(z3, mod)
+	y4 := f.square(y2)
+	y48 := f.add(y4, y4)
+	y48 = f.add(y48, y48)
+	y48 = f.add(y48, y48)
+	y3 := f.sub(f.mul(m, f.sub(s, x3)), y48)
 
+	z3 := f.mul(p.y, p.z)
+	z3 = f.add(z3, z3)
 	return jacobianPoint{x: x3, y: y3, z: z3}
 }
 
-// jacAdd computes p + q using the standard Jacobian addition formula.
+// jacAdd computes p + q with the add-2007-bl formula (11M + 5S), falling
+// back to jacDouble when the inputs coincide.
 func (c *Curve) jacAdd(p, q jacobianPoint) jacobianPoint {
 	if p.isInfinity() {
 		return q
@@ -102,80 +81,48 @@ func (c *Curve) jacAdd(p, q jacobianPoint) jacobianPoint {
 	if q.isInfinity() {
 		return p
 	}
-	mod := c.P
+	f := c.fp
+	z1z1 := f.square(p.z)
+	z2z2, u1, s1 := f.one, p.x, p.y
+	if q.z != f.one {
+		// q has Z = 1 when it comes straight from toJacobian, as every
+		// point Pippenger adds into a bucket does; skipping these three
+		// products then saves a fifth of the addition.
+		z2z2 = f.square(q.z)
+		u1 = f.mul(p.x, z2z2)
+		s1 = f.mul(f.mul(p.y, q.z), z2z2)
+	}
+	u2 := f.mul(q.x, z1z1)
+	s2 := f.mul(f.mul(q.y, p.z), z1z1)
 
-	z1z1 := new(big.Int).Mul(p.z, p.z)
-	z1z1.Mod(z1z1, mod)
-	z2z2 := new(big.Int).Mul(q.z, q.z)
-	z2z2.Mod(z2z2, mod)
-
-	u1 := new(big.Int).Mul(p.x, z2z2)
-	u1.Mod(u1, mod)
-	u2 := new(big.Int).Mul(q.x, z1z1)
-	u2.Mod(u2, mod)
-
-	s1 := new(big.Int).Mul(p.y, q.z)
-	s1.Mul(s1, z2z2)
-	s1.Mod(s1, mod)
-	s2 := new(big.Int).Mul(q.y, p.z)
-	s2.Mul(s2, z1z1)
-	s2.Mod(s2, mod)
-
-	if u1.Cmp(u2) == 0 {
-		if s1.Cmp(s2) != 0 {
-			return jacobianInfinity()
+	h := f.sub(u2, u1)
+	r := f.sub(s2, s1)
+	if h.isZero() {
+		if !r.isZero() {
+			return jacobianPoint{}
 		}
 		return c.jacDouble(p)
 	}
+	r = f.add(r, r)
 
-	h := new(big.Int).Sub(u2, u1)
-	h.Mod(h, mod)
-	if h.Sign() < 0 {
-		h.Add(h, mod)
-	}
-	r := new(big.Int).Sub(s2, s1)
-	r.Mod(r, mod)
-	if r.Sign() < 0 {
-		r.Add(r, mod)
-	}
+	i := f.add(h, h)
+	i = f.square(i)
+	j := f.mul(h, i)
+	v := f.mul(u1, i)
 
-	h2 := new(big.Int).Mul(h, h)
-	h2.Mod(h2, mod)
-	h3 := new(big.Int).Mul(h2, h)
-	h3.Mod(h3, mod)
-	u1h2 := new(big.Int).Mul(u1, h2)
-	u1h2.Mod(u1h2, mod)
-
-	x3 := new(big.Int).Mul(r, r)
-	x3.Sub(x3, h3)
-	x3.Sub(x3, new(big.Int).Lsh(u1h2, 1))
-	x3.Mod(x3, mod)
-	if x3.Sign() < 0 {
-		x3.Add(x3, mod)
-	}
-
-	y3 := new(big.Int).Sub(u1h2, x3)
-	y3.Mul(y3, r)
-	s1h3 := new(big.Int).Mul(s1, h3)
-	y3.Sub(y3, s1h3)
-	y3.Mod(y3, mod)
-	if y3.Sign() < 0 {
-		y3.Add(y3, mod)
-	}
-
-	z3 := new(big.Int).Mul(p.z, q.z)
-	z3.Mul(z3, h)
-	z3.Mod(z3, mod)
-
+	x3 := f.sub(f.sub(f.square(r), j), f.add(v, v))
+	s1j := f.mul(s1, j)
+	y3 := f.sub(f.mul(r, f.sub(v, x3)), f.add(s1j, s1j))
+	z3 := f.add(p.z, q.z)
+	z3 = f.mul(f.sub(f.sub(f.square(z3), z1z1), z2z2), h)
 	return jacobianPoint{x: x3, y: y3, z: z3}
 }
 
-// jacScalarMult computes k·p with a 4-bit fixed window. k must already be
-// reduced modulo the group order and non-zero.
-func (c *Curve) jacScalarMult(p jacobianPoint, k *big.Int) jacobianPoint {
-	// Precompute 1p..15p.
+// jacScalarMult computes k·p with a 4-bit fixed window over the limbs of
+// k, which must already be reduced modulo the group order.
+func (c *Curve) jacScalarMult(p jacobianPoint, k [4]uint64) jacobianPoint {
+	// Precompute 0p..15p.
 	var table [16]jacobianPoint
-	table[0] = jacobianInfinity()
 	table[1] = p
 	for i := 2; i < 16; i++ {
 		if i%2 == 0 {
@@ -185,19 +132,16 @@ func (c *Curve) jacScalarMult(p jacobianPoint, k *big.Int) jacobianPoint {
 		}
 	}
 
-	acc := jacobianInfinity()
-	bytes := k.Bytes()
-	for _, b := range bytes {
-		for _, nibble := range [2]byte{b >> 4, b & 0x0f} {
-			if !acc.isInfinity() {
-				acc = c.jacDouble(acc)
-				acc = c.jacDouble(acc)
-				acc = c.jacDouble(acc)
-				acc = c.jacDouble(acc)
-			}
-			if nibble != 0 {
-				acc = c.jacAdd(acc, table[nibble])
-			}
+	var acc jacobianPoint
+	for win := 256/4 - 1; win >= 0; win-- {
+		if !acc.isInfinity() {
+			acc = c.jacDouble(acc)
+			acc = c.jacDouble(acc)
+			acc = c.jacDouble(acc)
+			acc = c.jacDouble(acc)
+		}
+		if digit := windowDigit(&k, win, 4); digit != 0 {
+			acc = c.jacAdd(acc, table[digit])
 		}
 	}
 	return acc

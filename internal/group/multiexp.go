@@ -61,8 +61,8 @@ func (s MultiExpStrategy) String() string {
 func (c *Curve) Accelerated() bool { return c.fast != nil }
 
 // autoStrategy resolves StrategyAuto for an input of n points: stdlib
-// backends stay naive (their constant-time scalar mult beats the generic
-// big.Int paths), tiny inputs skip shared-table setup, mid-size inputs use
+// backends stay naive (each scalar mult runs on the stdlib's optimized
+// arithmetic), tiny inputs skip shared-table setup, mid-size inputs use
 // windowed sharing, and large inputs use Pippenger — parallelized across
 // windows when the curve's parallelism allows it.
 func (c *Curve) autoStrategy(n int) MultiExpStrategy {
@@ -132,34 +132,52 @@ func (c *Curve) multiExpNaive(points []Point, scalars []*big.Int) Point {
 	return acc
 }
 
-// recodeSigned reduces k modulo the order and, when the result lies in the
-// top half of the field, replaces (k, p) by (order−k, −p). This keeps the
-// effective scalar bit-length small for fixed-point-encoded gradients, where
-// negative values would otherwise wrap to ~256-bit scalars.
-func (c *Curve) recodeSigned(p Point, k *big.Int) (Point, *big.Int) {
-	kr := new(big.Int).Mod(k, c.N)
+// recodeScalars reduces each scalar modulo the order and, when the result
+// lies in the top half, replaces it by order−k and marks its base for
+// negation. This keeps the effective scalar bit-length small for
+// fixed-point-encoded gradients, where negative values would otherwise
+// wrap to ~256-bit scalars. The recoded scalars come back as limbs, so
+// windowDigit is a shift and a mask; maxBits is the longest of them.
+func (c *Curve) recodeScalars(scalars []*big.Int) (ks [][4]uint64, negate []bool, maxBits int) {
+	ks = make([][4]uint64, len(scalars))
+	negate = make([]bool, len(scalars))
 	half := new(big.Int).Rsh(c.N, 1)
-	if kr.Cmp(half) > 0 {
-		kr.Sub(c.N, kr)
-		p = c.Neg(p)
+	kr := new(big.Int)
+	for i, k := range scalars {
+		kr.Mod(k, c.N)
+		if kr.Cmp(half) > 0 {
+			kr.Sub(c.N, kr)
+			negate[i] = true
+		}
+		maxBits = max(maxBits, kr.BitLen())
+		ks[i] = limbsOf(kr)
 	}
-	return p, kr
+	return ks, negate, maxBits
+}
+
+// recodeAll signed-recodes every (point, scalar) pair, returning the
+// bases in Jacobian form (negated where recoding asks), the recoded
+// scalars and the maximum scalar bit length.
+func (c *Curve) recodeAll(points []Point, scalars []*big.Int) ([]jacobianPoint, [][4]uint64, int) {
+	ks, negate, maxBits := c.recodeScalars(scalars)
+	jpoints := make([]jacobianPoint, len(points))
+	for i, p := range points {
+		jpoints[i] = c.toJacobian(p)
+		if negate[i] {
+			jpoints[i] = c.jacNeg(jpoints[i])
+		}
+	}
+	return jpoints, ks, maxBits
 }
 
 func (c *Curve) multiExpWindowed(points []Point, scalars []*big.Int) Point {
 	const w = 4
-	n := len(points)
-	tables := make([][16]jacobianPoint, n)
-	maxBits := 0
-	recoded := make([]*big.Int, n)
-	for i := range points {
-		p, k := c.recodeSigned(points[i], scalars[i])
-		recoded[i] = k
-		if bl := k.BitLen(); bl > maxBits {
-			maxBits = bl
-		}
-		jp := toJacobian(p)
-		tables[i][0] = jacobianInfinity()
+	jpoints, ks, maxBits := c.recodeAll(points, scalars)
+	if maxBits == 0 {
+		return Infinity()
+	}
+	tables := make([][16]jacobianPoint, len(jpoints))
+	for i, jp := range jpoints {
 		tables[i][1] = jp
 		for t := 2; t < 16; t++ {
 			if t%2 == 0 {
@@ -169,20 +187,16 @@ func (c *Curve) multiExpWindowed(points []Point, scalars []*big.Int) Point {
 			}
 		}
 	}
-	if maxBits == 0 {
-		return Infinity()
-	}
 	windows := (maxBits + w - 1) / w
-	acc := jacobianInfinity()
+	var acc jacobianPoint
 	for win := windows - 1; win >= 0; win-- {
 		if !acc.isInfinity() {
 			for d := 0; d < w; d++ {
 				acc = c.jacDouble(acc)
 			}
 		}
-		for i := range recoded {
-			digit := windowDigit(recoded[i], win, w)
-			if digit != 0 {
+		for i := range ks {
+			if digit := windowDigit(&ks[i], win, w); digit != 0 {
 				acc = c.jacAdd(acc, tables[i][digit])
 			}
 		}
@@ -196,43 +210,25 @@ func (c *Curve) multiExpWindowed(points []Point, scalars []*big.Int) Point {
 // pure overhead. Such inputs fall through to the windowed strategy.
 const pippengerMinPoints = 3
 
-// recodeAll signed-recodes every (point, scalar) pair into Jacobian form,
-// returning the recoded scalars and the maximum scalar bit length.
-func (c *Curve) recodeAll(points []Point, scalars []*big.Int) ([]jacobianPoint, []*big.Int, int) {
-	n := len(points)
-	jpoints := make([]jacobianPoint, n)
-	recoded := make([]*big.Int, n)
-	maxBits := 0
-	for i := range points {
-		p, k := c.recodeSigned(points[i], scalars[i])
-		recoded[i] = k
-		jpoints[i] = toJacobian(p)
-		if bl := k.BitLen(); bl > maxBits {
-			maxBits = bl
-		}
-	}
-	return jpoints, recoded, maxBits
-}
-
 func (c *Curve) multiExpPippenger(points []Point, scalars []*big.Int) Point {
 	if len(points) < pippengerMinPoints {
 		return c.multiExpWindowed(points, scalars)
 	}
-	jpoints, recoded, maxBits := c.recodeAll(points, scalars)
+	jpoints, ks, maxBits := c.recodeAll(points, scalars)
 	if maxBits == 0 {
 		return Infinity()
 	}
 	w := pippengerWindow(len(points))
 	windows := (maxBits + w - 1) / w
 	buckets := make([]jacobianPoint, 1<<w)
-	acc := jacobianInfinity()
+	var acc jacobianPoint
 	for win := windows - 1; win >= 0; win-- {
 		if !acc.isInfinity() {
 			for d := 0; d < w; d++ {
 				acc = c.jacDouble(acc)
 			}
 		}
-		sum := c.windowBucketSum(jpoints, recoded, win, w, buckets)
+		sum := c.windowBucketSum(jpoints, ks, win, w, buckets)
 		if !sum.isInfinity() {
 			acc = c.jacAdd(acc, sum)
 		}
@@ -243,26 +239,22 @@ func (c *Curve) multiExpPippenger(points []Point, scalars []*big.Int) Point {
 // windowBucketSum computes one window's contribution ∑ digit·bucket[digit]
 // over all points: bucket accumulation followed by the running-sum trick.
 // The caller provides the bucket scratch (reused across windows); jpoints
-// and recoded are only read, so concurrent calls on disjoint windows with
+// and ks are only read, so concurrent calls on disjoint windows with
 // per-worker scratch are safe.
-func (c *Curve) windowBucketSum(jpoints []jacobianPoint, recoded []*big.Int, win, w int, buckets []jacobianPoint) jacobianPoint {
-	for b := range buckets {
-		buckets[b] = jacobianInfinity()
-	}
+func (c *Curve) windowBucketSum(jpoints []jacobianPoint, ks [][4]uint64, win, w int, buckets []jacobianPoint) jacobianPoint {
+	clear(buckets)
 	used := false
-	for i := range recoded {
-		digit := windowDigit(recoded[i], win, w)
-		if digit != 0 {
+	for i := range ks {
+		if digit := windowDigit(&ks[i], win, w); digit != 0 {
 			buckets[digit] = c.jacAdd(buckets[digit], jpoints[i])
 			used = true
 		}
 	}
 	if !used {
-		return jacobianInfinity()
+		return jacobianPoint{}
 	}
 	// Bucket aggregation: ∑ b·bucket[b] via the running-sum trick.
-	running := jacobianInfinity()
-	sum := jacobianInfinity()
+	var running, sum jacobianPoint
 	for b := len(buckets) - 1; b >= 1; b-- {
 		if !buckets[b].isInfinity() {
 			running = c.jacAdd(running, buckets[b])
@@ -291,14 +283,15 @@ func pippengerWindow(n int) int {
 	}
 }
 
-// windowDigit extracts the win-th w-bit digit of k (little-endian windows).
-func windowDigit(k *big.Int, win, w int) int {
-	digit := 0
+// windowDigit extracts the win-th w-bit digit (w ≤ 64) of the limbs k,
+// little-endian windows: one shift and mask, plus the next limb's low bits
+// when the window straddles two limbs.
+func windowDigit(k *[4]uint64, win, w int) int {
 	base := win * w
-	for bit := 0; bit < w; bit++ {
-		if k.Bit(base+bit) == 1 {
-			digit |= 1 << bit
-		}
+	limb, shift := base/64, uint(base%64)
+	d := k[limb] >> shift
+	if shift+uint(w) > 64 && limb+1 < len(k) {
+		d |= k[limb+1] << (64 - shift)
 	}
-	return digit
+	return int(d & (1<<uint(w) - 1))
 }

@@ -53,7 +53,7 @@ func (c *Curve) multiExpPippengerParallel(points []Point, scalars []*big.Int) Po
 	if len(points) < pippengerMinPoints {
 		return c.multiExpWindowed(points, scalars)
 	}
-	jpoints, recoded, maxBits := c.recodeAll(points, scalars)
+	jpoints, ks, maxBits := c.recodeAll(points, scalars)
 	if maxBits == 0 {
 		return Infinity()
 	}
@@ -68,7 +68,7 @@ func (c *Curve) multiExpPippengerParallel(points []Point, scalars []*big.Int) Po
 	if workers <= 1 {
 		buckets := make([]jacobianPoint, 1<<w)
 		for win := 0; win < windows; win++ {
-			sums[win] = c.windowBucketSum(jpoints, recoded, win, w, buckets)
+			sums[win] = c.windowBucketSum(jpoints, ks, win, w, buckets)
 		}
 	} else {
 		var next atomic.Int64
@@ -77,21 +77,21 @@ func (c *Curve) multiExpPippengerParallel(points []Point, scalars []*big.Int) Po
 		for g := 0; g < workers; g++ {
 			go func() {
 				defer wg.Done()
-				// Per-worker bucket scratch; jpoints/recoded are read-only.
+				// Per-worker bucket scratch; jpoints/ks are read-only.
 				buckets := make([]jacobianPoint, 1<<w)
 				for {
 					win := int(next.Add(1)) - 1
 					if win >= windows {
 						return
 					}
-					sums[win] = c.windowBucketSum(jpoints, recoded, win, w, buckets)
+					sums[win] = c.windowBucketSum(jpoints, ks, win, w, buckets)
 				}
 			}()
 		}
 		wg.Wait()
 	}
 
-	acc := jacobianInfinity()
+	var acc jacobianPoint
 	for win := windows - 1; win >= 0; win-- {
 		if !acc.isInfinity() {
 			for d := 0; d < w; d++ {

@@ -180,3 +180,62 @@ func TestBatchVerifyConcurrent(t *testing.T) {
 }
 
 var errBatchRejected = errors.New("honest batch rejected concurrently")
+
+// TestBatchVerifyPathsAgree checks the combined check and the per-upload
+// loop against each other at every batch size around batchMinUploads, on
+// honest batches and on batches with one tampered vector or one swapped
+// commitment at each position. BatchVerify picks between the two by size
+// alone, so any disagreement would make its verdict depend on m.
+func TestBatchVerifyPathsAgree(t *testing.T) {
+	const n = 12
+	for m := 2; m <= batchMinUploads+1; m++ {
+		p, vecs, cs := batchFixtures(t, group.Secp256k1(), m, n, int64(40+m))
+		verdicts := func(vecs [][]*big.Int, cs []Commitment) (batch, loop bool) {
+			t.Helper()
+			points := make([]group.Point, len(cs))
+			for j, c := range cs {
+				var err error
+				if points[j], err = p.Curve().Decode(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batch, err := p.batchVerify(vecs, points, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loop = true
+			for j := range vecs {
+				ok, err := p.Verify(vecs[j], cs[j])
+				if err != nil {
+					t.Fatal(err)
+				}
+				loop = loop && ok
+			}
+			got, err := p.BatchVerify(vecs, cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != loop {
+				t.Fatalf("m=%d: BatchVerify says %v, per-upload loop %v", m, got, loop)
+			}
+			return batch, loop
+		}
+		if batch, loop := verdicts(vecs, cs); !batch || !loop {
+			t.Fatalf("m=%d: honest batch rejected (batch %v, loop %v)", m, batch, loop)
+		}
+		for j := 0; j < m; j++ {
+			bad := append([]*big.Int(nil), vecs[j]...)
+			bad[0] = p.Field().Add(bad[0], big.NewInt(1))
+			tampered := append([][]*big.Int(nil), vecs...)
+			tampered[j] = bad
+			if batch, loop := verdicts(tampered, cs); batch || loop {
+				t.Fatalf("m=%d: tampered vector %d accepted (batch %v, loop %v)", m, j, batch, loop)
+			}
+			swapped := append([]Commitment(nil), cs...)
+			swapped[j] = cs[(j+1)%m]
+			if batch, loop := verdicts(vecs, swapped); batch || loop {
+				t.Fatalf("m=%d: swapped commitment %d accepted (batch %v, loop %v)", m, j, batch, loop)
+			}
+		}
+	}
+}

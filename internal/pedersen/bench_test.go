@@ -64,52 +64,55 @@ func BenchmarkCommitParallel(b *testing.B) {
 }
 
 // BenchmarkBatchVerify pits one random-linear-combination batch check
-// against the per-upload Verify loop it replaces.
+// against the per-upload Verify loop it replaces, at the verif_k1 block
+// width (L=193) and batch sizes around the crossover batchMinUploads
+// records; m=2 is what every aggregator of the benchmark workloads sees.
 func BenchmarkBatchVerify(b *testing.B) {
-	for _, m := range []int{4, 16} {
-		const n = 64
-		p, _ := benchParams(b, n)
-		q, _ := scalar.NewQuantizer(p.Field(), scalar.DefaultShift)
-		rng := rand.New(rand.NewSource(8))
-		vecs := make([][]*big.Int, m)
-		cs := make([]Commitment, m)
-		for j := 0; j < m; j++ {
-			vec := make([]float64, n)
-			for i := range vec {
-				vec[i] = (rng.Float64() - 0.5) * 10
-			}
-			v, err := q.EncodeVec(vec)
+	for _, curve := range []*group.Curve{group.Secp256k1(), group.Secp256r1Fast()} {
+		for _, m := range []int{2, 3, 4, 5, 6, 7, 8, 16} {
+			const n = 193
+			p, err := Setup(curve, n, "bench")
 			if err != nil {
 				b.Fatal(err)
 			}
-			vecs[j] = v
-			if cs[j], err = p.Commit(v); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.Run(fmt.Sprintf("batch/m=%d", m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ok, err := p.BatchVerify(vecs, cs)
-				if err != nil {
+			q, _ := scalar.NewQuantizer(p.Field(), scalar.DefaultShift)
+			rng := rand.New(rand.NewSource(8))
+			vecs := make([][]*big.Int, m)
+			cs := make([]Commitment, m)
+			points := make([]group.Point, m)
+			for j := 0; j < m; j++ {
+				vecs[j] = randomVector(rng, q, n)
+				if cs[j], err = p.Commit(vecs[j]); err != nil {
 					b.Fatal(err)
 				}
-				if !ok {
-					b.Fatal("honest batch rejected")
+				if points[j], err = curve.Decode(cs[j]); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
-		b.Run(fmt.Sprintf("loop/m=%d", m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for j := range vecs {
-					ok, err := p.Verify(vecs[j], cs[j])
+			b.Run(fmt.Sprintf("%s/batch/m=%d", curve.Name, m), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ok, err := p.batchVerify(vecs, points, n)
 					if err != nil {
 						b.Fatal(err)
 					}
 					if !ok {
-						b.Fatal("honest upload rejected")
+						b.Fatal("honest batch rejected")
 					}
 				}
-			}
-		})
+			})
+			b.Run(fmt.Sprintf("%s/loop/m=%d", curve.Name, m), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for j := range vecs {
+						ok, err := p.Verify(vecs[j], cs[j])
+						if err != nil {
+							b.Fatal(err)
+						}
+						if !ok {
+							b.Fatal("honest upload rejected")
+						}
+					}
+				}
+			})
+		}
 	}
 }

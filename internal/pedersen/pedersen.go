@@ -30,11 +30,11 @@ type Commitment []byte
 func (c Commitment) Equal(other Commitment) bool { return bytes.Equal(c, other) }
 
 // DefaultPrecomputeLimit bounds how many generators get fixed-base window
-// tables. Each table stores 15 Jacobian multiples (~2–3.6 KB with math/big
-// coordinates), so the default caps table memory at roughly 25 MB while
-// covering every realistic per-partition commitment width; the Fig. 3
-// sweep extends Params to millions of generators and must not drag table
-// memory along with it. Vectors longer than the covered prefix fall back
+// tables. Each table stores 16 Jacobian multiples of three 32-byte limb
+// coordinates (1.5 KB), so the default caps table memory at roughly 12 MB
+// while covering every realistic per-partition commitment width; the
+// Fig. 3 sweep extends Params to millions of generators and must not drag
+// table memory along with it. Vectors longer than the covered prefix fall back
 // to the regular multiexp strategies.
 const DefaultPrecomputeLimit = 8192
 
