@@ -16,17 +16,18 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden files instead of comparing")
 
-// TestCommitGolden pins commitment bytes on both generic curves: Commit of
-// two seeded L=193 vectors (the verif_k1 block width; signed fixed-point
+// TestCommitGolden pins commitment bytes on every curve: Commit of two
+// seeded L=193 vectors (the verif_k1 block width; signed fixed-point
 // scalars, so the recoding path runs), their Combine, and the Uncombine
-// that takes the second back out. The file was recorded with the math/big
-// Jacobian layer; any field or point-arithmetic rewrite must reproduce it
-// byte for byte. Regenerate with -update-golden only when the commitment
-// scheme itself changes.
+// that takes the second back out. The secp256k1 and secp256r1 rows were
+// recorded with the math/big Jacobian layer, the secp256r1-fast rows with
+// the crypto/elliptic backend that curve used to run on; any field or
+// point-arithmetic rewrite must reproduce them byte for byte. Regenerate
+// with -update-golden only when the commitment scheme itself changes.
 func TestCommitGolden(t *testing.T) {
 	const n = 193
 	var buf bytes.Buffer
-	for _, curve := range []*group.Curve{group.Secp256k1(), group.Secp256r1()} {
+	for _, curve := range []*group.Curve{group.Secp256k1(), group.Secp256r1(), group.Secp256r1Fast()} {
 		p, err := Setup(curve, n, "golden")
 		if err != nil {
 			t.Fatal(err)
