@@ -54,12 +54,16 @@ func commitVector(params *pedersen.Params, n int) ([]*big.Int, error) {
 	return quant.EncodeVec(vec)
 }
 
-// commitBudget measures reps commits of an n-param vector under the
-// runtime meter and folds them into a one-phase scenario budget
-// ("pedersen_commit" with wall/cpu/alloc per commit). The gate
-// acceptance test uses record-then-compare over this fold to prove an
-// injected allocation regression in the commit path trips the alloc
-// dimension.
+// commitBudget measures reps commits of an n-param vector and folds them
+// into a one-phase scenario budget ("pedersen_commit" with wall/cpu/alloc
+// per commit). The gate acceptance test uses record-then-compare over this
+// fold to prove an injected allocation regression in the commit path trips
+// the alloc dimension. CPU comes from the runtime meter; allocation comes
+// from runtime.ReadMemStats, which flushes the per-P allocation caches the
+// meter's /gc/heap/allocs:bytes counter only sees in span-sized refills —
+// a commit allocates tens of KB, so that counter's single-commit deltas
+// are 0 or whole spans. The stop-the-world per read is fine here, off
+// every span path.
 func commitBudget(n, reps int) (obs.ScenarioBudget, error) {
 	params, err := pedersen.Setup(group.Secp256r1Fast(), n, "iplsbench-profile")
 	if err != nil {
@@ -71,15 +75,20 @@ func commitBudget(n, reps int) (obs.ScenarioBudget, error) {
 	}
 	meter := obs.RuntimeMeter{}
 	var breakdowns []obs.IterationBreakdown
+	var ms runtime.MemStats
 	t0 := time.Unix(0, 0).UTC()
 	for i := 0; i < reps; i++ {
 		before := meter.Sample()
+		runtime.ReadMemStats(&ms)
+		allocBefore := ms.TotalAlloc
 		start := time.Now()
 		if _, err := params.Commit(vec); err != nil {
 			return obs.ScenarioBudget{}, err
 		}
 		wall := time.Since(start)
+		runtime.ReadMemStats(&ms)
 		d := meter.Sample().Sub(before)
+		d.AllocBytes = int64(ms.TotalAlloc - allocBefore)
 		// One synthetic single-span trace per commit: the fold then
 		// reuses the exact breakdown/budget path the simulator gate uses.
 		ctx := obs.SpanContext{Session: "commit", Iter: i, SpanID: obs.NewSpanID()}

@@ -49,7 +49,8 @@ type TaskSpec struct {
 	// Verifiable enables Pedersen-commitment verification (§IV).
 	Verifiable bool
 	// Curve names the commitment curve (see group.ByName). Empty means
-	// secp256r1-fast.
+	// secp256r1-fast: P-256 on the same arithmetic as secp256r1, under the
+	// generator domain every default deployment has committed with.
 	Curve string
 	// QuantShift is the fixed-point fractional bit count (0 = default).
 	QuantShift uint

@@ -167,14 +167,6 @@ func TestAutoStrategySelection(t *testing.T) {
 			t.Errorf("autoStrategy(%d) with 1 worker = %v, want pippenger", n, got)
 		}
 	}
-
-	// Accelerated backend always resolves to naive.
-	fast := Secp256r1Fast()
-	for _, n := range []int{1, 64, 4096} {
-		if got := fast.autoStrategy(n); got != StrategyNaive {
-			t.Errorf("fast autoStrategy(%d) = %v, want naive", n, got)
-		}
-	}
 }
 
 // TestPippengerTinyInputCrossover pins the n≤2 fallthrough: below

@@ -2,17 +2,14 @@
 // Weierstrass form (y² = x³ + ax + b over GF(p)) with the two curves the
 // paper evaluates: secp256k1 and secp256r1 (NIST P-256).
 //
-// The generic implementation does its point arithmetic in Jacobian
-// coordinates over a fixed-limb Montgomery field (four uint64 limbs, see
-// field.go), so point additions and doublings allocate nothing. math/big
-// appears only at the affine boundary: the public Point type, encodings,
-// the one inversion per result, and scalar reduction. An additional
-// stdlib-accelerated secp256r1 variant (Secp256r1Fast) uses crypto/elliptic
-// for single-point operations.
+// Every curve does its point arithmetic in Jacobian coordinates over a
+// fixed-limb Montgomery field (four uint64 limbs, see field.go), so point
+// additions and doublings allocate nothing. math/big appears only at the
+// affine boundary: the public Point type, encodings, the one inversion per
+// result, and scalar reduction.
 package group
 
 import (
-	"crypto/elliptic"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -60,8 +57,6 @@ type Curve struct {
 	Gx   *big.Int // base point x
 	Gy   *big.Int // base point y
 
-	fast elliptic.Curve // optional stdlib-backed arithmetic
-
 	fp *field    // GF(P) for the Jacobian layer
 	a  fieldElem // A in Montgomery form
 
@@ -77,19 +72,21 @@ const EncodedSize = 65
 
 var (
 	secp256k1  = newSecp256k1()
-	secp256r1  = newSecp256r1(false)
-	secp256r1F = newSecp256r1(true)
+	secp256r1  = newSecp256r1("secp256r1")
+	secp256r1F = newSecp256r1("secp256r1-fast")
 )
 
 // Secp256k1 returns the secp256k1 curve (a=0, b=7), as used by Bitcoin.
 func Secp256k1() *Curve { return secp256k1 }
 
-// Secp256r1 returns the NIST P-256 curve with generic big.Int arithmetic,
-// matching the paper's unoptimized implementation.
+// Secp256r1 returns the NIST P-256 curve.
 func Secp256r1() *Curve { return secp256r1 }
 
-// Secp256r1Fast returns NIST P-256 backed by crypto/elliptic's optimized
-// constant-time arithmetic.
+// Secp256r1Fast returns NIST P-256 under the name "secp256r1-fast", the
+// default curve. It runs the same arithmetic as Secp256r1; the two differ
+// only in Name, which HashToPoint hashes as the generator domain. The name
+// stays because Pedersen generators, stored commitments, snapshots and
+// CLI defaults were all derived under it.
 func Secp256r1Fast() *Curve { return secp256r1F }
 
 // ByName resolves a curve by its canonical name.
@@ -119,29 +116,22 @@ func newSecp256k1() *Curve {
 	})
 }
 
-func newSecp256r1(fast bool) *Curve {
-	std := elliptic.P256()
-	params := std.Params()
-	a := new(big.Int).Sub(params.P, big.NewInt(3)) // a = -3 mod p
-	c := &Curve{
-		Name: "secp256r1",
-		P:    params.P,
-		N:    params.N,
-		A:    a,
-		B:    params.B,
-		Gx:   params.Gx,
-		Gy:   params.Gy,
-	}
-	if fast {
-		c.Name = "secp256r1-fast"
-		c.fast = std
-	}
-	return withField(c)
+func newSecp256r1(name string) *Curve {
+	hexInt := mustHex
+	p := hexInt("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff")
+	return withField(&Curve{
+		Name: name,
+		P:    p,
+		N:    hexInt("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551"),
+		A:    new(big.Int).Sub(p, big.NewInt(3)), // a = -3 mod p
+		B:    hexInt("5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b"),
+		Gx:   hexInt("6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296"),
+		Gy:   hexInt("4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5"),
+	})
 }
 
 // withField attaches the Montgomery field descriptor the Jacobian layer
-// runs on. The stdlib-backed curve gets one too: explicit non-naive
-// multiexp strategies run the generic layer on any curve.
+// runs on.
 func withField(c *Curve) *Curve {
 	c.fp = newField(c.P)
 	c.a = c.fp.fromBig(c.A)
@@ -190,10 +180,6 @@ func (c *Curve) Add(p, q Point) Point {
 	if q.IsInfinity() {
 		return p.Clone()
 	}
-	if c.fast != nil {
-		x, y := c.fast.Add(p.X, p.Y, q.X, q.Y)
-		return fromStd(x, y)
-	}
 	return c.fromJacobian(c.jacAdd(c.toJacobian(p), c.toJacobian(q)))
 }
 
@@ -210,10 +196,6 @@ func (c *Curve) Double(p Point) Point {
 	if p.IsInfinity() {
 		return Point{}
 	}
-	if c.fast != nil {
-		x, y := c.fast.Double(p.X, p.Y)
-		return fromStd(x, y)
-	}
 	return c.fromJacobian(c.jacDouble(c.toJacobian(p)))
 }
 
@@ -223,31 +205,12 @@ func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 	if kr.Sign() == 0 || p.IsInfinity() {
 		return Point{}
 	}
-	if c.fast != nil {
-		x, y := c.fast.ScalarMult(p.X, p.Y, kr.Bytes())
-		return fromStd(x, y)
-	}
 	return c.fromJacobian(c.jacScalarMult(c.toJacobian(p), limbsOf(kr)))
 }
 
 // ScalarBaseMult returns k·G.
 func (c *Curve) ScalarBaseMult(k *big.Int) Point {
-	if c.fast != nil {
-		kr := new(big.Int).Mod(k, c.N)
-		if kr.Sign() == 0 {
-			return Point{}
-		}
-		x, y := c.fast.ScalarBaseMult(kr.Bytes())
-		return fromStd(x, y)
-	}
 	return c.ScalarMult(c.Generator(), k)
-}
-
-func fromStd(x, y *big.Int) Point {
-	if x.Sign() == 0 && y.Sign() == 0 {
-		return Point{}
-	}
-	return Point{X: x, Y: y}
 }
 
 // Encode serializes a point as a 65-byte uncompressed encoding. The identity

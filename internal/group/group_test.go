@@ -1,6 +1,7 @@
 package group
 
 import (
+	"crypto/elliptic"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -144,27 +145,33 @@ func TestIdentityLaws(t *testing.T) {
 	}
 }
 
-// TestGenericMatchesFastBackend cross-checks our generic Jacobian arithmetic
-// against crypto/elliptic on the shared curve secp256r1.
+// TestGenericMatchesFastBackend cross-checks the Jacobian arithmetic of
+// both P-256 curves against crypto/elliptic, used here as a test oracle.
 func TestGenericMatchesFastBackend(t *testing.T) {
-	generic := Secp256r1()
-	fast := Secp256r1Fast()
-	rng := rand.New(rand.NewSource(16))
-	for i := 0; i < 10; i++ {
-		k := randScalar(rng, generic)
-		pg := generic.ScalarBaseMult(k)
-		pf := fast.ScalarBaseMult(k)
-		if !pg.Equal(pf) {
-			t.Fatalf("scalar base mult mismatch for k=%v", k)
-		}
-		k2 := randScalar(rng, generic)
-		qg := generic.ScalarMult(pg, k2)
-		qf := fast.ScalarMult(pf, k2)
-		if !qg.Equal(qf) {
-			t.Fatalf("scalar mult mismatch")
-		}
-		if !generic.Add(pg, qg).Equal(fast.Add(pf, qf)) {
-			t.Fatalf("add mismatch")
+	std := elliptic.P256()
+	for _, c := range []*Curve{Secp256r1(), Secp256r1Fast()} {
+		rng := rand.New(rand.NewSource(16))
+		for i := 0; i < 10; i++ {
+			k := randScalar(rng, c)
+			p := c.ScalarBaseMult(k)
+			x, y := std.ScalarBaseMult(k.Bytes())
+			if !p.Equal(Point{X: x, Y: y}) {
+				t.Fatalf("%s: scalar base mult mismatch for k=%v", c.Name, k)
+			}
+			k2 := randScalar(rng, c)
+			q := c.ScalarMult(p, k2)
+			qx, qy := std.ScalarMult(x, y, k2.Bytes())
+			if !q.Equal(Point{X: qx, Y: qy}) {
+				t.Fatalf("%s: scalar mult mismatch", c.Name)
+			}
+			sx, sy := std.Add(x, y, qx, qy)
+			if !c.Add(p, q).Equal(Point{X: sx, Y: sy}) {
+				t.Fatalf("%s: add mismatch", c.Name)
+			}
+			dx, dy := std.Double(x, y)
+			if !c.Double(p).Equal(Point{X: dx, Y: dy}) {
+				t.Fatalf("%s: double mismatch", c.Name)
+			}
 		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 type MultiExpStrategy int
 
 const (
-	// StrategyAuto picks a strategy based on input size and curve backend.
+	// StrategyAuto picks a strategy based on input size.
 	StrategyAuto MultiExpStrategy = iota + 1
 	// StrategyNaive computes each scalar multiplication independently.
 	StrategyNaive
@@ -57,17 +57,13 @@ func (s MultiExpStrategy) String() string {
 	}
 }
 
-// Accelerated reports whether the curve uses an optimized stdlib backend.
-func (c *Curve) Accelerated() bool { return c.fast != nil }
-
-// autoStrategy resolves StrategyAuto for an input of n points: stdlib
-// backends stay naive (each scalar mult runs on the stdlib's optimized
-// arithmetic), tiny inputs skip shared-table setup, mid-size inputs use
-// windowed sharing, and large inputs use Pippenger — parallelized across
-// windows when the curve's parallelism allows it.
+// autoStrategy resolves StrategyAuto for an input of n points: tiny inputs
+// skip shared-table setup, mid-size inputs use windowed sharing, and large
+// inputs use Pippenger — parallelized across windows when the curve's
+// parallelism allows it.
 func (c *Curve) autoStrategy(n int) MultiExpStrategy {
 	switch {
-	case c.fast != nil || n < 4:
+	case n < 4:
 		return StrategyNaive
 	case n < 32:
 		return StrategyWindowed

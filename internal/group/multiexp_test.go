@@ -1,6 +1,7 @@
 package group
 
 import (
+	"crypto/elliptic"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -85,21 +86,31 @@ func TestMultiExpZeroScalars(t *testing.T) {
 	}
 }
 
+// TestMultiExpFastCurve checks every strategy on the default curve against
+// a sum of crypto/elliptic scalar mults, used here as a test oracle.
 func TestMultiExpFastCurve(t *testing.T) {
-	fast := Secp256r1Fast()
-	generic := Secp256r1()
+	c := Secp256r1Fast()
+	std := elliptic.P256()
 	rng := rand.New(rand.NewSource(23))
-	points, scalars := randomInputs(rng, generic, 8)
-	want, err := generic.MultiScalarMult(points, scalars, StrategyPippenger)
-	if err != nil {
-		t.Fatal(err)
+	points, scalars := randomInputs(rng, c, 8)
+	var wx, wy *big.Int
+	for i, p := range points {
+		x, y := std.ScalarMult(p.X, p.Y, scalars[i].Bytes())
+		if i == 0 {
+			wx, wy = x, y
+			continue
+		}
+		wx, wy = std.Add(wx, wy, x, y)
 	}
-	got, err := fast.MultiScalarMult(points, scalars, StrategyAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("fast backend disagrees with generic pippenger")
+	want := Point{X: wx, Y: wy}
+	for _, s := range []MultiExpStrategy{StrategyAuto, StrategyNaive, StrategyWindowed, StrategyPippenger, StrategyParallel, StrategyPrecomputed} {
+		got, err := c.MultiScalarMult(points, scalars, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%v disagrees with crypto/elliptic", s)
+		}
 	}
 }
 

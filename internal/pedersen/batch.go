@@ -17,16 +17,17 @@ import (
 // coefficients.
 const batchChallengeBits = 128
 
-// batchMinUploads is the smallest batch BatchVerify combines on the
-// generic curve arithmetic; smaller batches loop Verify, which is exact.
-// There the combined check pays for its 128-bit coefficients: they widen
-// ~26-bit fixed-point scalars to ~150 bits, so the combined commit costs
-// several plain ones. BenchmarkBatchVerify at L=193 on secp256k1 (2-core
-// 2.1 GHz Xeon, medians of 4×40 runs) puts the crossover between m=6
-// (batch 6.8 ms, loop 6.5 ms) and m=7 (batch 7.2 ms, loop 8.0 ms); at m=2
-// the batch takes 7.8 ms against the loop's 2.6 ms. On the stdlib-backed
-// curve scalar width does not change the cost of a commit, and the batch
-// wins from m=2 (14 ms against 30 ms), so it always combines.
+// batchMinUploads is the smallest batch BatchVerify combines; smaller
+// batches loop Verify, which is exact. There the combined check pays for
+// its 128-bit coefficients: they widen ~26-bit fixed-point scalars to
+// ~150 bits, so the combined commit costs several plain ones.
+// BenchmarkBatchVerify at L=193 on secp256k1 (2-core 2.1 GHz Xeon,
+// medians of 4×40 runs) puts the crossover between m=6 (batch 6.8 ms,
+// loop 6.5 ms) and m=7 (batch 7.2 ms, loop 8.0 ms); at m=2 the batch
+// takes 7.8 ms against the loop's 2.6 ms. On secp256r1-fast (medians of
+// 3×20 runs) batch and loop are within noise from m=5 to m=7, the batch
+// wins at m=8 (6.9 ms against 8.9 ms), and at m=2 it takes 8.2 ms against
+// 2.5 ms, so the same constant serves both curves.
 const batchMinUploads = 7
 
 // BatchVerify checks that every commitment cs[j] commits to vecs[j], all
@@ -51,8 +52,8 @@ const batchMinUploads = 7
 // consistent; callers that need the offending index fall back to
 // per-upload Verify.
 //
-// On the generic curve arithmetic, batches below batchMinUploads are
-// checked upload by upload instead: exact, and faster at that size.
+// Batches below batchMinUploads are checked upload by upload instead:
+// exact, and faster at that size.
 func (p *Params) BatchVerify(vecs [][]*big.Int, cs []Commitment) (bool, error) {
 	if len(vecs) != len(cs) {
 		return false, fmt.Errorf("pedersen: %d vectors but %d commitments", len(vecs), len(cs))
@@ -77,7 +78,7 @@ func (p *Params) BatchVerify(vecs [][]*big.Int, cs []Commitment) (bool, error) {
 		}
 		points[j] = pt
 	}
-	if len(vecs) == 1 || (!p.curve.Accelerated() && len(vecs) < batchMinUploads) {
+	if len(vecs) < batchMinUploads {
 		for j := range vecs {
 			if ok, err := p.Verify(vecs[j], cs[j]); err != nil || !ok {
 				return false, err

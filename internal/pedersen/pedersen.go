@@ -29,15 +29,6 @@ type Commitment []byte
 // canonical, so this coincides with group-element equality.
 func (c Commitment) Equal(other Commitment) bool { return bytes.Equal(c, other) }
 
-// DefaultPrecomputeLimit bounds how many generators get fixed-base window
-// tables. Each table stores 16 Jacobian multiples of three 32-byte limb
-// coordinates (1.5 KB), so the default caps table memory at roughly 12 MB
-// while covering every realistic per-partition commitment width; the
-// Fig. 3 sweep extends Params to millions of generators and must not drag
-// table memory along with it. Vectors longer than the covered prefix fall back
-// to the regular multiexp strategies.
-const DefaultPrecomputeLimit = 8192
-
 // Params holds the public parameters for committing to vectors of up to
 // Len() elements.
 type Params struct {
@@ -54,8 +45,7 @@ type Params struct {
 	// within a session, so the tables amortize across every Commit).
 	// Guarded by mu; entries are immutable once appended, so a Commit
 	// that snapshots the slice under mu may use it lock-free afterwards.
-	fixed        []*group.FixedBase
-	precompLimit int
+	fixed []*group.FixedBase
 }
 
 // Setup deterministically derives public parameters for vectors of length n
@@ -68,10 +58,9 @@ func Setup(curve *group.Curve, n int, label string) (*Params, error) {
 		return nil, fmt.Errorf("pedersen: negative vector length %d", n)
 	}
 	p := &Params{
-		curve:        curve,
-		label:        label,
-		field:        scalar.NewField(curve.N),
-		precompLimit: DefaultPrecomputeLimit,
+		curve: curve,
+		label: label,
+		field: scalar.NewField(curve.N),
 	}
 	if err := p.Extend(n); err != nil {
 		return nil, err
@@ -95,21 +84,6 @@ func (p *Params) Len() int {
 	return len(p.gens)
 }
 
-// SetPrecomputeLimit bounds how many generators carry fixed-base window
-// tables (default DefaultPrecomputeLimit). Raising the limit builds the
-// missing tables immediately for already-derived generators; n ≤ 0
-// disables precomputation for generators derived from then on. Safe to
-// call concurrently with Commit.
-func (p *Params) SetPrecomputeLimit(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	p.precompLimit = n
-	p.buildTablesLocked(len(p.gens))
-}
-
 // PrecomputedLen returns how many generators currently have fixed-base
 // tables.
 func (p *Params) PrecomputedLen() int {
@@ -118,9 +92,9 @@ func (p *Params) PrecomputedLen() int {
 	return len(p.fixed)
 }
 
-// Extend makes sure at least n generators are available, building their
-// fixed-base tables (up to the precompute limit) at the same time so a
-// commitment never observes a generator without its table.
+// Extend makes sure at least n generators are available, building the
+// fixed-base tables of the first commitFixedMax at the same time so a
+// commitment never observes a covered generator without its table.
 func (p *Params) Extend(n int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -136,20 +110,12 @@ func (p *Params) extendLocked(n int) {
 }
 
 // buildTablesLocked grows the fixed-base table prefix to cover min(n,
-// limit) generators. Accelerated curves skip tables entirely: their commit
-// path goes through the stdlib backend, which the generic Jacobian tables
-// cannot feed.
+// commitFixedMax) generators: StrategyAuto reads tables only for vectors
+// that short, so tables past the cap would be memory nothing reads (the
+// Fig. 3 sweep extends Params to millions of generators). Each table is
+// 1.5 KB, so the cap bounds table memory at 144 KB per Params.
 func (p *Params) buildTablesLocked(n int) {
-	if p.curve.Accelerated() {
-		return
-	}
-	limit := p.precompLimit
-	if n > limit {
-		n = limit
-	}
-	if n > len(p.gens) {
-		n = len(p.gens)
-	}
+	n = min(n, commitFixedMax, len(p.gens))
 	for i := len(p.fixed); i < n; i++ {
 		p.fixed = append(p.fixed, p.curve.NewFixedBase(p.gens[i]))
 	}
@@ -164,23 +130,17 @@ func (p *Params) generators(n int) []group.Point {
 }
 
 // fixedPrefix returns fixed-base tables covering the first n generators.
-// When force is set, missing tables are built past the precompute limit
-// (explicit StrategyPrecomputed requests); otherwise it reports false if
-// the prefix is not already covered. The returned slice is safe to read
+// Past commitFixedMax the missing tables are built here, for explicit
+// StrategyPrecomputed requests. The returned slice is safe to read
 // without the lock: entries are immutable and appends never reuse indices.
-func (p *Params) fixedPrefix(n int, force bool) ([]*group.FixedBase, bool) {
+func (p *Params) fixedPrefix(n int) []*group.FixedBase {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.extendLocked(n)
-	if len(p.fixed) < n {
-		if !force {
-			return nil, false
-		}
-		for i := len(p.fixed); i < n; i++ {
-			p.fixed = append(p.fixed, p.curve.NewFixedBase(p.gens[i]))
-		}
+	for i := len(p.fixed); i < n; i++ {
+		p.fixed = append(p.fixed, p.curve.NewFixedBase(p.gens[i]))
 	}
-	return p.fixed[:n], true
+	return p.fixed[:n]
 }
 
 // Commit commits to the vector v using the automatically selected
@@ -198,10 +158,10 @@ func (p *Params) Commit(v []*big.Int) (Commitment, error) {
 const commitFixedMax = 96
 
 // CommitWith commits to v using an explicit multi-exponentiation strategy.
-// StrategyAuto routes through the precomputed generator tables when they
-// cover the vector (see Setup/Extend and SetPrecomputeLimit) and the
-// vector is short enough for the fixed-base walk to win; longer vectors
-// use the regular multiexp auto-selection, including parallel Pippenger.
+// StrategyAuto routes through the precomputed generator tables when the
+// vector is short enough for the fixed-base walk to win (Setup/Extend
+// build exactly those tables); longer vectors use the regular multiexp
+// auto-selection, including parallel Pippenger.
 func (p *Params) CommitWith(v []*big.Int, strategy group.MultiExpStrategy) (Commitment, error) {
 	if len(v) == 0 {
 		return nil, errors.New("pedersen: cannot commit to an empty vector")
@@ -214,19 +174,10 @@ func (p *Params) CommitWith(v []*big.Int, strategy group.MultiExpStrategy) (Comm
 	pprof.Do(context.Background(), pprof.Labels("phase", "pedersen_commit"), func(context.Context) {
 		injectAlloc()
 		var point group.Point
-		switch {
-		case strategy == group.StrategyPrecomputed:
-			bases, _ := p.fixedPrefix(len(v), true)
-			point, err = p.curve.MultiScalarMultFixed(bases, v)
-		case strategy == group.StrategyAuto && !p.curve.Accelerated() && len(v) <= commitFixedMax:
-			if bases, ok := p.fixedPrefix(len(v), false); ok {
-				point, err = p.curve.MultiScalarMultFixed(bases, v)
-				break
-			}
-			fallthrough
-		default:
-			gens := p.generators(len(v))
-			point, err = p.curve.MultiScalarMult(gens, v, strategy)
+		if strategy == group.StrategyPrecomputed || (strategy == group.StrategyAuto && len(v) <= commitFixedMax) {
+			point, err = p.curve.MultiScalarMultFixed(p.fixedPrefix(len(v)), v)
+		} else {
+			point, err = p.curve.MultiScalarMult(p.generators(len(v)), v, strategy)
 		}
 		if err == nil {
 			out = Commitment(p.curve.Encode(point))

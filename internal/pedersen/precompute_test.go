@@ -12,8 +12,7 @@ import (
 
 // TestPrecomputedMatchesNaive checks the fixed-base commit path (both the
 // auto route through the tables and an explicit StrategyPrecomputed
-// request) against the naive recommitment on generic and accelerated
-// curves.
+// request) against the naive recommitment on every curve.
 func TestPrecomputedMatchesNaive(t *testing.T) {
 	for _, curve := range []*group.Curve{group.Secp256k1(), group.Secp256r1(), group.Secp256r1Fast()} {
 		p, err := Setup(curve, 24, "precomp")
@@ -39,30 +38,40 @@ func TestPrecomputedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestPrecomputeLimit pins the table-budget behavior: generators beyond
-// the limit stay table-less (the Fig. 3 sweep must not drag gigabytes of
-// tables behind its 10M-generator Params), commits past the covered
-// prefix still verify, and raising the limit backfills.
+// TestPrecomputeLimit pins the table budget: Setup and Extend build tables
+// for exactly the first min(L, commitFixedMax) generators on every curve,
+// the prefix StrategyAuto reads (the Fig. 3 sweep must not drag megabytes
+// of unread tables behind its 10M-generator Params), and a commit wider
+// than that prefix falls back to the regular multiexp and verifies.
 func TestPrecomputeLimit(t *testing.T) {
+	for _, curve := range []*group.Curve{group.Secp256k1(), group.Secp256r1(), group.Secp256r1Fast()} {
+		for _, n := range []int{0, 4, commitFixedMax, commitFixedMax + 1, 2 * commitFixedMax} {
+			p, err := Setup(curve, n, "limit")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := p.PrecomputedLen(), min(n, commitFixedMax); got != want {
+				t.Fatalf("%s L=%d: %d precomputed tables after Setup, want %d", curve.Name, n, got, want)
+			}
+		}
+	}
+
 	p, err := Setup(group.Secp256k1(), 4, "limit")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.PrecomputedLen(); got != 4 {
-		t.Fatalf("expected 4 precomputed tables after Setup, got %d", got)
-	}
-	p.SetPrecomputeLimit(6)
-	if err := p.Extend(10); err != nil {
+	n := commitFixedMax + 4
+	if err := p.Extend(n); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.PrecomputedLen(); got != 6 {
-		t.Fatalf("expected tables capped at 6, got %d", got)
+	if got := p.PrecomputedLen(); got != commitFixedMax {
+		t.Fatalf("expected tables capped at %d, got %d", commitFixedMax, got)
 	}
 
 	// A commit wider than the covered prefix must fall back and verify.
 	q, _ := scalar.NewQuantizer(p.Field(), scalar.DefaultShift)
 	rng := rand.New(rand.NewSource(42))
-	v := randomVector(rng, q, 10)
+	v := randomVector(rng, q, n)
 	c, err := p.Commit(v)
 	if err != nil {
 		t.Fatal(err)
@@ -70,22 +79,8 @@ func TestPrecomputeLimit(t *testing.T) {
 	if ok, err := p.Verify(v, c); err != nil || !ok {
 		t.Fatalf("fallback commit failed verification: ok=%v err=%v", ok, err)
 	}
-
-	p.SetPrecomputeLimit(DefaultPrecomputeLimit)
-	if got := p.PrecomputedLen(); got != 10 {
-		t.Fatalf("raising the limit should backfill to 10 tables, got %d", got)
-	}
-}
-
-// TestPrecomputeSkipsAcceleratedCurves: the stdlib backend never reads the
-// generic Jacobian tables, so building them would be pure memory waste.
-func TestPrecomputeSkipsAcceleratedCurves(t *testing.T) {
-	p, err := Setup(group.Secp256r1Fast(), 16, "fast")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.PrecomputedLen(); got != 0 {
-		t.Fatalf("accelerated curve built %d tables, want 0", got)
+	if got := p.PrecomputedLen(); got != commitFixedMax {
+		t.Fatalf("auto commit past the prefix built tables: %d, want %d", got, commitFixedMax)
 	}
 }
 
