@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke chaos chaos-tests chaos-churn chaos-soak bench-gate profile vuln check
+.PHONY: all build vet test race fuzz-smoke chaos chaos-churn chaos-soak bench-gate profile vuln check
 
 all: check
 
@@ -41,14 +41,10 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzMerge -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -fuzz=FuzzRestore -fuzztime $(FUZZTIME) ./internal/directory
 
-# Fault-injection suite under the race detector: the resilience layer's
-# retry/failover paths, the netsim link-loss scheduling, and the
-# membership-churn scenario.
-chaos: chaos-tests chaos-churn
-
-chaos-tests:
-	$(GO) test -race -timeout 10m ./internal/resilience/... ./internal/netsim/... ./internal/storage/...
-	IPLS_STORE=fs $(GO) test -race -timeout 10m ./internal/storage/...
+# Fault-injection suite under the race detector. The resilience, netsim
+# and storage suites are raced by `make race` (on both storage backends in
+# CI's matrix), so what is left is the membership-churn scenario.
+chaos: chaos-churn
 
 # Membership-churn scenario under the race detector: the ScenarioRunner
 # tests (standby takeover, checkpoint bootstrap, repair, window edges)

@@ -17,10 +17,9 @@ import (
 
 // newScenarioTask builds an ML task over six replicated ipfs-NN storage
 // nodes, sized so churn leaves live capacity. trainerFmt names the eight
-// trainers ("t%d", or iplssim's "trainer-%02d"); verifiable mode plus
-// merge-and-download providers is the combination the Byzantine path
-// needs (detection lives in the BatchVerify fallback of the merged
-// download).
+// trainers ("t%d", or iplssim's "trainer-%02d"); the Byzantine path
+// needs verifiable mode, and providers picks the download path
+// (0: one record per group, ≥ 1: merged per provider).
 func newScenarioTask(t *testing.T, trainerFmt string, verifiable bool, providers int) (*Task, *storage.Network, *directory.Service, *ml.Dataset) {
 	t.Helper()
 	const trainers = 8

@@ -7,8 +7,9 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -64,7 +65,10 @@ var ErrTimeout = errors.New("core: schedule deadline exceeded")
 
 // Session executes the protocol for one task against pluggable storage and
 // directory backends. A single Session can drive any number of roles; it is
-// safe for concurrent use.
+// safe for concurrent use. It keeps no state about other actors: what one
+// role learns of another (a peer's partial, a trainer's strikes or
+// quarantine) it reads from storage and the directory, so one Session per
+// actor runs the protocol exactly as one shared Session does.
 type Session struct {
 	cfg     *Config
 	store   storage.Client
@@ -77,19 +81,7 @@ type Session struct {
 	meter   obs.ResourceMeter
 	metrics sessionMetrics
 	keyring *identity.Keyring
-
-	// Byzantine strike ledger shared by every aggregator role this
-	// session drives: one strike per distinct offending upload, and a
-	// quarantine report to the directory at the strike limit.
-	byzMu      sync.Mutex
-	byzSeen    map[directory.Addr]bool
-	byzStrikes map[string]int
-	byzOut     map[string]bool
 }
-
-// byzantineStrikeLimit is how many distinct proven-Byzantine uploads a
-// trainer gets before the session asks the directory to quarantine it.
-const byzantineStrikeLimit = 2
 
 // SetKeyring attaches the private keys this process controls; records
 // published for those IDs are signed, which authenticated directories
@@ -147,15 +139,12 @@ func NewSession(cfg *Config, store storage.Client, dir Directory) (*Session, err
 		return nil, err
 	}
 	return &Session{
-		cfg:        cfg,
-		store:      store,
-		dir:        dir,
-		params:     params,
-		quant:      quant,
-		field:      field,
-		byzSeen:    make(map[directory.Addr]bool),
-		byzStrikes: make(map[string]int),
-		byzOut:     make(map[string]bool),
+		cfg:    cfg,
+		store:  store,
+		dir:    dir,
+		params: params,
+		quant:  quant,
+		field:  field,
 	}, nil
 }
 
@@ -290,7 +279,6 @@ func (s *Session) trainerUpload(ctx context.Context, parent obs.SpanContext, tra
 		if errors.Is(err, directory.ErrQuarantined) {
 			// The directory banned this trainer after proven-Byzantine
 			// uploads; it sits the task out rather than failing the round.
-			s.noteQuarantined(trainer)
 			return nil
 		}
 		if err != nil {
@@ -301,7 +289,6 @@ func (s *Session) trainerUpload(ctx context.Context, parent obs.SpanContext, tra
 			if err := s.dir.Publish(ctx, rec); err != nil {
 				pub.endErr(err)
 				if errors.Is(err, directory.ErrQuarantined) {
-					s.noteQuarantined(trainer)
 					return nil
 				}
 				return fmt.Errorf("core: trainer %s publish partition %d: %w", trainer, rec.Addr.Partition, err)
@@ -452,13 +439,7 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 	if len(expected) == 0 {
 		return report, fmt.Errorf("core: aggregator %s has no trainers for partition %d", agg, partition)
 	}
-	want := len(expected)
-	// Quarantined trainers will never publish again: don't idle out
-	// t_train waiting for them (the directory's closure gate excludes
-	// them too).
-	if q := s.quarantinedOf(expected); q > 0 && q < len(expected) {
-		want -= q
-	}
+	want := s.expectedGradients(iter, expected)
 
 	// Phase 1: collect gradients from my trainers (Algorithm 1, 28-34).
 	wait := sc.child("gradient_wait")
@@ -642,8 +623,8 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 		// gradients from the aggregate.
 		to := sc.child("takeover")
 		to.attr("peer", peer)
-		peerExpected := s.cfg.TrainersOf(partition, peer)
-		peerRecs, err := s.awaitGradients(ctx, to, iter, partition, peer, len(peerExpected), time.Now().Add(s.cfg.TTrain), opts)
+		peerWant := s.expectedGradients(iter, s.cfg.TrainersOf(partition, peer))
+		peerRecs, err := s.awaitGradients(ctx, to, iter, partition, peer, peerWant, time.Now().Add(s.cfg.TTrain), opts)
 		if err != nil || len(peerRecs) == 0 {
 			to.endErr(err)
 			continue
@@ -772,34 +753,184 @@ func (s *Session) awaitGradients(ctx context.Context, sc *spanScope, iter, parti
 	return recs, nil
 }
 
-// collectBlocks retrieves the gradient blocks for records, applying norm
-// screening when configured (which forces individual downloads, since the
-// check needs each gradient separately) and merge-and-download otherwise.
+// collectBlocks retrieves the gradient blocks for records and checks each
+// against its published commitment in verifiable mode (§IV-B). Records
+// are grouped by provider when merge-and-download is on and screening is
+// off; otherwise each record is its own group, since screening needs each
+// gradient separately. A group of one is fetched and CID-verified, a
+// larger group merged on its provider. One random-linear-combination
+// BatchVerify covers every group of the partition; only if it fails is
+// each group verified alone, and a failed merge is re-fetched record by
+// record. A record that fails its own commitment goes to reportByzantine
+// and is left out, while honest blocks stay. Norm screening, when
+// configured, then runs on the verified blocks. It returns the blocks in
+// group order and the number of accepted merges.
 func (s *Session) collectBlocks(ctx context.Context, sc *spanScope, recs []directory.Record, report *AggregatorReport) ([]model.Block, int, error) {
-	if s.cfg.ScreenNorm <= 0 {
-		return s.downloadGradients(ctx, sc, recs)
-	}
-	var blocks []model.Block
-	for _, rec := range recs {
-		b, err := s.fetchGradient(ctx, rec)
+	groups := s.downloadGroups(recs)
+	fetched := make([]model.Block, len(groups))
+	for i, grp := range groups {
+		var err error
+		if len(grp) == 1 {
+			fetched[i], err = s.fetchGradient(ctx, grp[0])
+		} else {
+			fetched[i], err = s.mergeDownload(ctx, sc, grp)
+		}
 		if err != nil {
 			return nil, 0, err
 		}
-		if norm := s.blockNorm(b); norm > s.cfg.ScreenNorm {
+	}
+	batchOK, wants, err := s.batchVerify(groups, fetched)
+	if err != nil {
+		return nil, 0, err
+	}
+	merges := 0
+	blocks := make([]model.Block, 0, len(groups))
+	accept := func(rec directory.Record, b model.Block) {
+		// Screening implies one record per group, so rec is b's uploader.
+		if s.cfg.ScreenNorm > 0 && s.blockNorm(b) > s.cfg.ScreenNorm {
 			before := len(report.ScreenedOut)
 			report.ScreenedOut = appendUnique(report.ScreenedOut, rec.Addr.Uploader)
 			if len(report.ScreenedOut) > before {
 				s.metrics.screenedOut.Inc()
 				sc.event("screened_out", 0, rec.Addr.Uploader)
 			}
-			continue
+			return
 		}
 		blocks = append(blocks, b)
 	}
-	if len(blocks) == 0 {
+	for i, grp := range groups {
+		ok := batchOK
+		if !ok {
+			if ok, err = s.params.Verify(fetched[i].Values, wants[i]); err != nil {
+				return nil, merges, err
+			}
+		}
+		switch {
+		case ok:
+			if len(grp) > 1 {
+				merges++
+				s.metrics.mergeDownloads.Inc()
+			}
+			accept(grp[0], fetched[i])
+		case len(grp) == 1:
+			s.reportByzantine(ctx, sc, grp[0])
+		default:
+			// The provider cheated, or one of the gradients it merged is
+			// not a pre-image of its commitment: check each record alone.
+			for _, rec := range grp {
+				b, err := s.fetchGradient(ctx, rec)
+				if err != nil {
+					return nil, merges, err
+				}
+				ok, err := s.params.Verify(b.Values, rec.Commitment)
+				if err != nil {
+					return nil, merges, err
+				}
+				if !ok {
+					s.reportByzantine(ctx, sc, rec)
+					continue
+				}
+				accept(rec, b)
+			}
+		}
+	}
+	if s.cfg.ScreenNorm > 0 && len(blocks) == 0 {
 		return nil, 0, fmt.Errorf("core: every gradient exceeded the screening norm %v", s.cfg.ScreenNorm)
 	}
-	return blocks, 0, nil
+	return blocks, merges, nil
+}
+
+// downloadGroups splits records into download groups: one per provider,
+// in node order, when merge-and-download is on and screening is off;
+// otherwise one per record, in record order.
+func (s *Session) downloadGroups(recs []directory.Record) [][]directory.Record {
+	if !s.cfg.MergeAndDownload || s.cfg.ScreenNorm > 0 {
+		groups := make([][]directory.Record, len(recs))
+		for i := range recs {
+			groups[i] = recs[i : i+1 : i+1]
+		}
+		return groups
+	}
+	sorted := slices.Clone(recs)
+	slices.SortStableFunc(sorted, func(a, b directory.Record) int { return strings.Compare(a.Node, b.Node) })
+	var groups [][]directory.Record
+	for len(sorted) > 0 {
+		n := 1
+		for n < len(sorted) && sorted[n].Node == sorted[0].Node {
+			n++
+		}
+		groups = append(groups, sorted[:n:n])
+		sorted = sorted[n:]
+	}
+	return groups
+}
+
+// mergeDownload fetches the sum of a provider group's blocks in one
+// merge-and-download request (§III-E). The merge_download span's context
+// rides the request to the storage node, which parents its own "merge"
+// span under it — the cross-node half of the causal trace.
+func (s *Session) mergeDownload(ctx context.Context, sc *spanScope, grp []directory.Record) (model.Block, error) {
+	node := grp[0].Node
+	cids := make([]cid.CID, len(grp))
+	for i, rec := range grp {
+		cids[i] = rec.CID
+	}
+	md := sc.child("merge_download")
+	md.attr("node", node)
+	md.attr("blocks", fmt.Sprint(len(grp)))
+	mStart := time.Now()
+	var data []byte
+	var err error
+	if spanner, ok := s.store.(mergeSpanner); ok && md.ctx().Valid() {
+		data, err = spanner.MergeGetSpan(ctx, node, cids, md.ctx())
+	} else {
+		data, err = s.store.MergeGet(ctx, node, cids)
+	}
+	observeSince(s.metrics.phaseMerge, mStart)
+	md.bytes(int64(len(data)))
+	md.endErr(err)
+	if err != nil {
+		return model.Block{}, fmt.Errorf("core: merge-and-download on %s: %w", node, err)
+	}
+	block, err := model.DecodeBlock(data)
+	if err != nil {
+		return model.Block{}, fmt.Errorf("core: decode merged block: %w", err)
+	}
+	return block, nil
+}
+
+// batchVerify checks every group's block against the product of the
+// group's published commitments with one BatchVerify. It returns the
+// verdict and those products, against which a failed batch is checked
+// group by group. In plain mode there is nothing to check.
+func (s *Session) batchVerify(groups [][]directory.Record, blocks []model.Block) (bool, []pedersen.Commitment, error) {
+	if s.params == nil {
+		return true, nil, nil
+	}
+	vecs := make([][]*big.Int, len(groups))
+	wants := make([]pedersen.Commitment, len(groups))
+	for i, grp := range groups {
+		vecs[i] = blocks[i].Values
+		if len(grp) == 1 {
+			wants[i] = grp[0].Commitment
+			continue
+		}
+		coms := make([]pedersen.Commitment, len(grp))
+		for j, rec := range grp {
+			coms[j] = rec.Commitment
+		}
+		var err error
+		if wants[i], err = s.params.Combine(coms...); err != nil {
+			return false, nil, err
+		}
+	}
+	s.metrics.batchVerifies.Inc()
+	ok, err := s.params.BatchVerify(vecs, wants)
+	if err != nil || !ok {
+		s.metrics.batchVerifyFail.Inc() // attributed group by group
+		return false, wants, nil
+	}
+	return true, wants, nil
 }
 
 // blockNorm returns the L2 norm of a single trainer's dequantized gradient
@@ -813,246 +944,58 @@ func (s *Session) blockNorm(b model.Block) float64 {
 	return math.Sqrt(sum)
 }
 
-// pendingMerge is a fetched merge-and-download block awaiting commitment
-// verification: the decoded block, the homomorphic product of the group's
-// published commitments it must open, and the records to re-fetch
-// individually if it does not.
-type pendingMerge struct {
-	grp   []directory.Record
-	block model.Block
-	want  pedersen.Commitment
-}
-
-// downloadGradients retrieves gradient blocks, using merge-and-download for
-// groups of records stored on the same provider when enabled. Merged blocks
-// are verified against the product of the published per-gradient
-// commitments — all groups at once through a single random-linear-
-// combination BatchVerify; only if the batch fails does each group get an
-// individual Verify, and groups that still fail are fetched gradient by
-// gradient.
-func (s *Session) downloadGradients(ctx context.Context, sc *spanScope, recs []directory.Record) ([]model.Block, int, error) {
-	merges := 0
-	var blocks []model.Block
-	if s.cfg.MergeAndDownload {
-		byNode := make(map[string][]directory.Record)
-		var nodeOrder []string
-		for _, rec := range recs {
-			if _, ok := byNode[rec.Node]; !ok {
-				nodeOrder = append(nodeOrder, rec.Node)
-			}
-			byNode[rec.Node] = append(byNode[rec.Node], rec)
-		}
-		sort.Strings(nodeOrder)
-		// Per-provider block groups in nodeOrder position: singles resolve
-		// immediately, merged groups fill their slot after verification.
-		// The flattened order matches the pre-batching sequential walk.
-		out := make([][]model.Block, len(nodeOrder))
-		var pending []pendingMerge
-		pendingSlot := make(map[int]int) // nodeOrder index → pending index
-		for ni, node := range nodeOrder {
-			grp := byNode[node]
-			if len(grp) == 1 {
-				b, err := s.fetchGradient(ctx, grp[0])
-				if err != nil {
-					return nil, merges, err
-				}
-				out[ni] = []model.Block{b}
-				continue
-			}
-			cids := make([]cid.CID, len(grp))
-			for i, rec := range grp {
-				cids[i] = rec.CID
-			}
-			// The merge_download span's context rides the request to the
-			// storage node, which parents its own "merge" span under it —
-			// the cross-node half of the causal trace.
-			md := sc.child("merge_download")
-			md.attr("node", node)
-			md.attr("blocks", fmt.Sprint(len(grp)))
-			mStart := time.Now()
-			var data []byte
-			var err error
-			if spanner, ok := s.store.(mergeSpanner); ok && md.ctx().Valid() {
-				data, err = spanner.MergeGetSpan(ctx, node, cids, md.ctx())
-			} else {
-				data, err = s.store.MergeGet(ctx, node, cids)
-			}
-			observeSince(s.metrics.phaseMerge, mStart)
-			md.bytes(int64(len(data)))
-			md.endErr(err)
-			if err != nil {
-				return nil, merges, fmt.Errorf("core: merge-and-download on %s: %w", node, err)
-			}
-			block, err := model.DecodeBlock(data)
-			if err != nil {
-				return nil, merges, fmt.Errorf("core: decode merged block: %w", err)
-			}
-			if s.params == nil {
-				merges++
-				out[ni] = []model.Block{block}
-				s.metrics.mergeDownloads.Inc()
-				continue
-			}
-			// §IV-B: the merged block must open the product of the
-			// commitments that supposedly form it. Park it for the batch.
-			coms := make([]pedersen.Commitment, len(grp))
-			for i, rec := range grp {
-				coms[i] = rec.Commitment
-			}
-			want, err := s.params.Combine(coms...)
-			if err != nil {
-				return nil, merges, err
-			}
-			pendingSlot[ni] = len(pending)
-			pending = append(pending, pendingMerge{grp: grp, block: block, want: want})
-		}
-		if len(pending) > 0 {
-			// One random-linear-combination multiexp covers every merged
-			// group of the partition; the per-group recommit loop only
-			// runs when some provider cheated (or the batch errored).
-			vecs := make([][]*big.Int, len(pending))
-			coms := make([]pedersen.Commitment, len(pending))
-			for i, pm := range pending {
-				vecs[i] = pm.block.Values
-				coms[i] = pm.want
-			}
-			s.metrics.batchVerifies.Inc()
-			batchOK, err := s.params.BatchVerify(vecs, coms)
-			if err != nil {
-				batchOK = false // attribute below via per-group Verify
-			}
-			if !batchOK {
-				s.metrics.batchVerifyFail.Inc()
-			}
-			for ni := range nodeOrder {
-				pi, ok := pendingSlot[ni]
-				if !ok {
-					continue
-				}
-				pm := pending[pi]
-				groupOK := batchOK
-				if !groupOK {
-					groupOK, err = s.params.Verify(pm.block.Values, pm.want)
-					if err != nil {
-						return nil, merges, err
-					}
-				}
-				if !groupOK {
-					// The provider cheated — or one of the gradients it
-					// merged was never a pre-image of its published
-					// commitment. Fall back to individual CID-verified
-					// downloads and screen each block against its own
-					// commitment to attribute the offense: a Byzantine
-					// upload is dropped and reported, honest blocks stay.
-					for _, rec := range pm.grp {
-						b, err := s.fetchGradient(ctx, rec)
-						if err != nil {
-							return nil, merges, err
-						}
-						recOK, err := s.params.Verify(b.Values, rec.Commitment)
-						if err != nil {
-							return nil, merges, err
-						}
-						if !recOK {
-							s.reportByzantine(ctx, sc, rec)
-							continue
-						}
-						out[ni] = append(out[ni], b)
-					}
-					continue
-				}
-				merges++
-				out[ni] = []model.Block{pm.block}
-				s.metrics.mergeDownloads.Inc()
-			}
-		}
-		for _, grpBlocks := range out {
-			blocks = append(blocks, grpBlocks...)
-		}
-		return blocks, merges, nil
-	}
-	for _, rec := range recs {
-		b, err := s.fetchGradient(ctx, rec)
-		if err != nil {
-			return nil, merges, err
-		}
-		blocks = append(blocks, b)
-	}
-	return blocks, merges, nil
-}
-
 // reportByzantine handles a gradient block that is not a pre-image of
 // its published commitment: the upload — not the storage provider — is
 // at fault, since the block already passed CID verification. The record
-// is expunged from the directory (which independently re-verifies before
-// removing anything), so the honest remainder of the round still
-// verifies against the partition accumulator, and a repeat offender is
-// quarantined at the strike limit. Each step is an event on sc.
+// is expunged from the directory, which re-verifies before removing
+// anything, counts the strike and quarantines a repeat offender; the
+// honest remainder of the round then still verifies against the
+// partition accumulator. An expunge that finds no record means a peer
+// already expunged, and counted, the upload. Otherwise the rejection is
+// counted here, also when the directory cannot expunge (over TCP today).
 func (s *Session) reportByzantine(ctx context.Context, sc *spanScope, rec directory.Record) {
-	s.byzMu.Lock()
-	if s.byzSeen[rec.Addr] {
-		s.byzMu.Unlock()
-		return // another role of this session already reported it
-	}
-	s.byzSeen[rec.Addr] = true
-	s.byzStrikes[rec.Addr.Uploader]++
-	strikes := s.byzStrikes[rec.Addr.Uploader]
-	quarantine := strikes >= byzantineStrikeLimit && !s.byzOut[rec.Addr.Uploader]
-	if quarantine {
-		s.byzOut[rec.Addr.Uploader] = true
-	}
-	s.byzMu.Unlock()
-
-	s.metrics.byzantineRejects.Inc()
-	sc.event("byzantine_reject", 0, rec.Addr.Uploader+" "+rec.CID.Short()+" strike "+strconv.Itoa(strikes))
+	var err error
 	if expunger, ok := s.dir.(interface {
 		ExpungeGradient(ctx context.Context, addr directory.Addr) error
 	}); ok {
-		if err := expunger.ExpungeGradient(ctx, rec.Addr); err != nil && !errors.Is(err, directory.ErrNotFound) {
-			sc.event("expunge_failed", 0, err.Error())
+		err = expunger.ExpungeGradient(ctx, rec.Addr)
+		if errors.Is(err, directory.ErrNotFound) {
+			return
 		}
 	}
-	if !quarantine {
-		return
-	}
-	s.metrics.byzantineQuarantines.Inc()
-	sc.event("byzantine_quarantine", 0, rec.Addr.Uploader)
-	if q, ok := s.dir.(interface {
-		Quarantine(trainer string, fromIter int)
-	}); ok {
-		q.Quarantine(rec.Addr.Uploader, rec.Addr.Iter+1)
+	s.metrics.byzantineRejects.Inc()
+	sc.event("byzantine_reject", 0, rec.Addr.Uploader+" "+rec.CID.Short())
+	if err != nil {
+		sc.event("expunge_failed", 0, err.Error())
 	}
 }
 
-// quarantinedOf counts how many of the given trainers this session has
-// seen quarantined.
-func (s *Session) quarantinedOf(trainers []string) int {
-	s.byzMu.Lock()
-	defer s.byzMu.Unlock()
-	n := 0
+// quarantined returns the directory's quarantined trainers with the first
+// iteration each is excluded from, or nil when the directory keeps no
+// such list.
+func (s *Session) quarantined() map[string]int {
+	if q, ok := s.dir.(interface{ Quarantined() map[string]int }); ok {
+		return q.Quarantined()
+	}
+	return nil
+}
+
+// expectedGradients is how many of the trainers' gradients an aggregator
+// waits for in iter. Trainers the directory quarantined by iter never
+// publish again, so waiting for them would idle out t_train (the
+// directory's closure gate excludes them too).
+func (s *Session) expectedGradients(iter int, trainers []string) int {
+	banned := s.quarantined()
+	want := len(trainers)
 	for _, tr := range trainers {
-		if s.byzOut[tr] {
-			n++
+		if from, ok := banned[tr]; ok && iter >= from {
+			want--
 		}
 	}
-	return n
-}
-
-// isQuarantined reports whether this session has seen the trainer
-// quarantined.
-func (s *Session) isQuarantined(trainer string) bool {
-	s.byzMu.Lock()
-	defer s.byzMu.Unlock()
-	return s.byzOut[trainer]
-}
-
-// noteQuarantined records a quarantine learned from the directory (an
-// ErrQuarantined publish rejection, e.g. after a process restart wiped
-// the local ledger).
-func (s *Session) noteQuarantined(trainer string) {
-	s.byzMu.Lock()
-	defer s.byzMu.Unlock()
-	s.byzOut[trainer] = true
+	if want == 0 {
+		return len(trainers)
+	}
+	return want
 }
 
 // putWithFallback stores data on the preferred node, falling back to the
@@ -1294,9 +1237,16 @@ func (s *Session) runIteration(ctx context.Context, parent obs.SpanContext, iter
 		}
 	}
 
+	// Trainers the directory quarantined sit the task out; the harness
+	// reports each quarantine once, in the iteration it takes effect.
+	banned := s.quarantined()
 	for _, tr := range s.cfg.Trainers {
-		if s.isQuarantined(tr) {
-			continue // banned by the directory: sits the task out
+		if from, ok := banned[tr]; ok && iter >= from {
+			if iter == from {
+				s.metrics.byzantineQuarantines.Inc()
+				it.event("byzantine_quarantine", 0, tr)
+			}
+			continue
 		}
 		delta, ok := deltas[tr]
 		if !ok {

@@ -149,6 +149,10 @@ var (
 	ErrNotByzantine = errors.New("directory: gradient verifies against its commitment")
 )
 
+// strikeLimit is how many of a trainer's gradients ExpungeGradient removes
+// before the directory quarantines the trainer from the next iteration.
+const strikeLimit = 2
+
 // BlockFetcher is the directory's minimal view of the storage network, used
 // to retrieve updates for verification.
 type BlockFetcher interface {
@@ -237,6 +241,9 @@ type Service struct {
 	parts   map[int]*partition
 
 	mu sync.Mutex
+	// strikes counts each trainer's expunged gradients: every successful
+	// ExpungeGradient is one independently re-verified offence.
+	strikes map[string]int
 	// quarantined maps a trainer to the first iteration from which its
 	// publishes are rejected and it no longer counts toward a partition's
 	// expected gradient set.
@@ -262,6 +269,7 @@ func New(params *pedersen.Params, fetcher BlockFetcher) *Service {
 		params:      params,
 		fetcher:     fetcher,
 		parts:       make(map[int]*partition),
+		strikes:     make(map[string]int),
 		quarantined: make(map[string]int),
 		schedules:   make(map[int]time.Time),
 		now:         time.Now,
@@ -612,7 +620,11 @@ func (s *Service) verifyBlock(ctx context.Context, rec *Record, data []byte, wan
 // commitment is homomorphically removed from the partition and
 // per-aggregator accumulators, so the remaining honest gradients still
 // verify, and the slot is tombstoned so the gradient-set closure gate
-// keeps accounting for the trainer.
+// keeps accounting for the trainer. Each expunge is a strike against the
+// uploader; at strikeLimit strikes the directory quarantines it from the
+// iteration after the expunged gradient's. A record can be expunged only
+// once (a repeat gets ErrNotFound), so each upload strikes at most once,
+// however many aggregators report it.
 func (s *Service) ExpungeGradient(ctx context.Context, addr Addr) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -673,16 +685,28 @@ func (s *Service) ExpungeGradient(ctx context.Context, addr Addr) error {
 	pt.expunged[iter]++
 	pt.stats.Expunged++
 	pt.stats.Rejections++
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.strikes[addr.Uploader]++
+	if s.strikes[addr.Uploader] >= strikeLimit {
+		s.quarantineLocked(addr.Uploader, iter+1)
+	}
 	return nil
 }
 
 // Quarantine rejects gradient publishes from the trainer starting at
 // iteration fromIter and stops counting it toward its partitions'
 // expected gradient sets from that iteration on. Quarantining a trainer
-// again keeps the earliest effective iteration.
+// again keeps the earliest effective iteration. ExpungeGradient
+// quarantines at the strike limit on its own; this lets the bootstrapper
+// ban a trainer directly.
 func (s *Service) Quarantine(trainer string, fromIter int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.quarantineLocked(trainer, fromIter)
+}
+
+func (s *Service) quarantineLocked(trainer string, fromIter int) {
 	if cur, ok := s.quarantined[trainer]; ok && cur <= fromIter {
 		return
 	}
@@ -690,10 +714,13 @@ func (s *Service) Quarantine(trainer string, fromIter int) {
 }
 
 // Quarantined returns the quarantined trainers and the first iteration
-// each is excluded from.
+// each is excluded from, or nil when nobody is quarantined.
 func (s *Service) Quarantined() map[string]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if len(s.quarantined) == 0 {
+		return nil
+	}
 	out := make(map[string]int, len(s.quarantined))
 	for t, from := range s.quarantined {
 		out[t] = from

@@ -426,3 +426,55 @@ func TestStatsCounting(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 }
+
+// publishByzantine stores a random gradient for a trainer but publishes a
+// commitment to other bytes, the tampered upload ExpungeGradient removes.
+func (f *fixture) publishByzantine(t *testing.T, trainer string, iter, partition int) Record {
+	t.Helper()
+	rec, _ := f.gradientRecord(t, trainer, iter, partition, 4)
+	_, other := f.gradientRecord(t, trainer, iter, partition, 4)
+	var err error
+	if rec.Commitment, err = f.params.Commit(other.Values); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.dir.Publish(context.Background(), rec); err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// TestExpungeCountsStrikes pins the strike policy: each expunged upload
+// is one strike, a repeated expunge of the same upload is ErrNotFound and
+// no strike, a refuted accusation is no strike, and the strikeLimit-th
+// expunge quarantines the uploader from the next iteration.
+func TestExpungeCountsStrikes(t *testing.T) {
+	ctx := context.Background()
+	f := newFixture(t, true)
+	first := f.publishByzantine(t, "t1", 0, 0)
+	if err := f.dir.ExpungeGradient(ctx, first.Addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.dir.ExpungeGradient(ctx, first.Addr); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("second expunge of one upload: %v, want ErrNotFound", err)
+	}
+	honest, _ := f.gradientRecord(t, "t1", 0, 1, 4)
+	if err := f.dir.Publish(ctx, honest); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.dir.ExpungeGradient(ctx, honest.Addr); !errors.Is(err, ErrNotByzantine) {
+		t.Fatalf("expunge of an honest upload: %v, want ErrNotByzantine", err)
+	}
+	if q := f.dir.Quarantined(); q != nil {
+		t.Fatalf("quarantined after one strike: %v", q)
+	}
+	second := f.publishByzantine(t, "t1", 1, 0)
+	if err := f.dir.ExpungeGradient(ctx, second.Addr); err != nil {
+		t.Fatal(err)
+	}
+	if q := f.dir.Quarantined(); len(q) != 1 || q["t1"] != 2 {
+		t.Fatalf("quarantined = %v, want map[t1:2]", q)
+	}
+	if got := f.dir.Stats().Expunged; got != 2 {
+		t.Fatalf("expunged = %d, want 2", got)
+	}
+}

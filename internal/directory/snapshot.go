@@ -13,13 +13,13 @@ import (
 // The directory service is the one (trusted but not infallible) component
 // the bootstrapper hosts. Snapshot/Restore give it crash recovery: the
 // full state — records, commitment accumulators, assignments, schedules,
-// quarantine and expunge tombstones — serializes to a deterministic JSON
-// document that a restarted bootstrapper can restore and continue the
-// iteration from.
+// strikes, quarantine and expunge tombstones — serializes to a
+// deterministic JSON document that a restarted bootstrapper can restore
+// and continue the iteration from.
 
-// snapshot is the serialized directory state. Quarantined and Expunged
-// are omitted when empty, so a directory that never expunged serializes
-// exactly as it did before they were persisted.
+// snapshot is the serialized directory state. Strikes, Quarantined and
+// Expunged are omitted when empty, so a directory that never expunged
+// serializes exactly as it did before they were persisted.
 type snapshot struct {
 	Records       []Record          `json:"records"`
 	Gradients     []gradientLog     `json:"gradients"`
@@ -28,6 +28,7 @@ type snapshot struct {
 	Assignments   []assignmentEntry `json:"assignments"`
 	Finals        []Record          `json:"finals"`
 	Schedules     []scheduleEntry   `json:"schedules"`
+	Strikes       []strikeEntry     `json:"strikes,omitempty"`
 	Quarantined   []quarantineEntry `json:"quarantined,omitempty"`
 	Expunged      []expungedEntry   `json:"expunged,omitempty"`
 	Stats         Stats             `json:"stats"`
@@ -62,6 +63,11 @@ type assignmentEntry struct {
 type scheduleEntry struct {
 	Iter   int       `json:"iter"`
 	TTrain time.Time `json:"tTrain"`
+}
+
+type strikeEntry struct {
+	Trainer string `json:"trainer"`
+	Count   int    `json:"count"`
 }
 
 type quarantineEntry struct {
@@ -142,6 +148,10 @@ func (s *Service) Snapshot() ([]byte, error) {
 		snap.Schedules = append(snap.Schedules, scheduleEntry{Iter: iter, TTrain: deadline})
 	}
 	slices.SortFunc(snap.Schedules, func(a, b scheduleEntry) int { return cmp.Compare(a.Iter, b.Iter) })
+	for tr, n := range s.strikes {
+		snap.Strikes = append(snap.Strikes, strikeEntry{Trainer: tr, Count: n})
+	}
+	slices.SortFunc(snap.Strikes, func(a, b strikeEntry) int { return cmp.Compare(a.Trainer, b.Trainer) })
 	for tr, from := range s.quarantined {
 		snap.Quarantined = append(snap.Quarantined, quarantineEntry{Trainer: tr, FromIter: from})
 	}
@@ -193,6 +203,9 @@ func Restore(data []byte, params *pedersen.Params, fetcher BlockFetcher) (*Servi
 			return nil, fmt.Errorf("directory: restore: iter %d deadline: %w", sched.Iter, err)
 		}
 		s.schedules[sched.Iter] = sched.TTrain
+	}
+	for _, st := range snap.Strikes {
+		s.strikes[st.Trainer] = st.Count
 	}
 	for _, q := range snap.Quarantined {
 		s.quarantined[q.Trainer] = q.FromIter

@@ -13,9 +13,9 @@ import (
 	"ipls/internal/model"
 )
 
-// goldenPath holds a snapshot of goldenHistory recorded before quarantine
-// and expunge tombstones were persisted. Both are omitted when empty, so
-// the same history must still serialize to exactly these bytes.
+// goldenPath holds a snapshot of goldenHistory recorded before strikes,
+// quarantine and expunge tombstones were persisted. All are omitted when
+// empty, so the same history must still serialize to exactly these bytes.
 const goldenPath = "testdata/snapshot-v1.json"
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite "+goldenPath+" from goldenHistory")
@@ -161,6 +161,42 @@ func TestSnapshotCarriesQuarantineAndExpunge(t *testing.T) {
 	}
 }
 
+// TestStrikesSurviveRestore crashes a directory between a trainer's two
+// expunged uploads. The restored directory remembers the first strike, so
+// the second quarantines the trainer from the same iteration as on a
+// directory that never crashed.
+func TestStrikesSurviveRestore(t *testing.T) {
+	ctx := context.Background()
+	expungeTwice := func(f *fixture, crash bool) map[string]int {
+		first := f.publishByzantine(t, "t2", 0, 0)
+		if err := f.dir.ExpungeGradient(ctx, first.Addr); err != nil {
+			t.Fatal(err)
+		}
+		if crash {
+			snap, err := f.dir.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.dir, err = Restore(snap, f.params, f.store); err != nil {
+				t.Fatal(err)
+			}
+		}
+		second := f.publishByzantine(t, "t2", 1, 1)
+		if err := f.dir.ExpungeGradient(ctx, second.Addr); err != nil {
+			t.Fatal(err)
+		}
+		return f.dir.Quarantined()
+	}
+	uncrashed := expungeTwice(newFixture(t, true), false)
+	restored := expungeTwice(newFixture(t, true), true)
+	if len(uncrashed) != 1 || uncrashed["t2"] != 2 {
+		t.Fatalf("uncrashed quarantine = %v, want map[t2:2]", uncrashed)
+	}
+	if len(restored) != 1 || restored["t2"] != uncrashed["t2"] {
+		t.Fatalf("restored quarantine = %v, uncrashed %v", restored, uncrashed)
+	}
+}
+
 // TestSnapshotFileRoundTrip round-trips a snapshot through the atomic file
 // helpers: save into a directory that does not exist yet, restore from
 // disk, and treat a missing file as a first boot.
@@ -197,7 +233,7 @@ func FuzzRestore(f *testing.F) {
 		`"accAggregator":[{"iter":0,"partition":1,"aggregator":"a","commitment":"AQI=","count":1}],` +
 		`"finals":[{"addr":{"uploader":"a","partition":1,"iter":0,"type":3}}],` +
 		`"schedules":[{"iter":0,"tTrain":"2026-01-01T00:00:00+02:00"}],"stats":{"Publishes":2}}`))
-	f.Add([]byte(`{"quarantined":[{"trainer":"t2","fromIter":1}],"expunged":[{"iter":0,"partition":3,"count":1}],` +
+	f.Add([]byte(`{"strikes":[{"trainer":"t2","count":2}],"quarantined":[{"trainer":"t2","fromIter":1}],"expunged":[{"iter":0,"partition":3,"count":1}],` +
 		`"assignments":[{"partition":0,"trainer":"t0","aggregator":"a"},{"partition":0,"trainer":"t0","aggregator":"b"}]}`))
 	f.Add([]byte(`{"schedules":[{"iter":0,"tTrain":"2026-01-01T00:00:00+24:00"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -126,32 +126,27 @@ func (d *Directory) SetSchedule(iter int, tTrain time.Time) { d.inner.SetSchedul
 
 func (d *Directory) RecordsForIter(iter int) []directory.Record { return d.inner.RecordsForIter(iter) }
 
-// byzantineDirectory is the optional Byzantine-tolerance surface.
-// *directory.Service implements it and *transport.Client does not yet, so
-// the wrapper forwards by assertion rather than growing DirectoryService.
-type byzantineDirectory interface {
-	ExpungeGradient(ctx context.Context, addr directory.Addr) error
-	Quarantine(trainer string, fromIter int)
-}
-
 // ExpungeGradient forwards to the inner directory when it supports
-// Byzantine expunge, and reports directory.ErrNotFound-independent
-// unsupported errors otherwise so callers can degrade gracefully.
+// Byzantine expunge (*directory.Service does, *transport.Client does not
+// yet) and reports an error otherwise, so callers can degrade gracefully.
 func (d *Directory) ExpungeGradient(ctx context.Context, addr directory.Addr) error {
-	bd, ok := d.inner.(byzantineDirectory)
+	ex, ok := d.inner.(interface {
+		ExpungeGradient(ctx context.Context, addr directory.Addr) error
+	})
 	if !ok {
 		return fmt.Errorf("resilience: directory %T does not support expunge", d.inner)
 	}
 	return d.policy.run(ctx, "expunge_gradient", func(actx context.Context) error {
-		return bd.ExpungeGradient(actx, addr)
+		return ex.ExpungeGradient(actx, addr)
 	})
 }
 
-// Quarantine forwards to the inner directory when supported; otherwise it
-// is a no-op (quarantine is an optimization, not a correctness
-// requirement — unverifiable uploads are still rejected per round).
-func (d *Directory) Quarantine(trainer string, fromIter int) {
-	if bd, ok := d.inner.(byzantineDirectory); ok {
-		bd.Quarantine(trainer, fromIter)
+// Quarantined forwards the inner directory's quarantine list (trainer →
+// first excluded iteration). It is nil when nobody is quarantined or the
+// inner directory keeps no list.
+func (d *Directory) Quarantined() map[string]int {
+	if q, ok := d.inner.(interface{ Quarantined() map[string]int }); ok {
+		return q.Quarantined()
 	}
+	return nil
 }

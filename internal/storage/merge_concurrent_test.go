@@ -21,7 +21,7 @@ import (
 // DeleteAll, Fail/Recover and switch on CheatMerges. A merge either returns
 // exactly the sequential sum of the bytes it asked for or a storage sentinel
 // — never a partial or mixed block — and every success is counted once, on
-// the node and in merge_ops_total. Run under -race by `make chaos-tests`.
+// the node and in merge_ops_total. Run under -race by `make race`.
 func TestMergeGetConcurrent(t *testing.T) {
 	const (
 		mergers  = 16

@@ -37,7 +37,7 @@ func isSentinel(err error) bool {
 //     the block, and the departed node's datastore is empty;
 //   - every failure is a storage sentinel.
 //
-// Run under -race by `make race` and `make chaos-tests`, on both backends.
+// Run under -race by `make race`, on both backends in CI's matrix.
 func TestPutConcurrent(t *testing.T) {
 	const (
 		putters = 16
