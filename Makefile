@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke chaos chaos-churn chaos-soak bench-gate profile vuln check
+.PHONY: all build fmt vet test race fuzz-smoke chaos chaos-churn chaos-soak bench-gate profile vuln check
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Fails listing the files gofmt would rewrite.
+fmt:
+	@files="$$(gofmt -l .)"; test -z "$$files" || { echo "gofmt needed:"; echo "$$files"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -41,9 +45,10 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzMerge -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -fuzz=FuzzRestore -fuzztime $(FUZZTIME) ./internal/directory
 
-# Fault-injection suite under the race detector. The resilience, netsim
-# and storage suites are raced by `make race` (on both storage backends in
-# CI's matrix), so what is left is the membership-churn scenario.
+# Fault-injection suite under the race detector. The core recovery tests
+# and the netsim and storage suites are raced by `make race` (on both
+# storage backends in CI's matrix), so what is left is the
+# membership-churn scenario.
 chaos: chaos-churn
 
 # Membership-churn scenario under the race detector: the ScenarioRunner
@@ -87,4 +92,4 @@ profile:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-check: build vet test race chaos bench-gate
+check: build fmt vet test race chaos bench-gate

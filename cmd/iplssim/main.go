@@ -23,8 +23,6 @@ import (
 	"ipls/internal/directory"
 	"ipls/internal/ml"
 	"ipls/internal/obs"
-	"ipls/internal/resilience"
-	"ipls/internal/scalar"
 	"ipls/internal/scenario"
 	"ipls/internal/storage"
 )
@@ -124,12 +122,13 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The plain session over the raw network backs keep-set GC; the FL task
-	// itself runs over the resilience layer built below.
+	// The session runs on the network and directory directly: injected
+	// storage faults are absorbed by its own recovery (uploads to another
+	// node, reads by content, degraded merges) instead of failing the round.
 	var (
-		gcSess *core.Session
-		net    *storage.Network
-		dir    *directory.Service
+		sess *core.Session
+		net  *storage.Network
+		dir  *directory.Service
 	)
 	if *storeDir != "" {
 		stack, err := core.OpenDurableStack(cfg, core.DurableOptions{
@@ -139,33 +138,19 @@ func run(args []string) error {
 			return err
 		}
 		defer stack.Close()
-		gcSess, net, dir = stack.Session, stack.Network, stack.Dir
+		sess, net, dir = stack.Session, stack.Network, stack.Dir
 		if stack.Restored() {
 			fmt.Printf("restored durable state from %s\n", *storeDir)
 		}
 	} else {
-		gcSess, net, dir, err = core.NewLocalStack(cfg, 2)
+		sess, net, dir, err = core.NewLocalStack(cfg, 2)
 		if err != nil {
 			return err
 		}
 	}
 	net.SetFaultSeed(*seed) // flaky-node coin flips reproduce under -seed
 
-	// The session runs over the resilience layer: injected faults are
-	// absorbed by retries, replica failover and degraded merges instead of
-	// failing the round. The jitter seed keeps fault runs reproducible.
 	reg := obs.NewRegistry()
-	pol := resilience.DefaultPolicy()
-	pol.BaseBackoff = 2 * time.Millisecond
-	pol.MaxBackoff = 20 * time.Millisecond
-	pol.Seed = *seed
-	pol.Metrics = reg
-	field := scalar.NewField(cfg.Curve.N)
-	client := resilience.Wrap(net, field, pol)
-	sess, err := core.NewSession(cfg, client.Storage(), resilience.WrapDirectory(dir, pol))
-	if err != nil {
-		return err
-	}
 
 	var splits []*ml.Dataset
 	if *split == "non-iid" {
@@ -294,7 +279,7 @@ func run(args []string) error {
 					opts.KeepRoots = []dag.Ref{ref}
 				}
 			}
-			rep, err := gcSess.GCSuperseded(context.Background(), opts)
+			rep, err := sess.GCSuperseded(context.Background(), opts)
 			if err != nil {
 				return fmt.Errorf("gc round %d: %w", r, err)
 			}
@@ -322,15 +307,10 @@ func run(args []string) error {
 		fmt.Printf("byzantine: %d gradient(s) expunged, quarantined: %s\n",
 			stats.Expunged, strings.Join(banned, ", "))
 	}
-	var retries, failovers int64
-	for _, op := range []string{"put", "get", "merge_get", "fetch", "publish", "publish_batch", "lookup", "update"} {
-		retries += reg.Counter("rpc_retries_total", "op", op).Value()
-	}
-	for _, op := range []string{"get", "merge_get"} {
-		failovers += reg.Counter("failovers_total", "op", op).Value()
-	}
-	if retries+failovers > 0 {
-		fmt.Printf("resilience: %d retries, %d failovers absorbed\n", retries, failovers)
+	if put, get, merge := reg.Counter("failovers_total", "op", "put").Value(),
+		reg.Counter("failovers_total", "op", "get").Value(),
+		reg.Counter("failovers_total", "op", "merge_get").Value(); put+get+merge > 0 {
+		fmt.Printf("recovery: %d failovers absorbed (%d put, %d get, %d merge_get)\n", put+get+merge, put, get, merge)
 	}
 	if runner != nil {
 		fmt.Printf("churn: %d events, %d standby takeovers, %d trainer bootstraps, %d blocks repaired, %d under-replicated\n",

@@ -191,9 +191,7 @@ func (s *Session) gcKeepSet(ctx context.Context, opts GCOptions) (map[cid.CID]bo
 	// Expand checkpoint DAGs through a CID-recording fetcher: Assemble
 	// walks exactly the blocks the DAG references, so whatever it asks
 	// for is what must survive.
-	f, isFetcher := s.store.(interface {
-		Fetch(ctx context.Context, c cid.CID) ([]byte, error)
-	})
+	f, isFetcher := s.store.(fetcher)
 	for _, root := range opts.KeepRoots {
 		if !isFetcher {
 			return nil, errors.New("core: storage does not support content routing; cannot pin checkpoint DAGs")

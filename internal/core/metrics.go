@@ -41,6 +41,11 @@ type sessionMetrics struct {
 	quorumProceeds       *obs.Counter // rounds closed at m-of-n after the quorum wait
 	byzantineRejects     *obs.Counter // gradients rejected for commitment mismatch
 	byzantineQuarantines *obs.Counter // trainers quarantined after repeated offenses
+
+	// Recovery paths, one failovers_total{op} series per fallback.
+	failoverPut   *obs.Counter // a block landed on another node than the preferred one
+	failoverGet   *obs.Counter // a block was read by content after its holder failed
+	failoverMerge *obs.Counter // a failed merge-and-download was read record by record
 }
 
 // SetMetrics points the session's instrumentation at a registry (nil
@@ -78,6 +83,10 @@ func (s *Session) SetMetrics(reg *obs.Registry) {
 		quorumProceeds:       reg.Counter("quorum_proceed_total"),
 		byzantineRejects:     reg.Counter("byzantine_rejects_total"),
 		byzantineQuarantines: reg.Counter("byzantine_quarantines_total"),
+
+		failoverPut:   reg.Counter("failovers_total", "op", "put"),
+		failoverGet:   reg.Counter("failovers_total", "op", "get"),
+		failoverMerge: reg.Counter("failovers_total", "op", "merge_get"),
 	}
 }
 

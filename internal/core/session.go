@@ -238,7 +238,7 @@ func (s *Session) trainerUpload(ctx context.Context, parent obs.SpanContext, tra
 		}
 		put := sc.child("store_put")
 		put.attr("partition", fmt.Sprint(i))
-		c, node, err := s.putWithFallback(ctx, s.cfg.UploadNode(i, trainer), data)
+		c, node, err := s.putWithFallback(ctx, put, s.cfg.UploadNode(i, trainer), data)
 		put.bytes(int64(len(data)))
 		if err == nil {
 			put.attr("node", node)
@@ -336,24 +336,11 @@ func (s *Session) trainerCollect(ctx context.Context, parent obs.SpanContext, it
 		dl := sc.child("download")
 		dl.attr("partition", fmt.Sprint(i))
 		dl.link(rec.Span)
-		data, err := s.store.Get(ctx, rec.Node, rec.CID)
-		if err != nil {
-			// The primary holder may have failed; fall back to any
-			// replica via content routing if the backend supports it.
-			if fetcher, ok := s.store.(interface {
-				Fetch(ctx context.Context, c cid.CID) ([]byte, error)
-			}); ok {
-				data, err = fetcher.Fetch(ctx, rec.CID)
-			}
-			if err != nil {
-				dl.endErr(err)
-				return nil, fmt.Errorf("core: download update partition %d: %w", i, err)
-			}
-		}
+		data, err := s.readBlock(ctx, dl, rec.Node, rec.CID)
 		dl.bytes(int64(len(data)))
-		dl.end()
-		if !cid.Verify(data, rec.CID) {
-			return nil, fmt.Errorf("core: update partition %d failed CID verification", i)
+		dl.endErr(err)
+		if err != nil {
+			return nil, fmt.Errorf("core: download update partition %d: %w", i, err)
 		}
 		block, err := model.DecodeBlock(data)
 		if err != nil {
@@ -483,7 +470,7 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 		return report, err
 	}
 	pp.bytes(int64(len(partialData)))
-	partialCID, partialNode, err := s.putWithFallback(ctx, home, partialData)
+	partialCID, partialNode, err := s.putWithFallback(ctx, pp, home, partialData)
 	if err != nil {
 		pp.endErr(err)
 		return report, fmt.Errorf("core: %s upload partial: %w", agg, err)
@@ -557,8 +544,8 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 			vs := sync.child("verify")
 			vs.attr("peer", peer)
 			vs.link(rec.Span)
-			data, err := s.store.Get(ctx, rec.Node, rec.CID)
-			if err != nil || !cid.Verify(data, rec.CID) {
+			data, err := s.readBlock(ctx, vs, rec.Node, rec.CID)
+			if err != nil {
 				markInvalid(peer, "unretrievable", vs)
 				continue
 			}
@@ -757,27 +744,35 @@ func (s *Session) awaitGradients(ctx context.Context, sc *spanScope, iter, parti
 // against its published commitment in verifiable mode (§IV-B). Records
 // are grouped by provider when merge-and-download is on and screening is
 // off; otherwise each record is its own group, since screening needs each
-// gradient separately. A group of one is fetched and CID-verified, a
-// larger group merged on its provider. One random-linear-combination
-// BatchVerify covers every group of the partition; only if it fails is
-// each group verified alone, and a failed merge is re-fetched record by
-// record. A record that fails its own commitment goes to reportByzantine
-// and is left out, while honest blocks stay. Norm screening, when
-// configured, then runs on the verified blocks. It returns the blocks in
-// group order and the number of accepted merges.
+// gradient separately. A group of one is read through readBlock, a larger
+// group merged on its provider; a group whose merge fails is split into
+// groups of one. One random-linear-combination BatchVerify covers every
+// group of the partition; only if it fails is each group verified alone,
+// and a rejected merge is re-fetched record by record. A record that
+// fails its own commitment goes to reportByzantine and is left out, while
+// honest blocks stay. Norm screening, when configured, then runs on the
+// verified blocks. It returns the blocks in group order and the number of
+// accepted merges.
 func (s *Session) collectBlocks(ctx context.Context, sc *spanScope, recs []directory.Record, report *AggregatorReport) ([]model.Block, int, error) {
 	groups := s.downloadGroups(recs)
-	fetched := make([]model.Block, len(groups))
-	for i, grp := range groups {
-		var err error
-		if len(grp) == 1 {
-			fetched[i], err = s.fetchGradient(ctx, grp[0])
-		} else {
-			fetched[i], err = s.mergeDownload(ctx, sc, grp)
+	fetched := make([]model.Block, 0, len(groups))
+	for i := 0; i < len(groups); i++ {
+		if grp := groups[i]; len(grp) > 1 {
+			b, err := s.mergeDownload(ctx, sc, grp)
+			if err == nil {
+				fetched = append(fetched, b)
+				continue
+			}
+			// The provider cannot merge: read each record from any replica,
+			// giving up §III-E's bandwidth saving rather than the round.
+			s.failover(sc, s.metrics.failoverMerge, "merge_get", grp[0].Node, err)
+			groups = slices.Replace(groups, i, i+1, singletons(grp)...)
 		}
+		b, err := s.fetchGradient(ctx, sc, groups[i][0])
 		if err != nil {
 			return nil, 0, err
 		}
+		fetched = append(fetched, b)
 	}
 	batchOK, wants, err := s.batchVerify(groups, fetched)
 	if err != nil {
@@ -818,7 +813,7 @@ func (s *Session) collectBlocks(ctx context.Context, sc *spanScope, recs []direc
 			// The provider cheated, or one of the gradients it merged is
 			// not a pre-image of its commitment: check each record alone.
 			for _, rec := range grp {
-				b, err := s.fetchGradient(ctx, rec)
+				b, err := s.fetchGradient(ctx, sc, rec)
 				if err != nil {
 					return nil, merges, err
 				}
@@ -845,11 +840,7 @@ func (s *Session) collectBlocks(ctx context.Context, sc *spanScope, recs []direc
 // otherwise one per record, in record order.
 func (s *Session) downloadGroups(recs []directory.Record) [][]directory.Record {
 	if !s.cfg.MergeAndDownload || s.cfg.ScreenNorm > 0 {
-		groups := make([][]directory.Record, len(recs))
-		for i := range recs {
-			groups[i] = recs[i : i+1 : i+1]
-		}
-		return groups
+		return singletons(recs)
 	}
 	sorted := slices.Clone(recs)
 	slices.SortStableFunc(sorted, func(a, b directory.Record) int { return strings.Compare(a.Node, b.Node) })
@@ -861,6 +852,15 @@ func (s *Session) downloadGroups(recs []directory.Record) [][]directory.Record {
 		}
 		groups = append(groups, sorted[:n:n])
 		sorted = sorted[n:]
+	}
+	return groups
+}
+
+// singletons splits records into groups of one, in record order.
+func singletons(recs []directory.Record) [][]directory.Record {
+	groups := make([][]directory.Record, len(recs))
+	for i := range recs {
+		groups[i] = recs[i : i+1 : i+1]
 	}
 	return groups
 }
@@ -890,13 +890,9 @@ func (s *Session) mergeDownload(ctx context.Context, sc *spanScope, grp []direct
 	md.bytes(int64(len(data)))
 	md.endErr(err)
 	if err != nil {
-		return model.Block{}, fmt.Errorf("core: merge-and-download on %s: %w", node, err)
+		return model.Block{}, err
 	}
-	block, err := model.DecodeBlock(data)
-	if err != nil {
-		return model.Block{}, fmt.Errorf("core: decode merged block: %w", err)
-	}
-	return block, nil
+	return model.DecodeBlock(data)
 }
 
 // batchVerify checks every group's block against the product of the
@@ -1002,7 +998,7 @@ func (s *Session) expectedGradients(iter int, trainers []string) int {
 // other storage nodes if it is unavailable — the availability behaviour the
 // replicated storage network is there to provide (§VI). It returns the CID
 // and the node that actually accepted the block.
-func (s *Session) putWithFallback(ctx context.Context, preferred string, data []byte) (cid.CID, string, error) {
+func (s *Session) putWithFallback(ctx context.Context, sc *spanScope, preferred string, data []byte) (cid.CID, string, error) {
 	c, err := s.store.Put(ctx, preferred, data)
 	if err == nil {
 		return c, preferred, nil
@@ -1012,28 +1008,60 @@ func (s *Session) putWithFallback(ctx context.Context, preferred string, data []
 			continue
 		}
 		if c, err2 := s.store.Put(ctx, node, data); err2 == nil {
+			s.failover(sc, s.metrics.failoverPut, "put", preferred, err)
 			return c, node, nil
 		}
 	}
 	return "", "", err
 }
 
-// fetchGradient downloads one gradient block and verifies its CID, falling
-// back to content routing if the recorded node cannot serve it.
-func (s *Session) fetchGradient(ctx context.Context, rec directory.Record) (model.Block, error) {
-	data, err := s.store.Get(ctx, rec.Node, rec.CID)
-	if err != nil {
-		if fetcher, ok := s.store.(interface {
-			Fetch(ctx context.Context, c cid.CID) ([]byte, error)
-		}); ok {
-			data, err = fetcher.Fetch(ctx, rec.CID)
-		}
-		if err != nil {
-			return model.Block{}, fmt.Errorf("core: fetch gradient %s: %w", rec.CID.Short(), err)
-		}
+// fetcher is the optional storage capability of content routing: any live
+// replica serves a block by its CID (storage.Network and transport.Client
+// both implement it).
+type fetcher interface {
+	Fetch(ctx context.Context, c cid.CID) ([]byte, error)
+}
+
+// readBlock is the session's one block read: from the recorded holder,
+// else by content from any live replica (§III: a block stays retrievable
+// while one replica lives). Bytes that do not hash to the CID count as a
+// failed read, so the result is right whichever node served it.
+func (s *Session) readBlock(ctx context.Context, sc *spanScope, node string, id cid.CID) ([]byte, error) {
+	data, err := s.store.Get(ctx, node, id)
+	if err == nil && !cid.Verify(data, id) {
+		err = storage.ErrIntegrity
 	}
-	if !cid.Verify(data, rec.CID) {
-		return model.Block{}, fmt.Errorf("core: gradient %s from %s failed CID verification", rec.CID.Short(), rec.Node)
+	if err == nil {
+		return data, nil
+	}
+	f, ok := s.store.(fetcher)
+	if !ok {
+		return nil, fmt.Errorf("core: read %s from %s: %w", id.Short(), node, err)
+	}
+	data, ferr := f.Fetch(ctx, id)
+	if ferr == nil && !cid.Verify(data, id) {
+		ferr = storage.ErrIntegrity
+	}
+	if ferr != nil {
+		return nil, fmt.Errorf("core: read %s from %s: %w (by content: %v)", id.Short(), node, err, ferr)
+	}
+	s.failover(sc, s.metrics.failoverGet, "get", node, err)
+	return data, nil
+}
+
+// failover records one taken fallback: a failover event on sc naming the
+// operation, the node that failed it and its error, and one
+// failovers_total{op}.
+func (s *Session) failover(sc *spanScope, c *obs.Counter, op, node string, cause error) {
+	c.Inc()
+	sc.event("failover", 0, op+" "+node+": "+cause.Error())
+}
+
+// fetchGradient reads and decodes one gradient block.
+func (s *Session) fetchGradient(ctx context.Context, sc *spanScope, rec directory.Record) (model.Block, error) {
+	data, err := s.readBlock(ctx, sc, rec.Node, rec.CID)
+	if err != nil {
+		return model.Block{}, err
 	}
 	return model.DecodeBlock(data)
 }
@@ -1050,7 +1078,7 @@ func (s *Session) publishGlobal(ctx context.Context, parent *spanScope, report *
 		return err
 	}
 	gp.bytes(int64(len(data)))
-	c, node, err := s.putWithFallback(ctx, home, data)
+	c, node, err := s.putWithFallback(ctx, gp, home, data)
 	if err != nil {
 		return fmt.Errorf("core: %s upload global update: %w", agg, err)
 	}
@@ -1063,23 +1091,17 @@ func (s *Session) publishGlobal(ctx context.Context, parent *spanScope, report *
 	}
 	s.signRecord(&rec)
 	// The directory refuses updates while the partition's gradient set is
-	// still open (ErrTooEarly); retry until it closes or t_sync expires.
-	deadline := time.Now().Add(s.cfg.TSync)
-	for {
-		err = s.dir.Publish(ctx, rec)
-		if !errors.Is(err, directory.ErrTooEarly) {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: %s publish global update: %w", agg, err)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(s.cfg.PollInterval):
-		}
+	// still open (ErrTooEarly); retry until it closes or t_sync expires,
+	// when the ErrTooEarly falls through to the default case.
+	var pubErr error
+	err = s.poll(ctx, time.Now().Add(s.cfg.TSync), func() (bool, error) {
+		pubErr = s.dir.Publish(ctx, rec)
+		return !errors.Is(pubErr, directory.ErrTooEarly), nil
+	})
+	if err != nil && !errors.Is(err, ErrTimeout) {
+		return err
 	}
-	switch {
+	switch err = pubErr; {
 	case err == nil:
 		report.PublishedGlobal = true
 		gp.attr("outcome", "accepted")

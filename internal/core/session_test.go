@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -406,4 +407,46 @@ func TestNewSessionRejectsBadShift(t *testing.T) {
 func ExampleAggregatorID() {
 	fmt.Println(AggregatorID(0, 1))
 	// Output: agg-p0-1
+}
+
+// tooEarly is a directory whose gradient sets never close: it refuses
+// every global update with ErrTooEarly.
+type tooEarly struct{ *directory.Service }
+
+func (d tooEarly) Publish(ctx context.Context, rec directory.Record) error {
+	if rec.Addr.Type == directory.TypeUpdate {
+		return directory.ErrTooEarly
+	}
+	return d.Service.Publish(ctx, rec)
+}
+
+// TestGlobalPublishGivesUpAtTSync checks the global-update wait: an
+// aggregator keeps offering its update while the directory says it is too
+// early, and at t_sync returns an error that still says why.
+func TestGlobalPublishGivesUpAtTSync(t *testing.T) {
+	base, netw, dir := testStack(t, func(ts *TaskSpec) { ts.TSync = 20 * time.Millisecond })
+	sess, err := NewSession(base.Config(), netw, tooEarly{dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sess.Config()
+	ctx := context.Background()
+	deltas, _ := randomDeltas(cfg.Trainers, 24, 4)
+	for _, tr := range cfg.Trainers {
+		if err := sess.TrainerUpload(ctx, tr, 0, deltas[tr]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := cfg.AllAggregators()[0]
+	start := time.Now()
+	rep, err := sess.AggregatorRun(ctx, ref.ID, ref.Partition, 0, BehaviorHonest)
+	if !errors.Is(err, directory.ErrTooEarly) {
+		t.Fatalf("got %v, want an error wrapping ErrTooEarly", err)
+	}
+	if waited := time.Since(start); waited < cfg.TSync {
+		t.Fatalf("gave up after %v, before t_sync %v", waited, cfg.TSync)
+	}
+	if rep.PublishedGlobal {
+		t.Fatal("report claims a published global update")
+	}
 }

@@ -39,7 +39,7 @@ func FuzzBreakdown(f *testing.F) {
 			if psel&0x80 != 0 {
 				iter = 1
 			}
-			ids[i] = string(rune('a' + i%26)) + string(rune('0'+i/26))
+			ids[i] = string(rune('a'+i%26)) + string(rune('0'+i/26))
 			parent := ""
 			switch {
 			case psel&0x7f == 0x7f:

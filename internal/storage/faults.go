@@ -10,10 +10,10 @@ import (
 // Fault injection for the storage network. The paper assumes an
 // honest-but-unreliable substrate (§III-A): nodes crash, recover, respond
 // slowly, or fail intermittently. These controls make every failure mode
-// reproducible so the resilience layer's retries and failovers can be
-// exercised deterministically. Scheduling them over a run is the
-// scenario engine's job (internal/scenario, core.ScenarioRunner); this
-// file holds only the imperative controls it calls.
+// reproducible so the session's failovers can be exercised
+// deterministically. Scheduling them over a run is the scenario engine's
+// job (internal/scenario, core.ScenarioRunner); this file holds only the
+// imperative controls it calls.
 
 // Slow makes every operation served by the node take at least d. The delay
 // honors the caller's context, so a deadline that expires mid-wait cancels

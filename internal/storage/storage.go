@@ -41,8 +41,8 @@ var (
 	// ErrNodeDown indicates the addressed node is unavailable.
 	ErrNodeDown = errors.New("storage: node is down")
 	// ErrNodeDeparted indicates the addressed node has permanently left the
-	// network (its blocks are gone). Unlike ErrNodeDown this is not
-	// retryable — only replica failover can serve the data.
+	// network (its blocks are gone). Unlike ErrNodeDown it never heals —
+	// only a read by content from another replica can serve the data.
 	ErrNodeDeparted = errors.New("storage: node has departed")
 	// ErrUnknownNode indicates the node ID is not part of the network.
 	ErrUnknownNode = errors.New("storage: unknown node")
@@ -67,43 +67,6 @@ type Client interface {
 	// MergeGet asks the addressed node to pre-aggregate the gradient
 	// blocks with the given CIDs and returns the serialized sum block.
 	MergeGet(ctx context.Context, nodeID string, cs []cid.CID) ([]byte, error)
-}
-
-// PutRequest addresses one block upload for the request-struct call style
-// used by the resilience layer (resilience.Client.Put).
-type PutRequest struct {
-	// Node is the preferred primary; replicas follow the network's
-	// placement policy.
-	Node string
-	// Data is the block payload.
-	Data []byte
-	// Span, when valid, parents the node-side "put" span — the same
-	// causal envelope MergeRequest carries, so all three request structs
-	// cross the storage boundary uniformly.
-	Span obs.SpanContext
-}
-
-// GetRequest addresses one block download.
-type GetRequest struct {
-	// Node is the recorded holder; resilient clients fall back to other
-	// replicas when it cannot serve the block.
-	Node string
-	// CID is the content ID the returned bytes must hash to.
-	CID cid.CID
-	// Span, when valid, parents the node-side "get" span.
-	Span obs.SpanContext
-}
-
-// MergeRequest addresses one merge-and-download (provider-side
-// pre-aggregation of the listed gradient blocks).
-type MergeRequest struct {
-	// Node is the provider asked to pre-aggregate.
-	Node string
-	// CIDs are the gradient blocks to fold.
-	CIDs []cid.CID
-	// Span, when valid, parents the provider-side merge span — the causal
-	// envelope that crosses the storage boundary.
-	Span obs.SpanContext
 }
 
 // Placement selects how replicas are assigned to nodes.

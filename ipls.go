@@ -9,7 +9,6 @@ import (
 	"ipls/internal/group"
 	"ipls/internal/identity"
 	"ipls/internal/ml"
-	"ipls/internal/resilience"
 	"ipls/internal/scalar"
 	"ipls/internal/scenario"
 	"ipls/internal/storage"
@@ -227,57 +226,6 @@ type DirectoryService = directory.Service
 
 // Record is a directory record (addr → CID).
 type Record = directory.Record
-
-// PutRequest, GetRequest and MergeRequest are the option structs taken by
-// StorageClient's context-first methods; the zero value plus the required
-// fields (node, payload or CIDs) is a complete request, and new options
-// can be added without breaking callers.
-type (
-	PutRequest   = storage.PutRequest
-	GetRequest   = storage.GetRequest
-	MergeRequest = storage.MergeRequest
-)
-
-// ---- Resilience ------------------------------------------------------------
-
-// RetryPolicy bounds retries, backoff and per-attempt timeouts for a
-// resilient client; ResilientClient and ResilientDirectory are
-// policy-driven wrappers that absorb transient faults (node crashes, slow
-// links, flaky RPCs) with retries, replica failover and degraded merges.
-type (
-	RetryPolicy        = resilience.Policy
-	ResilientClient    = resilience.Client
-	ResilientDirectory = resilience.Directory
-)
-
-// DefaultRetryPolicy returns conservative production defaults (4 attempts,
-// 25ms base backoff with ±20% jitter capped at 400ms, 1s per-RPC timeout).
-func DefaultRetryPolicy() *RetryPolicy { return resilience.DefaultPolicy() }
-
-// WithResilience wraps a storage client in the retry/failover layer. The
-// task's commitment-curve field enables degraded merges (per-CID fetch and
-// local fold when a provider is down); pass the session's Config so the
-// field matches the deployment. Use the wrapper's Storage() view as the
-// StorageClient of NewSession.
-func WithResilience(inner StorageClient, cfg *Config, p *RetryPolicy) *ResilientClient {
-	return resilience.Wrap(inner, scalar.NewField(cfg.Curve.N), p)
-}
-
-// WithDirectoryResilience wraps a directory backend (in-process service,
-// sharded directory or TCP client) in the same retry policy. Protocol
-// verdicts — conflicts, failed verifications, too-late publishes — are
-// terminal and surface immediately; only transient faults are retried.
-func WithDirectoryResilience(inner resilience.DirectoryService, p *RetryPolicy) *ResilientDirectory {
-	return resilience.WrapDirectory(inner, p)
-}
-
-// IsRetryable reports whether err is a transient fault worth retrying
-// (node down, deadline exceeded, too-early lookup, connection shutdown,
-// network timeouts) as opposed to a terminal protocol verdict (not found,
-// conflicting publish, failed verification, bad signature) or caller
-// cancellation. The transport maps wire error codes back to the same
-// sentinel errors, so the verdict is identical in-process and over TCP.
-func IsRetryable(err error) bool { return resilience.IsRetryable(err) }
 
 // RepairReport summarizes one StorageNetwork.RepairScan — the
 // anti-entropy pass that re-replicates blocks whose live replica count
