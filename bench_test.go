@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"ipls/internal/baseline"
 	"ipls/internal/cid"
 	"ipls/internal/core"
 	"ipls/internal/directory"
@@ -206,40 +205,6 @@ func BenchmarkMultiExp(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkBaselines reports the per-round traffic and cumulative storage
-// of blockchain-based FL versus this work.
-func BenchmarkBaselines(b *testing.B) {
-	b.Run("bcfl", func(b *testing.B) {
-		var last baseline.Summary
-		for i := 0; i < b.N; i++ {
-			reports, _, err := baseline.BCFLCosts(baseline.BCFLConfig{
-				Rounds: 10, Trainers: 16, ChainNodes: 8, UpdateBytes: 1 << 20,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = baseline.Summarize(reports)
-		}
-		b.ReportMetric(float64(last.FinalStoredBytes)/1e6, "stored-MB")
-		b.ReportMetric(float64(last.TotalTransferBytes)/1e6, "moved-MB")
-	})
-	b.Run("ipls", func(b *testing.B) {
-		var last baseline.Summary
-		for i := 0; i < b.N; i++ {
-			reports, err := baseline.IPLSCosts(baseline.IPLSConfig{
-				Rounds: 10, Trainers: 16, Partitions: 4, AggregatorsPerPartition: 2,
-				Replicas: 2, UpdateBytes: 1 << 20, MergeAndDownload: true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = baseline.Summarize(reports)
-		}
-		b.ReportMetric(float64(last.FinalStoredBytes)/1e6, "stored-MB")
-		b.ReportMetric(float64(last.TotalTransferBytes)/1e6, "moved-MB")
-	})
 }
 
 // benchSession builds an in-memory protocol stack for end-to-end benches.

@@ -8,9 +8,7 @@ import (
 	"math/rand"
 	"time"
 
-	"ipls/internal/baseline"
 	"ipls/internal/core"
-	"ipls/internal/gossip"
 	"ipls/internal/group"
 	"ipls/internal/ml"
 	"ipls/internal/obs"
@@ -56,69 +54,6 @@ func multiExp() error {
 			round(times[group.StrategyWindowed]),
 			round(times[group.StrategyPippenger]))
 	}
-	return nil
-}
-
-// baselines compares per-round traffic and cumulative storage between
-// blockchain-based FL and this work (§I's motivation, quantified).
-func baselines(rounds int) error {
-	fmt.Println("== Blockchain-FL vs decentralized-storage FL ==")
-	fmt.Printf("   %d rounds, 16 trainers, 1 MiB updates, 8 chain/storage nodes\n", rounds)
-	update := int64(1 << 20)
-	bcfl, ledger, err := baseline.BCFLCosts(baseline.BCFLConfig{
-		Rounds: rounds, Trainers: 16, ChainNodes: 8, UpdateBytes: update,
-	})
-	if err != nil {
-		return err
-	}
-	ipls, err := baseline.IPLSCosts(baseline.IPLSConfig{
-		Rounds: rounds, Trainers: 16, Partitions: 4, AggregatorsPerPartition: 2,
-		Replicas: 2, UpdateBytes: update, MergeAndDownload: true,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-8s %18s %18s %18s %18s\n", "round",
-		"BCFL transfer MB", "BCFL stored MB", "IPLS transfer MB", "IPLS stored MB")
-	step := rounds / 5
-	if step == 0 {
-		step = 1
-	}
-	for r := 0; r < rounds; r += step {
-		fmt.Printf("%-8d %18.1f %18.1f %18.1f %18.1f\n", r,
-			mb(bcfl[r].TransferBytes), mb(bcfl[r].StoredBytes),
-			mb(ipls[r].TransferBytes), mb(ipls[r].StoredBytes))
-	}
-	sb, si := baseline.Summarize(bcfl), baseline.Summarize(ipls)
-	fmt.Printf("totals: BCFL %.1f MB moved / %.1f MB stored; IPLS %.1f MB moved / %.1f MB stored\n",
-		mb(sb.TotalTransferBytes), mb(sb.FinalStoredBytes),
-		mb(si.TotalTransferBytes), mb(si.FinalStoredBytes))
-	if err := ledger.Verify(); err != nil {
-		return err
-	}
-
-	// Per-iteration delay comparison at equal bandwidth (10 Mbps).
-	bcflDelay, err := baseline.BCFLDelay(baseline.BCFLDelayConfig{
-		Trainers: 16, ChainNodes: 8, UpdateBytes: update, BandwidthMbps: 10,
-	})
-	if err != nil {
-		return err
-	}
-	iplsDelay, err := core.Simulate(core.SimConfig{
-		Trainers:                16,
-		Partitions:              1,
-		AggregatorsPerPartition: 1,
-		PartitionBytes:          update,
-		StorageNodes:            16,
-		ProvidersPerAggregator:  4,
-		BandwidthMbps:           10,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("per-iteration delay at 10 Mbps: BCFL broadcast %v (total %v) vs this work %v (%.1fx)\n",
-		round(bcflDelay.BroadcastDelay), round(bcflDelay.TotalDelay), round(iplsDelay.TotalDelay),
-		float64(bcflDelay.TotalDelay)/float64(iplsDelay.TotalDelay))
 	return nil
 }
 
@@ -229,63 +164,6 @@ func runQuantTrial(shift uint) (worst, acc float64, err error) {
 	}
 	acc, _, err = task.Evaluate(data)
 	return worst, acc, err
-}
-
-// gossipVsFL compares purely decentralized gossip learning (the intro's
-// category (i) baseline, [5-7]) with this work's centralized-equivalent
-// aggregation on IID and label-skewed data.
-func gossipVsFL(rounds int) error {
-	fmt.Println("== Gossip learning vs decentralized-storage FL ==")
-	const peers = 8
-	for _, split := range []string{"iid", "non-iid"} {
-		data := ml.Blobs(480, 4, 4, 0.8, 77)
-		var splits []*ml.Dataset
-		var err error
-		if split == "non-iid" {
-			splits, err = data.SplitLabelSkew(peers, 1, 78)
-		} else {
-			splits, err = data.SplitIID(peers, 78)
-		}
-		if err != nil {
-			return err
-		}
-		m := ml.NewLogistic(4, 4)
-		initial := m.Params()
-		sgd := ml.SGDConfig{LearningRate: 0.3, Epochs: 2, BatchSize: 16}
-
-		res, err := gossip.Run(m, splits, data, initial, gossip.Config{
-			Degree: 1, Rounds: rounds, SGD: sgd, Seed: 79,
-		})
-		if err != nil {
-			return err
-		}
-
-		global := append([]float64(nil), initial...)
-		fedAcc := make([]float64, rounds)
-		for r := 0; r < rounds; r++ {
-			roundSGD := sgd
-			roundSGD.Seed = int64(r)
-			next, _, err := ml.FedAvgRound(m, global, splits, roundSGD)
-			if err != nil {
-				return err
-			}
-			global = next
-			if err := m.SetParams(global); err != nil {
-				return err
-			}
-			fedAcc[r] = ml.Accuracy(m, data)
-		}
-
-		fmt.Printf("-- %s split, %d peers, gossip degree 1 --\n", split, peers)
-		fmt.Printf("%-8s %14s %14s %16s\n", "round", "gossip acc", "this work", "gossip gap")
-		for r := 0; r < rounds; r++ {
-			g := res.PerRound[r]
-			fmt.Printf("%-8d %14.3f %14.3f %16.2f\n", r, g.MeanAccuracy, fedAcc[r], g.Disagreement)
-		}
-	}
-	fmt.Println("'gossip gap' is the max parameter distance between peers — gossip never forms one")
-	fmt.Println("model, and on skewed data its accuracy trails the exact FedAvg this protocol computes")
-	return nil
 }
 
 // verifyMatrix runs every malicious behavior with and without verifiable
@@ -479,8 +357,6 @@ func buildMLTask(nonIID bool) (*core.Task, *ml.Dataset, error) {
 	}
 	return task, data, nil
 }
-
-func mb(b int64) float64 { return float64(b) / 1e6 }
 
 // churnExperiment drives an ML task through a scenario plan — storage
 // departures, aggregator crashes and trainer crash/rejoin — and reports

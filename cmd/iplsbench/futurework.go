@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -11,7 +10,6 @@ import (
 
 	"ipls/internal/core"
 	"ipls/internal/group"
-	"ipls/internal/mimc"
 	"ipls/internal/scalar"
 	"ipls/internal/storage"
 )
@@ -134,38 +132,5 @@ func placement() error {
 	}
 	fmt.Println("rendezvous hashing spreads replicas uniformly and makes the replica set")
 	fmt.Println("unpredictable to colluding storage nodes; ring placement concentrates them")
-	return nil
-}
-
-// hashCost compares SHA-256 with the proof-friendly MiMC hash (§VI: replace
-// the storage hash with a proof-friendly one so aggregators can prove that
-// CID and commitment bind the same gradients).
-func hashCost() error {
-	fmt.Println("== Proof-friendly hash (§VI): MiMC vs SHA-256 ==")
-	h, err := mimc.New(group.Secp256k1().N, "hashcost")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("instance: %s\n", h)
-	fmt.Printf("%-12s %14s %14s %12s\n", "block bytes", "sha256", "mimc", "slowdown")
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1 << 10, 1 << 12, 1 << 14} {
-		data := make([]byte, n)
-		rng.Read(data)
-		start := time.Now()
-		const shaReps = 2000
-		for i := 0; i < shaReps; i++ {
-			sha256.Sum256(data)
-		}
-		shaTime := time.Since(start) / shaReps
-		start = time.Now()
-		h.Sum(data)
-		mimcTime := time.Since(start)
-		slowdown := float64(mimcTime) / float64(shaTime+1)
-		fmt.Printf("%-12d %14s %14s %11.0fx\n", n, shaTime, mimcTime.Round(time.Microsecond), slowdown)
-	}
-	fmt.Println("MiMC is orders of magnitude slower natively — the price of a circuit of only")
-	fmt.Printf("~%d field multiplications per element, which is what makes delegated ZK\n", h.Rounds())
-	fmt.Println("verification of hash/commitment consistency feasible (the paper's [29, 30] route)")
 	return nil
 }

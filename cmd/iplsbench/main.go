@@ -3,21 +3,10 @@
 //
 // Usage:
 //
-//	iplsbench fig1       Fig. 1: aggregation/upload delay vs providers
-//	iplsbench fig2       Fig. 2: delays and traffic vs aggregators/partition
-//	iplsbench fig3       Fig. 3: SHA-256 vs Pedersen commitment time
-//	iplsbench model      §III-E analytic τ model vs simulation
-//	iplsbench multiexp   multi-exponentiation strategies (future work [27,28])
-//	iplsbench crypto     parallel + precomputed hot path: speedups, batch verify
-//	iplsbench baseline   blockchain-FL vs this work, storage & traffic
-//	iplsbench converge   decentralized vs centralized FedAvg convergence
-//	iplsbench verify     malicious-aggregator detection matrix
-//	iplsbench faults     dropout / storage-failure recovery
-//	iplsbench churn      membership churn: departures, failover, repair (-churn)
-//	iplsbench dirload    directory load reduction: batching + per-host load (§VI)
-//	iplsbench hash       proof-friendly MiMC hash vs SHA-256 (§VI)
-//	iplsbench profile    commitment bench under the resource meter (-cpuprofile/-memprofile)
-//	iplsbench all        everything above
+//	iplsbench [flags] <experiment>
+//
+// `iplsbench -h` lists the experiments, one line each; `all` runs every
+// one in that order.
 //
 // The per-phase regression gate runs deterministic virtual-clock
 // scenarios and records or checks per-phase latency budgets:
@@ -49,7 +38,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("iplsbench", flag.ContinueOnError)
 	maxParams := fs.Int("max-params", 100_000, "largest model size for fig3")
-	rounds := fs.Int("rounds", 10, "FL rounds for converge/baseline experiments")
+	rounds := fs.Int("rounds", 10, "FL rounds for the converge experiment")
 	churn := fs.String("churn",
 		"depart:ipfs-03@iter1,crash:agg-p0-0@iter1,crash:t5@iter1,rejoin:t5@iter2,rejoin:agg-p0-0@iter3",
 		"churn experiment: scenario plan (the grammar of iplssim -scenario)")
@@ -60,8 +49,38 @@ func run(args []string) error {
 	spanOut := fs.String("span-out", "", "gate: also dump the scenarios' causal spans to this file as JSON Lines (analyze with iplstrace)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (phase-labeled; inspect with `go tool pprof -tags`)")
 	memProfile := fs.String("memprofile", "", "write a heap profile of the run to this file")
+	// The one list of experiments: `all` runs them in this order and the
+	// usage text is generated from it.
+	experiments := []struct {
+		name, blurb string
+		fn          func() error
+	}{
+		{"fig1", "Fig. 1: aggregation/upload delay vs providers", fig1},
+		{"fig2", "Fig. 2: delays and traffic vs aggregators/partition", fig2},
+		{"fig3", "Fig. 3: SHA-256 vs Pedersen commitment time (-max-params)", func() error { return fig3(*maxParams) }},
+		{"model", "§III-E analytic τ model vs simulation", analyticModel},
+		{"multiexp", "multi-exponentiation strategies (future work [27,28])", multiExp},
+		{"crypto", "parallel + precomputed hot path: speedups, batch verify", cryptoExperiment},
+		{"converge", "decentralized vs centralized FedAvg convergence (-rounds)", func() error { return converge(*rounds) }},
+		{"verify", "malicious-aggregator detection matrix", verifyMatrix},
+		{"faults", "dropout / storage-failure recovery", faults},
+		{"churn", "membership churn: departures, failover, repair (-churn)", func() error { return churnExperiment(*churn, 4) }},
+		{"dirload", "directory load reduction: batching + per-host load (§VI)", dirLoad},
+		{"placement", "ring vs rendezvous replica placement (§VI)", placement},
+		{"straggler", "stragglers and the t_train cutoff (§III-D)", straggler},
+		{"quant", "fixed-point quantization shift vs exact FedAvg", quantAblation},
+		{"store", "block-store backends: mem vs fs vs fs+cache", storeExperiment},
+		{"profile", "commitment bench under the resource meter (-cpuprofile/-memprofile)", func() error { return profileExperiment(*maxParams) }},
+	}
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: iplsbench [flags] <fig1|fig2|fig3|model|multiexp|crypto|baseline|converge|verify|faults|churn|dirload|hash|store|profile|gate|all>")
+		out := fs.Output()
+		fmt.Fprintln(out, "usage: iplsbench [flags] <experiment|gate|all>")
+		fmt.Fprintln(out, "\nexperiments:")
+		for _, e := range experiments {
+			fmt.Fprintf(out, "  %-10s %s\n", e.name, e.blurb)
+		}
+		fmt.Fprintf(out, "  %-10s %s\n", "all", "every experiment above, in order")
+		fmt.Fprintf(out, "  %-10s %s\n\nflags:\n", "gate", "per-phase regression gate (-baseline/-baseline-out)")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -92,54 +111,27 @@ func run(args []string) error {
 	if gateOpts.baseline != "" || gateOpts.baselineOut != "" || gateOpts.spanOut != "" {
 		return fmt.Errorf("-baseline/-baseline-out/-span-out only apply to the gate experiment")
 	}
-	experiments := map[string]func() error{
-		"fig1":      fig1,
-		"fig2":      fig2,
-		"fig3":      func() error { return fig3(*maxParams) },
-		"model":     analyticModel,
-		"multiexp":  multiExp,
-		"crypto":    cryptoExperiment,
-		"baseline":  func() error { return baselines(*rounds) },
-		"converge":  func() error { return converge(*rounds) },
-		"verify":    verifyMatrix,
-		"faults":    faults,
-		"churn":     func() error { return churnExperiment(*churn, 4) },
-		"dirload":   dirLoad,
-		"hash":      hashCost,
-		"placement": placement,
-		"straggler": straggler,
-		"gossip":    func() error { return gossipVsFL(*rounds) },
-		"quant":     quantAblation,
-		"profile":   func() error { return profileExperiment(*maxParams) },
-		"store":     storeExperiment,
-	}
 	// Each run exports exactly one snapshot, so start from a fresh registry.
 	benchReg = obs.NewRegistry()
-	timed := func(key string, fn func() error) error {
-		start := time.Now()
-		if err := fn(); err != nil {
-			return err
-		}
-		recordGauge("bench_experiment_seconds", time.Since(start).Seconds(), "experiment", key)
-		return nil
-	}
 	name := fs.Arg(0)
-	if name == "all" {
-		for _, key := range []string{"fig1", "fig2", "fig3", "model", "multiexp", "crypto", "baseline", "converge", "verify", "faults", "churn", "dirload", "hash", "placement", "straggler", "gossip", "quant", "store", "profile"} {
-			if err := timed(key, experiments[key]); err != nil {
-				return fmt.Errorf("%s: %w", key, err)
-			}
+	ran := false
+	for _, e := range experiments {
+		if name != "all" && name != e.name {
+			continue
+		}
+		start := time.Now()
+		if err := e.fn(); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		recordGauge("bench_experiment_seconds", time.Since(start).Seconds(), "experiment", e.name)
+		if name == "all" {
 			fmt.Println()
 		}
-		return writeMetrics(*metricsOut)
+		ran = true
 	}
-	exp, ok := experiments[name]
-	if !ok {
+	if !ran {
 		fs.Usage()
 		return fmt.Errorf("unknown experiment %q", name)
-	}
-	if err := timed(name, exp); err != nil {
-		return err
 	}
 	return writeMetrics(*metricsOut)
 }

@@ -36,9 +36,6 @@ func TestFastExperimentsRun(t *testing.T) {
 }
 
 func TestBaselineAndConvergeWithFewRounds(t *testing.T) {
-	if err := run([]string{"-rounds", "2", "baseline"}); err != nil {
-		t.Fatal(err)
-	}
 	if err := run([]string{"-rounds", "1", "converge"}); err != nil {
 		t.Fatal(err)
 	}

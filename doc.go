@@ -18,14 +18,17 @@
 //   - internal/model      — parameter partitioning and block encoding
 //   - internal/ml         — datasets, classifiers, SGD, FedAvg reference
 //   - internal/transport  — TCP (net/rpc) deployment
-//   - internal/baseline   — blockchain-FL and direct-communication baselines
-//   - internal/chain      — hash-chained ledger for the BCFL baseline
+//   - internal/dag        — chunked Merkle-DAG content addressing
+//   - internal/cid        — SHA-256 content identifiers
+//   - internal/identity   — Ed25519 participant identities, signed records
+//   - internal/scenario   — the composable fault-scenario grammar
+//   - internal/obs        — metrics, spans, health and introspection
 //
 // This package itself is the public API: a curated facade (ipls.go) over
-// the implementation — TaskSpec/Config/Session/Task for the protocol,
-// StorageNetwork/DirectoryService for backends,
-// Server/Dial for TCP deployment, Simulate for the evaluation harness, and
-// the ML, identity, gossip-baseline and storage-market entry points.
+// the implementation, holding what the examples use — TaskSpec/Config/
+// Session/Task for the protocol, StorageNetwork/DirectoryService for the
+// in-process backends, ParseScenario/NewScenarioRunner for fault plans,
+// Simulate for the evaluation harness, and the ML entry points.
 //
 // Executables: cmd/iplsbench regenerates every figure of the paper's
 // evaluation, cmd/iplssim drives end-to-end FL jobs, and cmd/iplsd runs the

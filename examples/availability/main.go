@@ -2,7 +2,6 @@
 // an unreliable storage network, working together —
 //
 //   - rendezvous-hash replica placement (uniform, collusion-resistant),
-//   - Filecoin-style storage deals with retrieval audits and slashing,
 //   - content routing around failed nodes,
 //   - Merkle-DAG chunking for large objects,
 //   - anti-entropy repair after a permanent departure (Depart + RepairScan).
@@ -46,49 +45,12 @@ func run() error {
 	fmt.Printf("stored a %d-byte checkpoint as a Merkle DAG, root %s (%d blocks)\n",
 		root.Size, root.CID.Short(), len(nodes))
 
-	// Storage deals: the task launcher pays nodes to keep gradient blocks
-	// alive; nodes post collateral and are audited every epoch.
-	market, err := ipls.NewStorageMarket(net, ipls.DealsConfig{
-		PricePerEpoch:    5,
-		Collateral:       200,
-		DurationEpochs:   4,
-		AuditProbability: 1,
-	}, 7)
-	if err != nil {
-		return err
-	}
-	market.Fund(ipls.MarketClient, 10_000)
-	for _, n := range nodes {
-		market.Fund(n, 1_000)
-	}
-
+	// A gradient block, replicated on two nodes chosen by rendezvous hash.
 	gradient := []byte("a gradient partition that must stay available")
 	c, err := net.Put(context.Background(), "ipfs-1", gradient)
 	if err != nil {
 		return err
 	}
-	honest, err := market.Propose("ipfs-1", c)
-	if err != nil {
-		return err
-	}
-	flaky, err := market.Propose("ipfs-2", c) // ipfs-2 never stored it!
-	if err != nil {
-		return err
-	}
-	fmt.Printf("opened deals %d (honest holder) and %d (node without the block)\n", honest.ID, flaky.ID)
-
-	for epoch := 1; epoch <= 4; epoch++ {
-		for _, res := range market.AdvanceEpoch(context.Background()) {
-			verdict := "passed"
-			if !res.Passed {
-				verdict = fmt.Sprintf("FAILED, slashed %d", res.Slashed)
-			}
-			fmt.Printf("epoch %d: audit deal %d on %s: %s\n", epoch, res.DealID, res.Node, verdict)
-		}
-	}
-	b1, _ := market.Balance("ipfs-1")
-	b2, _ := market.Balance("ipfs-2")
-	fmt.Printf("balances after 4 epochs: honest ipfs-1 %d (earned), flaky ipfs-2 %d (slashed)\n", b1, b2)
 
 	// Node failures: replication + content routing keep data reachable.
 	if err := net.Fail("ipfs-0"); err != nil {
@@ -107,7 +69,7 @@ func run() error {
 		fmt.Println("the gradient block is likewise still retrievable via content routing")
 	} else {
 		fmt.Println("the gradient block's replica set was wiped out — with replication factor 2,")
-		fmt.Println("losing both holders loses the block (raise the factor or add storage deals)")
+		fmt.Println("losing both holders loses the block (raise the factor to survive more failures)")
 	}
 
 	// Permanent membership change: the crashed nodes come back, but ipfs-5

@@ -73,24 +73,3 @@ func FuzzMultiExpParallel(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeCompressed does the same for the 33-byte form.
-func FuzzDecodeCompressed(f *testing.F) {
-	c := Secp256r1()
-	f.Add(c.EncodeCompressed(c.Generator()))
-	f.Add(c.EncodeCompressed(Infinity()))
-	g2 := c.ScalarMult(c.Generator(), big.NewInt(2))
-	f.Add(c.EncodeCompressed(g2))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := c.DecodeCompressed(data)
-		if err != nil {
-			return
-		}
-		if !c.IsOnCurve(p) {
-			t.Fatal("compressed decoder accepted an off-curve point")
-		}
-		if string(c.EncodeCompressed(p)) != string(data) {
-			t.Fatal("compressed encoding not canonical")
-		}
-	})
-}

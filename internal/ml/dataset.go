@@ -152,14 +152,3 @@ func (d *Dataset) SplitLabelSkew(parts, shardsPer int, seed int64) ([]*Dataset, 
 	}
 	return out, nil
 }
-
-// LabelDistribution returns the per-class example counts.
-func (d *Dataset) LabelDistribution() []int {
-	counts := make([]int, d.Classes)
-	for _, y := range d.Y {
-		if y >= 0 && y < d.Classes {
-			counts[y]++
-		}
-	}
-	return counts
-}

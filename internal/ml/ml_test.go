@@ -216,15 +216,12 @@ func TestSplitLabelSkewIsSkewed(t *testing.T) {
 	}
 	// With one shard each, a participant should be dominated by few labels.
 	for i, p := range parts {
-		dist := p.LabelDistribution()
-		nonzero := 0
-		for _, c := range dist {
-			if c > 0 {
-				nonzero++
-			}
+		seen := make(map[int]bool)
+		for _, y := range p.Y {
+			seen[y] = true
 		}
-		if nonzero > 2 {
-			t.Fatalf("participant %d sees %d classes; label skew too weak: %v", i, nonzero, dist)
+		if len(seen) > 2 {
+			t.Fatalf("participant %d sees %d classes; label skew too weak: %v", i, len(seen), seen)
 		}
 	}
 	if _, err := d.SplitLabelSkew(0, 1, 1); err == nil {
@@ -342,14 +339,6 @@ func TestDatasetHelpers(t *testing.T) {
 	}
 	if (&Dataset{}).Features() != 0 {
 		t.Fatal("empty Features() should be 0")
-	}
-	dist := d.LabelDistribution()
-	sum := 0
-	for _, c := range dist {
-		sum += c
-	}
-	if sum != 60 {
-		t.Fatalf("label distribution loses examples: %v", dist)
 	}
 	sub := d.Subset([]int{0, 5, 10})
 	if sub.Len() != 3 || sub.Classes != 3 {

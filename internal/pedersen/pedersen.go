@@ -36,9 +36,8 @@ type Params struct {
 	label string
 	field *scalar.Field
 
-	mu       sync.Mutex
-	gens     []group.Point
-	blinding group.Point // lazily derived hiding generator
+	mu   sync.Mutex
+	gens []group.Point
 
 	// fixed holds fixed-base window tables for the generator prefix
 	// gens[:len(fixed)] (built in Setup/Extend — generators never change

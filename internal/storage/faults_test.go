@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"ipls/internal/cid"
 )
 
 func TestSlowNodeHonorsContextDeadline(t *testing.T) {
@@ -70,5 +72,50 @@ func TestFaultControlsRejectUnknownNode(t *testing.T) {
 	}
 	if err := n.Flaky("ghost", 0.5); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("Flaky(ghost) = %v, want ErrUnknownNode", err)
+	}
+}
+
+// TestFetchSuffersHolderFaults: a read by content is served by a holder
+// admitted like a direct read, so a flaky holder fails it and a slow one
+// holds it to the caller's deadline; a healthy replica still serves it.
+func TestFetchSuffersHolderFaults(t *testing.T) {
+	n, _ := newTestNetwork(t, 3, 1)
+	data := []byte("held by one flaky node")
+	c, err := n.Put(context.Background(), "node-00", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Flaky("node-00", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Fetch(context.Background(), c); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Fetch with the only holder flaking: err = %v, want ErrNotFound", err)
+	}
+	// A merge elsewhere cannot pull the block from the flaking holder either.
+	if _, err := n.MergeGet(context.Background(), "node-01", []cid.CID{c}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("MergeGet of a block only a flaking node holds: err = %v, want ErrNotFound", err)
+	}
+
+	if _, err := n.Put(context.Background(), "node-02", data); err != nil {
+		t.Fatal(err)
+	}
+	got, err := n.Fetch(context.Background(), c)
+	if err != nil || string(got) != string(data) {
+		t.Fatalf("Fetch with a healthy replica on node-02 = %q, %v", got, err)
+	}
+
+	if err := n.Flaky("node-00", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Slow("node-00", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Delete("node-02", c); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := n.Fetch(ctx, c); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Fetch from a slow only holder: err = %v, want deadline exceeded", err)
 	}
 }

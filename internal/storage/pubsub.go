@@ -17,14 +17,12 @@ type Announcement struct {
 
 // PubSub is a topic-based announcement log attached to the storage
 // network, mirroring IPFS pub/sub. Messages are retained with sequence
-// numbers so subscribers can both stream (in-process) and poll (over RPC)
+// numbers so subscribers poll with a cursor (in-process and over RPC)
 // without a server-push channel.
 type PubSub struct {
-	mu     sync.Mutex
-	nexts  map[string]int
-	logs   map[string][]Announcement
-	subs   map[string][]chan Announcement
-	closed bool
+	mu    sync.Mutex
+	nexts map[string]int
+	logs  map[string][]Announcement
 }
 
 // NewPubSub creates an empty pub/sub bus.
@@ -32,7 +30,6 @@ func NewPubSub() *PubSub {
 	return &PubSub{
 		nexts: make(map[string]int),
 		logs:  make(map[string][]Announcement),
-		subs:  make(map[string][]chan Announcement),
 	}
 }
 
@@ -42,8 +39,8 @@ func Topic(taskID string, iter, partition int) string {
 	return fmt.Sprintf("%s/iter-%d/part-%d", taskID, iter, partition)
 }
 
-// Publish appends an announcement to the topic log and delivers it to live
-// subscribers. It returns the message's sequence number.
+// Publish appends an announcement to the topic log. It returns the
+// message's sequence number.
 func (ps *PubSub) Publish(topic, from string, data []byte) int {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -55,12 +52,6 @@ func (ps *PubSub) Publish(topic, from string, data []byte) int {
 	}
 	ps.nexts[topic]++
 	ps.logs[topic] = append(ps.logs[topic], a)
-	for _, ch := range ps.subs[topic] {
-		select {
-		case ch <- a:
-		default: // slow subscriber: it will catch up via Fetch
-		}
-	}
 	return a.Seq
 }
 
@@ -79,55 +70,10 @@ func (ps *PubSub) Fetch(topic string, since int) ([]Announcement, int) {
 	return out, next
 }
 
-// Subscription is a live in-process subscription.
-type Subscription struct {
-	C      <-chan Announcement
-	ps     *PubSub
-	topic  string
-	ch     chan Announcement
-	closed bool
-}
-
-// Subscribe starts streaming announcements published after this call. The
-// channel is buffered; a subscriber that falls behind should resynchronize
-// with Fetch.
-func (ps *PubSub) Subscribe(topic string) *Subscription {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	ch := make(chan Announcement, 64)
-	ps.subs[topic] = append(ps.subs[topic], ch)
-	return &Subscription{C: ch, ps: ps, topic: topic, ch: ch}
-}
-
-// Cancel stops the subscription and releases its channel.
-func (s *Subscription) Cancel() {
-	s.ps.mu.Lock()
-	defer s.ps.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
-	subs := s.ps.subs[s.topic]
-	for i, ch := range subs {
-		if ch == s.ch {
-			s.ps.subs[s.topic] = append(subs[:i], subs[i+1:]...)
-			break
-		}
-	}
-	close(s.ch)
-}
-
 // Forget drops a topic's retained log (used by per-iteration cleanup).
 func (ps *PubSub) Forget(topic string) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	delete(ps.logs, topic)
 	// The cursor survives so late Fetch calls don't replay stale data.
-}
-
-// Topics returns the number of topics with retained messages.
-func (ps *PubSub) Topics() int {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return len(ps.logs)
 }

@@ -36,42 +36,6 @@ func TestPubSubPublishFetch(t *testing.T) {
 	}
 }
 
-func TestPubSubSubscribe(t *testing.T) {
-	ps := NewPubSub()
-	sub := ps.Subscribe("t")
-	defer sub.Cancel()
-	ps.Publish("t", "a", []byte("live"))
-	select {
-	case msg := <-sub.C:
-		if msg.From != "a" || string(msg.Data) != "live" {
-			t.Fatalf("wrong message: %+v", msg)
-		}
-	default:
-		t.Fatal("subscription did not receive the message")
-	}
-	// Cancelled subscriptions stop receiving; double cancel is safe.
-	sub.Cancel()
-	sub.Cancel()
-	ps.Publish("t", "b", []byte("after"))
-	if _, open := <-sub.C; open {
-		t.Fatal("channel should be closed after cancel")
-	}
-}
-
-func TestPubSubSlowSubscriberDoesNotBlock(t *testing.T) {
-	ps := NewPubSub()
-	sub := ps.Subscribe("t")
-	defer sub.Cancel()
-	// Overflow the buffer: Publish must not block; Fetch still has all.
-	for i := 0; i < 200; i++ {
-		ps.Publish("t", "a", []byte{byte(i)})
-	}
-	msgs, _ := ps.Fetch("t", 0)
-	if len(msgs) != 200 {
-		t.Fatalf("retained log lost messages: %d", len(msgs))
-	}
-}
-
 func TestPubSubForget(t *testing.T) {
 	ps := NewPubSub()
 	ps.Publish("t", "a", []byte("x"))
@@ -89,8 +53,8 @@ func TestPubSubForget(t *testing.T) {
 	if seq != 2 {
 		t.Fatalf("sequence restarted after Forget: %d", seq)
 	}
-	if ps.Topics() != 1 {
-		t.Fatalf("Topics() = %d", ps.Topics())
+	if msgs, _ := ps.Fetch("t", 0); len(msgs) != 1 || msgs[0].Seq != 2 {
+		t.Fatalf("log after Forget = %+v", msgs)
 	}
 }
 
@@ -132,9 +96,6 @@ func TestPubSubManyTopics(t *testing.T) {
 	ps := NewPubSub()
 	for i := 0; i < 50; i++ {
 		ps.Publish(fmt.Sprintf("topic-%d", i), "a", []byte{1})
-	}
-	if ps.Topics() != 50 {
-		t.Fatalf("Topics() = %d", ps.Topics())
 	}
 	for i := 0; i < 50; i++ {
 		msgs, _ := ps.Fetch(fmt.Sprintf("topic-%d", i), 0)

@@ -712,44 +712,13 @@ func (n *Network) snapshot(buf []*Node, serving bool) []*Node {
 // Put stores data on the addressed node and on replicas-1 successor nodes
 // in ring order, returning the block's CID. Successors that are down are
 // skipped; the primary must be up.
-func (n *Network) Put(ctx context.Context, nodeID string, data []byte) (cid.CID, error) {
-	return n.PutSpan(ctx, nodeID, data, obs.SpanContext{})
-}
-
-// PutSpan is Put carrying the caller's span context across the storage
-// boundary: with a sink installed and a valid parent, the upload is
-// recorded as a node-side "put" span, like MergeGetSpan's "merge".
-func (n *Network) PutSpan(ctx context.Context, nodeID string, data []byte, parent obs.SpanContext) (cid.CID, error) {
-	sink := n.spanSink()
-	if sink == nil || !parent.Valid() {
-		return n.put(ctx, nodeID, data)
-	}
-	start := time.Now()
-	c, err := n.put(ctx, nodeID, data)
-	sp := obs.Span{
-		Name:    "put",
-		Actor:   nodeID,
-		Context: parent.Child(),
-		Start:   start,
-		End:     time.Now(),
-		Bytes:   int64(len(data)),
-		Attrs:   map[string]string{},
-	}
-	if err != nil {
-		sp.Attrs["error"] = err.Error()
-	} else {
-		sp.Attrs["cid"] = c.Short()
-	}
-	sink.EmitSpan(sp)
-	return c, err
-}
-
-// put hashes the block once, before any lock, and takes mu twice: to admit
+//
+// Put hashes the block once, before any lock, and takes mu twice: to admit
 // the primary and place the replicas, and to announce the copies once they
 // are written. A put is ordered at that second point. It announces only the
 // nodes still serving then, and fails with the primary's sentinel if the
 // primary stopped serving while its copy was being written.
-func (n *Network) put(ctx context.Context, nodeID string, data []byte) (cid.CID, error) {
+func (n *Network) Put(ctx context.Context, nodeID string, data []byte) (cid.CID, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
@@ -897,37 +866,6 @@ func rendezvousScore(c cid.CID, nodeID string) uint64 {
 // caller is responsible for verifying the returned bytes against the CID;
 // the disk backend re-hashes on read and reports rot as ErrIntegrity.
 func (n *Network) Get(ctx context.Context, nodeID string, c cid.CID) ([]byte, error) {
-	return n.GetSpan(ctx, nodeID, c, obs.SpanContext{})
-}
-
-// GetSpan is Get carrying the caller's span context across the storage
-// boundary: with a sink installed and a valid parent, the download is
-// recorded as a node-side "get" span.
-func (n *Network) GetSpan(ctx context.Context, nodeID string, c cid.CID, parent obs.SpanContext) ([]byte, error) {
-	sink := n.spanSink()
-	if sink == nil || !parent.Valid() {
-		return n.get(ctx, nodeID, c)
-	}
-	start := time.Now()
-	data, err := n.get(ctx, nodeID, c)
-	sp := obs.Span{
-		Name:    "get",
-		Actor:   nodeID,
-		Context: parent.Child(),
-		Start:   start,
-		End:     time.Now(),
-		Attrs:   map[string]string{"cid": c.Short()},
-	}
-	if err != nil {
-		sp.Attrs["error"] = err.Error()
-	} else {
-		sp.Bytes = int64(len(data))
-	}
-	sink.EmitSpan(sp)
-	return data, err
-}
-
-func (n *Network) get(ctx context.Context, nodeID string, c cid.CID) ([]byte, error) {
 	nd, err := n.gate(ctx, nodeID)
 	if err != nil {
 		return nil, err
@@ -949,7 +887,10 @@ func (n *Network) Fetch(ctx context.Context, c cid.CID) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	data, holder := n.fetch(c)
+	data, holder, err := n.fetch(ctx, c)
+	if err != nil {
+		return nil, err
+	}
 	if holder == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, c.Short())
 	}
@@ -959,25 +900,31 @@ func (n *Network) Fetch(ctx context.Context, c cid.CID) ([]byte, error) {
 
 // fetch finds the first live node, in ID order, holding a copy of c that
 // hashes to c, returning the bytes and the node that served them (nil when
-// there is none). A holder whose backend fails the read (integrity or I/O)
-// or whose copy does not verify is skipped — content routing falls through
-// to the next replica. mu is held only to list the live nodes.
-func (n *Network) fetch(c cid.CID) ([]byte, *Node) {
+// there is none). Each holder is admitted as gate admits a direct read, so
+// its injected slowness and flakiness apply. A holder that flakes, whose
+// backend fails the read (integrity or I/O) or whose copy does not verify
+// is skipped — content routing falls through to the next replica. Once ctx
+// is done, fetch reports ctx's error. mu is held only to list the live
+// nodes and to admit each holder.
+func (n *Network) fetch(ctx context.Context, c cid.CID) ([]byte, *Node, error) {
 	var buf [16]*Node
 	for _, nd := range n.snapshot(buf[:0], true) {
-		if ok, _ := nd.store.Has(context.Background(), c); !ok {
+		if ok, _ := nd.store.Has(ctx, c); !ok {
 			continue
 		}
-		data, err := nd.store.Get(context.Background(), c)
+		if _, err := n.gate(ctx, nd.id); err != nil {
+			continue
+		}
+		data, err := nd.store.Get(ctx, c)
 		if err != nil {
 			nd.noteStoreErr(err)
 			continue
 		}
 		if cid.Verify(data, c) {
-			return data, nd
+			return data, nd, nil
 		}
 	}
-	return nil, nil
+	return nil, nil, ctx.Err()
 }
 
 // SetSpans installs the sink that receives storage-side spans: merge
@@ -1052,9 +999,8 @@ func (n *Network) mergeGet(ctx context.Context, nodeID string, cs []cid.CID) ([]
 		data, gerr := nd.store.Get(ctx, c)
 		if gerr != nil {
 			nd.noteStoreErr(gerr)
-			var ok bool
-			if data, ok = n.fetchForMerge(ctx, nd, c); !ok {
-				return nil, fmt.Errorf("%w: %s for merge on %q", ErrNotFound, c.Short(), nodeID)
+			if data, err = n.fetchForMerge(ctx, nd, c); err != nil {
+				return nil, err
 			}
 		}
 		datas = append(datas, data)
@@ -1080,19 +1026,22 @@ func (n *Network) mergeGet(ctx context.Context, nodeID string, cs []cid.CID) ([]
 }
 
 // fetchForMerge serves a merge input nd does not hold: a verified copy from
-// a peer (false when no live peer has one), which nd then keeps and
-// announces, as an IPFS node caches what it fetched.
-func (n *Network) fetchForMerge(ctx context.Context, nd *Node, c cid.CID) ([]byte, bool) {
-	data, holder := n.fetch(c)
+// a peer (ErrNotFound when no live peer serves one), which nd then keeps
+// and announces, as an IPFS node caches what it fetched.
+func (n *Network) fetchForMerge(ctx context.Context, nd *Node, c cid.CID) ([]byte, error) {
+	data, holder, err := n.fetch(ctx, c)
+	if err != nil {
+		return nil, err
+	}
 	if holder == nil {
-		return nil, false
+		return nil, fmt.Errorf("%w: %s for merge on %q", ErrNotFound, c.Short(), nd.id)
 	}
 	n.mu.Lock()
 	n.remoteFetchCtr.Inc()
 	n.mu.Unlock()
 	ws := [1]write{{nd: nd}}
 	n.storeKnown(ctx, c, data, ws[:])
-	return data, true
+	return data, nil
 }
 
 // PutDAG chunks a large object into a Merkle DAG and stores every block on
