@@ -33,9 +33,11 @@ race:
 # against math/big mod p on both curve primes, the scenario-plan parser
 # (never panics; String∘Parse is a fixpoint), the slab-backed vector
 # kernels against their one-element-at-a-time reference, the limb merge
-# kernel against decode → SumVecs → Encode, and directory snapshot loading
-# (never panics; Snapshot∘Restore is a fixpoint). CI runs these as smoke
-# tests; let them run longer locally with FUZZTIME.
+# kernel against decode → SumVecs → Encode, directory snapshot loading
+# (never panics; Snapshot∘Restore is a fixpoint), and the three parsers of
+# bytes that arrive from untrusted storage nodes: block decoding, DAG
+# assembly from hostile blocks, and curve-point decoding. CI runs these as
+# smoke tests; let them run longer locally with FUZZTIME.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzMultiExpParallel -fuzztime $(FUZZTIME) ./internal/group
@@ -44,6 +46,9 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzVectorKernels -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -fuzz=FuzzMerge -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -fuzz=FuzzRestore -fuzztime $(FUZZTIME) ./internal/directory
+	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime $(FUZZTIME) ./internal/model
+	$(GO) test -fuzz=FuzzAssembleHostile -fuzztime $(FUZZTIME) ./internal/dag
+	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/group
 
 # Fault-injection suite under the race detector. The core recovery tests
 # and the netsim and storage suites are raced by `make race` (on both

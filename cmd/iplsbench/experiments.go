@@ -73,7 +73,7 @@ func converge(rounds int) error {
 			if err != nil {
 				return err
 			}
-			metrics, _, err := task.RunRound(context.Background(), nil)
+			metrics, _, err := task.RunRound(context.Background(), core.RoundOptions{})
 			if err != nil {
 				return err
 			}
@@ -153,7 +153,7 @@ func runQuantTrial(shift uint) (worst, acc float64, err error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		if _, _, err := task.RunRound(context.Background(), nil); err != nil {
+		if _, _, err := task.RunRound(context.Background(), core.RoundOptions{}); err != nil {
 			return 0, 0, err
 		}
 		for i, g := range task.Global() {

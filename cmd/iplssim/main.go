@@ -252,7 +252,7 @@ func run(args []string) error {
 				fmt.Printf("scenario round %d: %s\n", r, ev)
 			}
 		} else {
-			metrics, _, err = task.RunRound(context.Background(), behaviors)
+			metrics, _, err = task.RunRound(context.Background(), core.RoundOptions{Behaviors: behaviors})
 		}
 		if err != nil {
 			return fmt.Errorf("round %d: %w", r, err)

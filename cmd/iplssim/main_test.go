@@ -191,11 +191,17 @@ func TestRunExportsSpans(t *testing.T) {
 		if tree.Orphans != 0 {
 			t.Fatalf("iter %d: %d orphaned spans", iter, tree.Orphans)
 		}
-		agg := tree.Find("aggregate")
+		first := map[string]*obs.SpanNode{} // first node of each name, pre-order
+		tree.Walk(func(n *obs.SpanNode, _ int) {
+			if first[n.Span.Name] == nil {
+				first[n.Span.Name] = n
+			}
+		})
+		agg := first["aggregate"]
 		if agg == nil || len(agg.Span.Links) == 0 {
 			t.Fatalf("iter %d aggregate has no causal links to uploads", iter)
 		}
-		md := tree.Find("merge_download")
+		md := first["merge_download"]
 		if md == nil || len(md.Children) == 0 || md.Children[0].Span.Name != "merge" {
 			t.Fatalf("iter %d merge span not under merge_download", iter)
 		}

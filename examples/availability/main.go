@@ -10,19 +10,31 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"ipls"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// checkpointChunk is the chunk size the demo stores its checkpoint at.
+const checkpointChunk = 64 * 1024
+
+// checkpointPayload is the demo's "large model checkpoint".
+func checkpointPayload() []byte {
+	checkpoint := make([]byte, 300_000)
+	rand.New(rand.NewSource(1)).Read(checkpoint)
+	return checkpoint
+}
+
+func run(w io.Writer) error {
 	net, err := ipls.NewStorageNetworkOpts(ipls.StorageNetworkOptions{CurveName: "secp256k1", Replicas: 2})
 	if err != nil {
 		return err
@@ -35,15 +47,13 @@ func run() error {
 	}
 
 	// A "large model checkpoint" stored as a chunked Merkle DAG.
-	rng := rand.New(rand.NewSource(1))
-	checkpoint := make([]byte, 300_000)
-	rng.Read(checkpoint)
-	root, err := net.PutDAG(context.Background(), "ipfs-0", checkpoint, 64*1024)
+	checkpoint := checkpointPayload()
+	root, err := net.PutDAG(context.Background(), "ipfs-0", checkpoint, checkpointChunk)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("stored a %d-byte checkpoint as a Merkle DAG, root %s (%d blocks)\n",
-		root.Size, root.CID.Short(), len(nodes))
+	fmt.Fprintf(w, "stored a %d-byte checkpoint as a Merkle DAG, root %s (%d blocks)\n",
+		root.Size, root.CID.Short(), ipls.DAGBlocks(root.Size, checkpointChunk))
 
 	// A gradient block, replicated on two nodes chosen by rendezvous hash.
 	gradient := []byte("a gradient partition that must stay available")
@@ -63,13 +73,13 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("checkpoint unrecoverable: %w", err)
 	}
-	fmt.Printf("after failing 2 of 6 nodes the %d-byte checkpoint still reassembles bit-exactly: %v\n",
+	fmt.Fprintf(w, "after failing 2 of 6 nodes the %d-byte checkpoint still reassembles bit-exactly: %v\n",
 		len(restored), string(restored[:8]) == string(checkpoint[:8]) && len(restored) == len(checkpoint))
 	if got, err := net.Fetch(context.Background(), c); err == nil && string(got) == string(gradient) {
-		fmt.Println("the gradient block is likewise still retrievable via content routing")
+		fmt.Fprintln(w, "the gradient block is likewise still retrievable via content routing")
 	} else {
-		fmt.Println("the gradient block's replica set was wiped out — with replication factor 2,")
-		fmt.Println("losing both holders loses the block (raise the factor to survive more failures)")
+		fmt.Fprintln(w, "the gradient block's replica set was wiped out — with replication factor 2,")
+		fmt.Fprintln(w, "losing both holders loses the block (raise the factor to survive more failures)")
 	}
 
 	// Permanent membership change: the crashed nodes come back, but ipfs-5
@@ -86,12 +96,12 @@ func run() error {
 		return err
 	}
 	eroded := len(net.UnderReplicated())
-	fmt.Printf("ipfs-5 departed permanently, leaving %d blocks below replication factor\n", eroded)
+	fmt.Fprintf(w, "ipfs-5 departed permanently, leaving %d blocks below replication factor\n", eroded)
 	rep, err := net.RepairScan(context.Background())
 	if err != nil {
 		return err
 	}
-	fmt.Printf("repair scan: %d blocks scanned, %d under-replicated, %d replica copies created, %d lost\n",
+	fmt.Fprintf(w, "repair scan: %d blocks scanned, %d under-replicated, %d replica copies created, %d lost\n",
 		rep.Scanned, rep.UnderReplicated, rep.Repaired, rep.Lost)
 	if rep.Remaining != 0 {
 		return fmt.Errorf("repair left %d blocks under-replicated", rep.Remaining)
@@ -103,7 +113,7 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("checkpoint unreadable after repair: %w", err)
 	}
-	fmt.Printf("replication factor restored on the 5 remaining nodes; the checkpoint still reassembles bit-exactly: %v\n",
+	fmt.Fprintf(w, "replication factor restored on the 5 remaining nodes; the checkpoint still reassembles bit-exactly: %v\n",
 		len(restored) == len(checkpoint))
 	return nil
 }

@@ -84,7 +84,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		metrics, _, err := task.RunRound(context.Background(), nil)
+		metrics, _, err := task.RunRound(context.Background(), ipls.RoundOptions{})
 		if err != nil {
 			return err
 		}

@@ -19,7 +19,7 @@ func TestBatchVerifyAcceptsHonestMerges(t *testing.T) {
 	reg := obs.NewRegistry()
 	sess.SetMetrics(reg)
 	net.SetMetrics(reg)
-	deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, 61)
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 61)
 	res, err := sess.RunIteration(context.Background(), 0, deltas, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -57,12 +57,12 @@ func TestBatchVerifyFallbackOnCheat(t *testing.T) {
 	})
 	reg := obs.NewRegistry()
 	sess.SetMetrics(reg)
-	for _, node := range sess.Config().StorageNodes {
+	for _, node := range sess.cfg.StorageNodes {
 		if err := net.CheatMerges(node); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, 62)
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 62)
 	res, err := sess.RunIteration(context.Background(), 0, deltas, nil)
 	if err != nil {
 		t.Fatal(err)

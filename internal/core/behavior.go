@@ -49,12 +49,6 @@ func (b Behavior) String() string {
 	}
 }
 
-// Malicious reports whether the behavior actively corrupts data (dropout is
-// a crash fault, not a data fault).
-func (b Behavior) Malicious() bool {
-	return b == BehaviorDropGradient || b == BehaviorAlterGradient || b == BehaviorForgeUpdate
-}
-
 // applyBehavior corrupts (or not) the collected gradient blocks and returns
 // the aggregate the aggregator will claim as its partial update.
 func applyBehavior(f *scalar.Field, blocks []model.Block, b Behavior) (model.Block, error) {

@@ -92,8 +92,7 @@ func TestPerActorSessionsMatchSharedSession(t *testing.T) {
 	shared, _, sharedDir := testStack(t, spec)
 	sharedAvg := make([][]float64, iters)
 	for iter := 0; iter < iters; iter++ {
-		res, err := shared.RunIterationOpts(context.Background(), iter, deltas[iter], nil,
-			IterationOptions{Corrupt: corrupt(iter)})
+		res, err := shared.runIteration(context.Background(), iter, deltas[iter], RoundOptions{Corrupt: corrupt(iter)})
 		if err != nil {
 			t.Fatalf("shared iteration %d: %v", iter, err)
 		}
@@ -104,7 +103,7 @@ func TestPerActorSessionsMatchSharedSession(t *testing.T) {
 	}
 
 	boot, net, dir := testStack(t, spec)
-	cfg := boot.Config()
+	cfg := boot.cfg
 	actor := func() *Session {
 		sess, err := NewSession(cfg, net, dir)
 		if err != nil {

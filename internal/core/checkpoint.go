@@ -29,16 +29,3 @@ func LoadCheckpoint(ctx context.Context, net *storage.Network, nodeID string, re
 func (t *Task) Checkpoint(ctx context.Context, net *storage.Network, nodeID string) (dag.Ref, error) {
 	return SaveCheckpoint(ctx, net, nodeID, t.global)
 }
-
-// Restore replaces the task's global model with a stored checkpoint.
-func (t *Task) Restore(ctx context.Context, net *storage.Network, nodeID string, ref dag.Ref) error {
-	params, err := LoadCheckpoint(ctx, net, nodeID, ref)
-	if err != nil {
-		return err
-	}
-	if len(params) != t.model.Dim() {
-		return fmt.Errorf("core: checkpoint has %d params, model wants %d", len(params), t.model.Dim())
-	}
-	copy(t.global, params)
-	return nil
-}

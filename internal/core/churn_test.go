@@ -13,7 +13,7 @@ func TestIterationWithAbsentTrainer(t *testing.T) {
 		ts.TTrain = 300 * time.Millisecond
 		ts.TSync = 3 * time.Second
 	})
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 1)
+	deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 1)
 	absent := "t3"
 	delete(deltas, absent)
 	wantAvg := make([]float64, 24)
@@ -22,7 +22,7 @@ func TestIterationWithAbsentTrainer(t *testing.T) {
 			wantAvg[i] += d[i] / float64(len(deltas))
 		}
 	}
-	res, err := sess.RunIterationOpts(context.Background(), 0, deltas, nil, IterationOptions{AllowAbsent: true})
+	res, err := sess.runIteration(context.Background(), 0, deltas, RoundOptions{Absent: map[string]bool{absent: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,9 +32,9 @@ func TestIterationWithAbsentTrainer(t *testing.T) {
 	if d := maxAbsDiff(res.AvgDelta, wantAvg); d > 1e-3 {
 		t.Fatalf("average over present trainers off by %v", d)
 	}
-	// Without AllowAbsent the same call is rejected up front.
+	// Without the absentee named the same call is rejected up front.
 	if _, err := sess.RunIteration(context.Background(), 1, deltas, nil); err == nil {
-		t.Fatal("missing delta must fail without AllowAbsent")
+		t.Fatal("missing delta must fail unless its trainer is absent")
 	}
 }
 
@@ -46,10 +46,11 @@ func TestStandbyTakeoverCompletesPartition(t *testing.T) {
 	})
 	reg := obs.NewRegistry()
 	sess.SetMetrics(reg)
-	deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, 2)
-	res, err := sess.RunIterationOpts(context.Background(), 0, deltas,
-		map[string]Behavior{"agg-p0-0": BehaviorDropout},
-		IterationOptions{Standbys: map[int]string{0: "agg-p1-0"}})
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 2)
+	res, err := sess.runIteration(context.Background(), 0, deltas, RoundOptions{
+		Behaviors: map[string]Behavior{"agg-p0-0": BehaviorDropout},
+		Standbys:  map[int]string{0: "agg-p1-0"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +80,9 @@ func TestStandbyStaysQuietWhenPartitionHealthy(t *testing.T) {
 	})
 	reg := obs.NewRegistry()
 	sess.SetMetrics(reg)
-	deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, 3)
-	res, err := sess.RunIterationOpts(context.Background(), 0, deltas, nil,
-		IterationOptions{Standbys: map[int]string{0: "agg-p1-0", 1: "agg-p0-0"}})
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 3)
+	res, err := sess.runIteration(context.Background(), 0, deltas,
+		RoundOptions{Standbys: map[int]string{0: "agg-p1-0", 1: "agg-p0-0"}})
 	if err != nil {
 		t.Fatal(err)
 	}

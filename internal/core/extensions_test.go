@@ -38,7 +38,7 @@ func TestRunIterationAnnouncesSchedule(t *testing.T) {
 	sess, _, dir := testStack(t, func(ts *TaskSpec) {
 		ts.TTrain = 50 * time.Millisecond
 	})
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 20)
+	deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 20)
 	if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +60,12 @@ func TestCheatingMergeProviderDetected(t *testing.T) {
 		ts.Verifiable = true
 		ts.ProvidersPerAggregator = 1 // all of an aggregator's gradients on one node
 	})
-	for _, node := range sess.Config().StorageNodes {
+	for _, node := range sess.cfg.StorageNodes {
 		if err := net.CheatMerges(node); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, 21)
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 21)
 	res, err := sess.RunIteration(context.Background(), 0, deltas, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -90,12 +90,12 @@ func TestCheatingMergeUndetectedWithoutVerifiability(t *testing.T) {
 	sess, net, _ := testStack(t, func(ts *TaskSpec) {
 		ts.ProvidersPerAggregator = 1
 	})
-	for _, node := range sess.Config().StorageNodes {
+	for _, node := range sess.cfg.StorageNodes {
 		if err := net.CheatMerges(node); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, 22)
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 22)
 	res, err := sess.RunIteration(context.Background(), 0, deltas, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestCheatingMergeUndetectedWithoutVerifiability(t *testing.T) {
 // updates stay retrievable.
 func TestCleanupIteration(t *testing.T) {
 	sess, net, dir := testStack(t, func(ts *TaskSpec) { ts.AggregatorsPerPartition = 2 })
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 23)
+	deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 23)
 	if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestCleanupIteration(t *testing.T) {
 // the divisor come out right automatically).
 func TestScreeningDropsPoisonedGradient(t *testing.T) {
 	sess, _, _ := testStack(t, func(ts *TaskSpec) { ts.ScreenNorm = 100 })
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 24)
+	deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 24)
 	// Poison t3 with a huge delta.
 	poisoned := deltas["t3"]
 	for i := range poisoned {
@@ -182,7 +182,7 @@ func TestScreeningDropsPoisonedGradient(t *testing.T) {
 // TestScreeningAllDroppedFails covers the degenerate case.
 func TestScreeningAllDroppedFails(t *testing.T) {
 	sess, _, _ := testStack(t, func(ts *TaskSpec) { ts.ScreenNorm = 1e-12 })
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 25)
+	deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 25)
 	if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err == nil {
 		t.Fatal("expected error when everything is screened out")
 	}
@@ -207,7 +207,7 @@ func TestScreeningIncompatibleWithVerifiable(t *testing.T) {
 func TestBlockNorm(t *testing.T) {
 	sess, _, _ := testStack(t, func(ts *TaskSpec) { ts.ScreenNorm = 10 })
 	deltas := map[string][]float64{}
-	for _, tr := range sess.Config().Trainers {
+	for _, tr := range sess.cfg.Trainers {
 		deltas[tr] = make([]float64, 24)
 	}
 	deltas["t0"][0] = 3

@@ -13,7 +13,7 @@ import (
 func signedStack(t *testing.T) (*Session, *identity.Keyring) {
 	t.Helper()
 	sess, _, dir := testStack(t, func(ts *TaskSpec) { ts.Verifiable = true })
-	cfg := sess.Config()
+	cfg := sess.cfg
 	ring, reg := identity.DeterministicSetup(cfg.TaskID, cfg.ParticipantIDs())
 	dir.SetRegistry(reg)
 	sess.SetKeyring(ring)
@@ -22,7 +22,7 @@ func signedStack(t *testing.T) (*Session, *identity.Keyring) {
 
 func TestSignedIterationSucceeds(t *testing.T) {
 	sess, _ := signedStack(t)
-	deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, 100)
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 100)
 	res, err := sess.RunIteration(context.Background(), 0, deltas, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestImpersonationRejected(t *testing.T) {
 
 func TestUnregisteredParticipantRejected(t *testing.T) {
 	sess, ring := signedStack(t)
-	intruder := identity.Deterministic(sess.Config().TaskID, "intruder")
+	intruder := identity.Deterministic(sess.cfg.TaskID, "intruder")
 	ring.Add(intruder)
 	err := sess.TrainerUpload(context.Background(), "intruder", 0, make([]float64, 24))
 	if !errors.Is(err, directory.ErrBadSignature) {

@@ -20,7 +20,7 @@ func TestIterationPopulatesMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	sess.SetMetrics(reg)
 	net.SetMetrics(reg)
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 99)
+	deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 99)
 	if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestSetMetricsNilDetaches(t *testing.T) {
 	reg := obs.NewRegistry()
 	sess.SetMetrics(reg)
 	sess.SetMetrics(nil)
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 100)
+	deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 100)
 	if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestVerificationCountersTrackOutcomes(t *testing.T) {
 	})
 	reg := obs.NewRegistry()
 	sess.SetMetrics(reg)
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 101)
+	deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 101)
 	evil := AggregatorID(0, 1)
 	res, err := sess.RunIteration(context.Background(), 0, deltas,
 		map[string]Behavior{evil: BehaviorAlterGradient})

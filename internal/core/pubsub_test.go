@@ -16,7 +16,7 @@ func TestSyncUsesPubSub(t *testing.T) {
 		ts.AggregatorsPerPartition = 2
 		ts.Verifiable = true
 	})
-	deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, 30)
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 30)
 	res, err := sess.RunIteration(context.Background(), 0, deltas, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -105,12 +105,12 @@ func TestForgedAnnouncementHarmless(t *testing.T) {
 		ts.Verifiable = true
 	})
 	// Pre-seed every sync topic with garbage and a forged record.
-	for p := 0; p < sess.Config().Spec.Partitions; p++ {
-		topic := storage.Topic(sess.Config().TaskID, 0, p)
+	for p := 0; p < sess.cfg.Spec.Partitions; p++ {
+		topic := storage.Topic(sess.cfg.TaskID, 0, p)
 		net.Announce(topic, "mallory", []byte("not json"))
 		net.Announce(topic, "mallory", []byte(`{"addr":{"uploader":"agg-p0-1","partition":0,"iter":0,"type":2},"cid":"deadbeef","node":"s0"}`))
 	}
-	deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, 32)
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 32)
 	res, err := sess.RunIteration(context.Background(), 0, deltas, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -126,11 +126,11 @@ func TestForgedAnnouncementHarmless(t *testing.T) {
 // TestCleanupForgetsTopics: per-iteration GC also drops pub/sub logs.
 func TestCleanupForgetsTopics(t *testing.T) {
 	sess, net, _ := testStack(t, func(ts *TaskSpec) { ts.AggregatorsPerPartition = 2 })
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 33)
+	deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 33)
 	if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err != nil {
 		t.Fatal(err)
 	}
-	topic := storage.Topic(sess.Config().TaskID, 0, 0)
+	topic := storage.Topic(sess.cfg.TaskID, 0, 0)
 	if msgs, _ := net.Listen(topic, 0); len(msgs) == 0 {
 		t.Fatal("expected retained announcements before cleanup")
 	}

@@ -36,13 +36,13 @@ func TestEveryReadFallsBackToContentRouting(t *testing.T) {
 				ts.AggregatorsPerPartition = 2
 				ts.Verifiable = verifiable
 			})
-			sess, err := NewSession(base.Config(), getless{netw}, dir)
+			sess, err := NewSession(base.cfg, getless{netw}, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			reg := obs.NewRegistry()
 			sess.SetMetrics(reg)
-			deltas, want := randomDeltas(sess.Config().Trainers, 24, 3)
+			deltas, want := randomDeltas(sess.cfg.Trainers, 24, 3)
 			res, err := sess.RunIteration(context.Background(), 0, deltas, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -96,7 +96,7 @@ func TestReadBlockFailsWhenNoReplicaSurvives(t *testing.T) {
 // comes back intact from a replica, and the failover is counted.
 func TestReadBlockSkipsCorruptHolder(t *testing.T) {
 	base, _, _ := testStack(t, nil)
-	sess, netw, _, err := NewLocalStack(base.Config(), 2)
+	sess, netw, _, err := NewLocalStack(base.cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func chaosStack(t *testing.T, taskID string) (*Session, *storage.Network) {
 // before the aggregators merge them.
 func crashMidRound(t *testing.T, sess *Session, netw *storage.Network, crashNode string, iter int, deltas map[string][]float64) []float64 {
 	t.Helper()
-	cfg := sess.Config()
+	cfg := sess.cfg
 	ctx := context.Background()
 	for _, tr := range cfg.Trainers {
 		if err := sess.TrainerUpload(ctx, tr, iter, deltas[tr]); err != nil {
@@ -181,7 +181,7 @@ func crashMidRound(t *testing.T, sess *Session, netw *storage.Network, crashNode
 // in the failover metrics.
 func TestChaosCrashMidRoundConverges(t *testing.T) {
 	sess, netw := chaosStack(t, "chaos")
-	cfg := sess.Config()
+	cfg := sess.cfg
 	reg := obs.NewRegistry()
 	sess.SetMetrics(reg)
 
@@ -246,7 +246,7 @@ func TestChaosCrashMidRoundConverges(t *testing.T) {
 // would surface here as a zero End or a phase/latency mismatch.
 func TestChaosCrashedRoundBreakdownStaysValid(t *testing.T) {
 	sess, netw := chaosStack(t, "chaos-spans")
-	cfg := sess.Config()
+	cfg := sess.cfg
 	col := obs.NewSpanCollector(0)
 	sess.SetSpans(col)
 	netw.SetSpans(col)
@@ -391,7 +391,7 @@ func TestChaosTrainerRejoinRestoresFromCheckpoint(t *testing.T) {
 	// churn below.
 	ref, _, data := newRejoinTask(t, nil)
 	for round := 0; round < rounds; round++ {
-		metrics, res, err := ref.RunRound(ctx, nil)
+		metrics, res, err := ref.RunRound(ctx, RoundOptions{})
 		if err != nil {
 			t.Fatalf("reference round %d: %v", round, err)
 		}
@@ -460,11 +460,12 @@ func TestChaosTrainerRejoinRestoresFromCheckpoint(t *testing.T) {
 	if len(live) == 0 {
 		t.Fatal("no live storage node to restore from")
 	}
-	if err := task.Restore(ctx, netw, live[0], ckpt); err != nil {
+	restored, err := LoadCheckpoint(ctx, netw, live[0], ckpt)
+	if err != nil {
 		t.Fatalf("restore from checkpoint %s: %v", ckpt.CID.Short(), err)
 	}
-	if d := maxAbsDiff(task.Global(), final); d != 0 {
-		t.Fatalf("restored model differs from trained model by %v", d)
+	if len(restored) != len(final) || maxAbsDiff(restored, final) != 0 {
+		t.Fatal("restored model differs from trained model")
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // commitment accumulators survive the snapshot.
 func TestBootstrapperRestartMidIteration(t *testing.T) {
 	sess, net, dir := testStack(t, func(ts *TaskSpec) { ts.Verifiable = true })
-	cfg := sess.Config()
+	cfg := sess.cfg
 	deltas, wantAvg := randomDeltas(cfg.Trainers, 24, 90)
 
 	// Phase 1: trainers upload against the original directory.
@@ -72,7 +72,7 @@ func TestRestartPreservesDetection(t *testing.T) {
 		ts.Verifiable = true
 		ts.TSync = 400 * time.Millisecond
 	})
-	cfg := sess.Config()
+	cfg := sess.cfg
 	deltas, _ := randomDeltas(cfg.Trainers, 24, 91)
 	for _, tr := range cfg.Trainers {
 		if err := sess.TrainerUpload(context.Background(), tr, 0, deltas[tr]); err != nil {
@@ -109,7 +109,7 @@ func TestRestartPreservesDetection(t *testing.T) {
 // survive the round trip.
 func TestRestartPreservesSchedulesAndFinals(t *testing.T) {
 	sess, net, dir := testStack(t, nil)
-	cfg := sess.Config()
+	cfg := sess.cfg
 	deltas, _ := randomDeltas(cfg.Trainers, 24, 92)
 	if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err != nil {
 		t.Fatal(err)

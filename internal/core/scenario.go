@@ -227,7 +227,7 @@ func (r *ScenarioRunner) RunRound(ctx context.Context) (RoundMetrics, *Iteration
 		return fail(err)
 	}
 
-	metrics, res, err := r.task.RunRoundOpts(ctx, opts)
+	metrics, res, err := r.task.RunRound(ctx, opts)
 	if err != nil {
 		return metrics, res, applied, err
 	}

@@ -77,7 +77,6 @@ type Session struct {
 	quant   *scalar.Quantizer
 	field   *scalar.Field
 	spans   obs.SpanSink
-	clock   func() time.Time
 	meter   obs.ResourceMeter
 	metrics sessionMetrics
 	keyring *identity.Keyring
@@ -170,9 +169,6 @@ func NewLocalStack(cfg *Config, replicas int) (*Session, *storage.Network, *dire
 	}
 	return sess, net, dir, nil
 }
-
-// Config returns the session's task configuration.
-func (s *Session) Config() *Config { return s.cfg }
 
 // Quantizer returns the session's fixed-point quantizer.
 func (s *Session) Quantizer() *scalar.Quantizer { return s.quant }
@@ -396,12 +392,12 @@ type AggregatorReport struct {
 // taking over for missing or cheating peers), and publish the global
 // update. The behavior parameter injects the malicious deviations of §III-A.
 func (s *Session) AggregatorRun(ctx context.Context, agg string, partition, iter int, behavior Behavior) (*AggregatorReport, error) {
-	return s.aggregatorRun(ctx, obs.SpanContext{}, agg, partition, iter, behavior, IterationOptions{}, "")
+	return s.aggregatorRun(ctx, obs.SpanContext{}, agg, partition, iter, behavior, RoundOptions{}, "")
 }
 
 // aggregatorRun executes the role; executedBy names the standby peer
 // running it after a failover (empty when the aggregator runs itself).
-func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg string, partition, iter int, behavior Behavior, opts IterationOptions, executedBy string) (_ *AggregatorReport, err error) {
+func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg string, partition, iter int, behavior Behavior, opts RoundOptions, executedBy string) (_ *AggregatorReport, err error) {
 	if behavior == 0 {
 		behavior = BehaviorHonest
 	}
@@ -659,7 +655,7 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 // the partition's lead aggregator role itself, using the directory
 // records the crashed role would have used. The returned report, when
 // non-nil, is the takeover's; a healthy partition returns (nil, nil).
-func (s *Session) standbyWatch(ctx context.Context, parent obs.SpanContext, standby string, partition, iter int, opts IterationOptions) (*AggregatorReport, error) {
+func (s *Session) standbyWatch(ctx context.Context, parent obs.SpanContext, standby string, partition, iter int, opts RoundOptions) (*AggregatorReport, error) {
 	deadline := time.Now().Add(s.cfg.TTrain)
 	topic := storage.Topic(s.cfg.TaskID, iter, partition)
 	announcer, hasPubSub := s.store.(Announcer)
@@ -706,7 +702,7 @@ func (s *Session) standbyWatch(ctx context.Context, parent obs.SpanContext, stan
 // proceeds without the stragglers — graceful degradation instead of
 // idling out the whole t_train window on one slow trainer. A quorum cut
 // is a quorum_proceed event on sc naming how many of want arrived.
-func (s *Session) awaitGradients(ctx context.Context, sc *spanScope, iter, partition int, agg string, want int, deadline time.Time, opts IterationOptions) ([]directory.Record, error) {
+func (s *Session) awaitGradients(ctx context.Context, sc *spanScope, iter, partition int, agg string, want int, deadline time.Time, opts RoundOptions) ([]directory.Record, error) {
 	need := want
 	var quorumAt time.Time
 	if opts.Quorum > 0 && opts.Quorum < 1 {
@@ -1164,7 +1160,7 @@ type IterationResult struct {
 	// Reports holds one report per aggregator role (including dropouts).
 	Reports map[string]*AggregatorReport
 	// Takeovers holds, per partition, the report of a standby-executed
-	// aggregation after a crash-driven failover (see IterationOptions).
+	// aggregation after a crash-driven failover (see RoundOptions.Standbys).
 	// Keyed by partition so a dropout's own report in Reports survives.
 	Takeovers map[int]*AggregatorReport
 	// Incomplete lists partitions for which no global update was
@@ -1183,52 +1179,20 @@ func (r *IterationResult) Detected() bool {
 	return false
 }
 
-// IterationOptions extends RunIteration for churn scenarios.
-type IterationOptions struct {
-	// AllowAbsent permits running with deltas for only a subset of the
-	// configured trainers: crashed trainers publish nothing and their
-	// aggregators proceed on the partial gradient set at t_train.
-	AllowAbsent bool
-	// Standbys maps partition -> a peer aggregator that watches the
-	// partition's aggregators for signs of life (pub/sub announcements or
-	// an accepted global update) and, when none appear before the
-	// failover deadline, executes the partition's aggregation itself —
-	// the §III-D takeover generalized across partitions.
-	Standbys map[int]string
-
-	// Quorum, in (0,1), lets aggregators close their gradient wait with
-	// ceil(Quorum·n) of the n expected gradients once QuorumWait has
-	// passed — a round degrades to m-of-n instead of idling out t_train
-	// on stragglers. Stragglers miss the round here; Task folds
-	// their deltas into the next round with an age-discounted weight.
-	// Quorum is invalid in verifiable mode: the directory's gradient-set
-	// closure gate holds global updates until every expected gradient
-	// arrived or t_train passed, which contradicts proceeding early.
-	Quorum     float64
-	QuorumWait time.Duration
-
-	// Corrupt marks trainers that upload Byzantine gradients this
-	// iteration: the stored block is tampered while the published
-	// commitment stays honest, so only commitment verification (the
-	// BatchVerify fallback path) can catch it.
-	Corrupt map[string]bool
-}
-
 // RunIteration executes one complete FL iteration: all trainers upload
 // their deltas concurrently, all aggregators run concurrently (with
 // optional per-aggregator behaviors), and the averaged delta is collected.
 // The deltas map provides each trainer's locally computed model delta.
 func (s *Session) RunIteration(ctx context.Context, iter int, deltas map[string][]float64, behaviors map[string]Behavior) (*IterationResult, error) {
-	return s.runIteration(ctx, obs.SpanContext{}, iter, deltas, behaviors, IterationOptions{})
+	return s.runIteration(ctx, iter, deltas, RoundOptions{Behaviors: behaviors})
 }
 
-// RunIterationOpts is RunIteration with churn options.
-func (s *Session) RunIterationOpts(ctx context.Context, iter int, deltas map[string][]float64, behaviors map[string]Behavior, opts IterationOptions) (*IterationResult, error) {
-	return s.runIteration(ctx, obs.SpanContext{}, iter, deltas, behaviors, opts)
-}
-
-func (s *Session) runIteration(ctx context.Context, parent obs.SpanContext, iter int, deltas map[string][]float64, behaviors map[string]Behavior, opts IterationOptions) (_ *IterationResult, err error) {
-	if !opts.AllowAbsent && len(deltas) != len(s.cfg.Trainers) {
+// runIteration is RunIteration under churn and faults. Once opts marks any
+// trainer absent or late, deltas may leave trainers out; those upload
+// nothing this iteration.
+func (s *Session) runIteration(ctx context.Context, iter int, deltas map[string][]float64, opts RoundOptions) (_ *IterationResult, err error) {
+	allowAbsent := len(opts.Absent) > 0 || len(opts.Late) > 0
+	if !allowAbsent && len(deltas) != len(s.cfg.Trainers) {
 		return nil, fmt.Errorf("core: got %d deltas for %d trainers", len(deltas), len(s.cfg.Trainers))
 	}
 	if opts.Quorum != 0 {
@@ -1241,7 +1205,7 @@ func (s *Session) runIteration(ctx context.Context, parent obs.SpanContext, iter
 	}
 	// The iteration span roots the trace: every role span below runs as a
 	// child, so the critical path tiles the whole iteration.
-	it := s.startSpan("iteration", "session", iter, parent)
+	it := s.startSpan("iteration", "session", iter, obs.SpanContext{})
 	defer func() { it.endErr(err) }()
 	if sched, ok := s.dir.(Scheduler); ok {
 		sched.SetSchedule(iter, time.Now().Add(s.cfg.TTrain))
@@ -1272,7 +1236,7 @@ func (s *Session) runIteration(ctx context.Context, parent obs.SpanContext, iter
 		}
 		delta, ok := deltas[tr]
 		if !ok {
-			if opts.AllowAbsent {
+			if allowAbsent {
 				continue // crashed trainer: uploads nothing this iteration
 			}
 			return nil, fmt.Errorf("core: missing delta for trainer %s", tr)
@@ -1286,7 +1250,7 @@ func (s *Session) runIteration(ctx context.Context, parent obs.SpanContext, iter
 		}(tr, delta)
 	}
 	for _, ref := range s.cfg.AllAggregators() {
-		behavior := behaviors[ref.ID]
+		behavior := opts.Behaviors[ref.ID]
 		wg.Add(1)
 		go func(ref AggregatorRef, b Behavior) {
 			defer wg.Done()

@@ -72,7 +72,7 @@ func maxAbsDiff(a, b []float64) float64 {
 
 func TestHonestIterationAverages(t *testing.T) {
 	sess, _, _ := testStack(t, nil)
-	deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, 1)
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 1)
 	res, err := sess.RunIteration(context.Background(), 0, deltas, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestHonestIterationAverages(t *testing.T) {
 
 func TestHonestIterationVerifiable(t *testing.T) {
 	sess, _, dir := testStack(t, func(ts *TaskSpec) { ts.Verifiable = true })
-	deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, 2)
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 2)
 	res, err := sess.RunIteration(context.Background(), 0, deltas, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestMergeAndDownloadEquivalence(t *testing.T) {
 	var plainAvg, mergedAvg []float64
 	{
 		sess, _, _ := testStack(t, nil)
-		deltas, _ := randomDeltas(sess.Config().Trainers, 24, 3)
+		deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 3)
 		res, err := sess.RunIteration(context.Background(), 0, deltas, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestMergeAndDownloadEquivalence(t *testing.T) {
 	}
 	{
 		sess, _, _ := testStack(t, func(ts *TaskSpec) { ts.ProvidersPerAggregator = 2 })
-		deltas, _ := randomDeltas(sess.Config().Trainers, 24, 3)
+		deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 3)
 		res, err := sess.RunIteration(context.Background(), 0, deltas, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -151,7 +151,7 @@ func TestMaliciousDropDetectedAndBlocked(t *testing.T) {
 				ts.Verifiable = true
 				ts.TSync = 500 * time.Millisecond
 			})
-			deltas, _ := randomDeltas(sess.Config().Trainers, 24, 4)
+			deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 4)
 			evil := AggregatorID(1, 0)
 			res, err := sess.RunIteration(context.Background(), 0, deltas,
 				map[string]Behavior{evil: behavior})
@@ -182,7 +182,7 @@ func TestMaliciousUndetectedWithoutVerifiability(t *testing.T) {
 	// The contrast experiment: in plain mode the poisoned update is
 	// accepted and the aggregate is wrong.
 	sess, _, _ := testStack(t, nil)
-	deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, 5)
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 5)
 	evil := AggregatorID(0, 0)
 	res, err := sess.RunIteration(context.Background(), 0, deltas,
 		map[string]Behavior{evil: BehaviorAlterGradient})
@@ -205,7 +205,7 @@ func TestMultiAggregatorSync(t *testing.T) {
 		ts.AggregatorsPerPartition = 2
 		ts.Verifiable = true
 	})
-	deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, 6)
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 6)
 	res, err := sess.RunIteration(context.Background(), 0, deltas, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestAggregatorDropoutTakeover(t *testing.T) {
 		ts.AggregatorsPerPartition = 2
 		ts.TSync = 400 * time.Millisecond
 	})
-	deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, 7)
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 7)
 	dead := AggregatorID(2, 1)
 	res, err := sess.RunIteration(context.Background(), 0, deltas,
 		map[string]Behavior{dead: BehaviorDropout})
@@ -263,7 +263,7 @@ func TestMaliciousPeerDetectedBySurvivor(t *testing.T) {
 		ts.Verifiable = true
 		ts.TSync = time.Second
 	})
-	deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, 8)
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 8)
 	evil := AggregatorID(0, 1)
 	res, err := sess.RunIteration(context.Background(), 0, deltas,
 		map[string]Behavior{evil: BehaviorAlterGradient})
@@ -367,7 +367,7 @@ func TestTrainerCollectHonorsContext(t *testing.T) {
 func TestIterationsAreIndependent(t *testing.T) {
 	sess, _, _ := testStack(t, nil)
 	for iter := 0; iter < 3; iter++ {
-		deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, int64(100+iter))
+		deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, int64(100+iter))
 		res, err := sess.RunIteration(context.Background(), iter, deltas, nil)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
@@ -382,12 +382,12 @@ func TestQuantizationErrorBound(t *testing.T) {
 	// The protocol's only numerical deviation from exact float averaging
 	// is fixed-point quantization; the error must stay below 2^-shift.
 	sess, _, _ := testStack(t, nil)
-	deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, 11)
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 11)
 	res, err := sess.RunIteration(context.Background(), 0, deltas, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := math.Ldexp(1, -int(sess.Config().QuantShift)) // generous: n·ulp/2/n
+	bound := math.Ldexp(1, -int(sess.cfg.QuantShift)) // generous: n·ulp/2/n
 	if diff := maxAbsDiff(res.AvgDelta, wantAvg); diff > bound {
 		t.Fatalf("quantization error %v exceeds bound %v", diff, bound)
 	}
@@ -425,11 +425,11 @@ func (d tooEarly) Publish(ctx context.Context, rec directory.Record) error {
 // early, and at t_sync returns an error that still says why.
 func TestGlobalPublishGivesUpAtTSync(t *testing.T) {
 	base, netw, dir := testStack(t, func(ts *TaskSpec) { ts.TSync = 20 * time.Millisecond })
-	sess, err := NewSession(base.Config(), netw, tooEarly{dir})
+	sess, err := NewSession(base.cfg, netw, tooEarly{dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sess.Config()
+	cfg := sess.cfg
 	ctx := context.Background()
 	deltas, _ := randomDeltas(cfg.Trainers, 24, 4)
 	for _, tr := range cfg.Trainers {

@@ -321,11 +321,16 @@ func TestSimEmitsVirtualTimeSpans(t *testing.T) {
 	if tree.Orphans != 0 {
 		t.Fatalf("%d orphaned sim spans", tree.Orphans)
 	}
-	agg := tree.Find("aggregate")
-	if agg == nil {
+	first := map[string]*obs.SpanNode{} // first node of each name, pre-order
+	tree.Walk(func(n *obs.SpanNode, _ int) {
+		if first[n.Span.Name] == nil {
+			first[n.Span.Name] = n
+		}
+	})
+	if first["aggregate"] == nil {
 		t.Fatal("no aggregate tree")
 	}
-	fetch := tree.Find("fetch_gradients")
+	fetch := first["fetch_gradients"]
 	if fetch == nil || len(fetch.Children) == 0 {
 		t.Fatal("merge_download not parented under fetch_gradients")
 	}

@@ -24,12 +24,6 @@ import (
 // (nil detaches). It must be called before the session runs roles.
 func (s *Session) SetSpans(sink obs.SpanSink) { s.spans = sink }
 
-// SetClock overrides the session's notion of "now" for span and span-event
-// timestamps (nil restores the wall clock). Deadlines and polling still
-// use the wall clock — the clock only stamps observability output, so a
-// virtual-time harness (netsim) can produce traces in its own timeline.
-func (s *Session) SetClock(fn func() time.Time) { s.clock = fn }
-
 // SetResourceMeter attaches the meter sampled at span open/close so
 // emitted spans carry CPU-time and allocation deltas (nil disables,
 // the default). Real processes pass obs.RuntimeMeter{}; deterministic
@@ -37,14 +31,6 @@ func (s *Session) SetClock(fn func() time.Time) { s.clock = fn }
 // process-wide readings would break byte-identical baselines. Like
 // SetSpans it must be called before the session runs roles.
 func (s *Session) SetResourceMeter(m obs.ResourceMeter) { s.meter = m }
-
-// now is the session's observability clock.
-func (s *Session) now() time.Time {
-	if s.clock != nil {
-		return s.clock()
-	}
-	return time.Now()
-}
 
 // spanScope is an open span under construction. A nil scope (spans
 // disabled) is valid and every method is a no-op, so instrumentation
@@ -92,7 +78,7 @@ func (s *Session) startSpan(name, actor string, iter int, parent obs.SpanContext
 	} else {
 		ctx = obs.SpanContext{Session: s.cfg.TaskID, Iter: iter, SpanID: obs.NewSpanID()}
 	}
-	sc := &spanScope{s: s, span: obs.Span{Name: name, Actor: actor, Context: ctx, Start: s.now()}}
+	sc := &spanScope{s: s, span: obs.Span{Name: name, Actor: actor, Context: ctx, Start: time.Now()}}
 	return sc.open(context.Background())
 }
 
@@ -103,7 +89,7 @@ func (sc *spanScope) child(name string) *spanScope {
 		return nil
 	}
 	c := &spanScope{s: sc.s, span: obs.Span{
-		Name: name, Actor: sc.span.Actor, Context: sc.span.Context.Child(), Start: sc.s.now(),
+		Name: name, Actor: sc.span.Actor, Context: sc.span.Context.Child(), Start: time.Now(),
 	}}
 	return c.open(sc.labelCtx)
 }
@@ -151,7 +137,7 @@ func (sc *spanScope) event(name string, bytes int64, detail string) {
 	if sc == nil {
 		return
 	}
-	sc.span.Events = append(sc.span.Events, obs.SpanEvent{Time: sc.s.now(), Name: name, Bytes: bytes, Detail: detail})
+	sc.span.Events = append(sc.span.Events, obs.SpanEvent{Time: time.Now(), Name: name, Bytes: bytes, Detail: detail})
 }
 
 // link records a causal reference to a span in another role's tree.
@@ -168,7 +154,7 @@ func (sc *spanScope) end() {
 	if sc == nil {
 		return
 	}
-	sc.span.End = sc.s.now()
+	sc.span.End = time.Now()
 	if sc.s.meter != nil {
 		d := sc.s.meter.Sample().Sub(sc.res)
 		sc.span.CPUNanos += d.CPUNanos

@@ -21,7 +21,7 @@ func TestIterationSpanTree(t *testing.T) {
 	sess.SetSpans(col)
 	net.SetSpans(col)
 
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 7)
+	deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 7)
 	res, err := sess.RunIteration(context.Background(), 0, deltas, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +30,7 @@ func TestIterationSpanTree(t *testing.T) {
 		t.Fatalf("incomplete partitions: %v", res.Incomplete)
 	}
 
-	tree := col.Tree(sess.Config().TaskID, 0)
+	tree := obs.BuildTree(col.Spans(), sess.cfg.TaskID, 0)
 	if tree.Size() == 0 {
 		t.Fatal("no spans collected")
 	}
@@ -43,21 +43,25 @@ func TestIterationSpanTree(t *testing.T) {
 
 	// Uploader span IDs, for the causal-link check below.
 	uploads := make(map[string]bool)
+	first := map[string]*obs.SpanNode{} // first node of each name, pre-order
 	tree.Walk(func(n *obs.SpanNode, _ int) {
 		if n.Span.Name == "upload" {
 			uploads[n.Span.Context.SpanID] = true
 		}
+		if first[n.Span.Name] == nil {
+			first[n.Span.Name] = n
+		}
 	})
-	if len(uploads) != len(sess.Config().Trainers) {
-		t.Fatalf("upload spans = %d, want %d", len(uploads), len(sess.Config().Trainers))
+	if len(uploads) != len(sess.cfg.Trainers) {
+		t.Fatalf("upload spans = %d, want %d", len(uploads), len(sess.cfg.Trainers))
 	}
 
-	agg := tree.Find("aggregate")
+	agg := first["aggregate"]
 	if agg == nil {
 		t.Fatal("no aggregate span")
 	}
-	if len(agg.Span.Links) != len(sess.Config().Trainers) {
-		t.Fatalf("aggregate links = %d, want %d (one per uploader)", len(agg.Span.Links), len(sess.Config().Trainers))
+	if len(agg.Span.Links) != len(sess.cfg.Trainers) {
+		t.Fatalf("aggregate links = %d, want %d (one per uploader)", len(agg.Span.Links), len(sess.cfg.Trainers))
 	}
 	for _, l := range agg.Span.Links {
 		if !uploads[l.SpanID] {
@@ -85,8 +89,7 @@ func TestIterationSpanTree(t *testing.T) {
 	if mergeDownloads == 0 || merges == 0 {
 		t.Fatalf("merge_download=%d merge=%d — merge path not traced", mergeDownloads, merges)
 	}
-	md := tree.Find("merge_download")
-	if len(md.Children) == 0 {
+	if md := first["merge_download"]; len(md.Children) == 0 {
 		t.Fatal("merge span not parented under merge_download — span context lost crossing the storage boundary")
 	}
 
@@ -117,7 +120,7 @@ func TestIterationSpanTree(t *testing.T) {
 // sink attached nothing is emitted and iterations still work.
 func TestSpansDisabledNoOverhead(t *testing.T) {
 	sess, _, _ := testStack(t, nil)
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 3)
+	deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 3)
 	if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +133,14 @@ func TestRoleSpansRootPerRole(t *testing.T) {
 	sess, _, _ := testStack(t, nil)
 	col := obs.NewSpanCollector(0)
 	sess.SetSpans(col)
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 5)
+	deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 5)
 
-	for _, tr := range sess.Config().Trainers {
+	for _, tr := range sess.cfg.Trainers {
 		if err := sess.TrainerUpload(context.Background(), tr, 0, deltas[tr]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for p := 0; p < sess.Config().Spec.Partitions; p++ {
+	for p := 0; p < sess.cfg.Spec.Partitions; p++ {
 		if _, err := sess.AggregatorRun(context.Background(), AggregatorID(p, 0), p, 0, BehaviorHonest); err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +149,7 @@ func TestRoleSpansRootPerRole(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tree := col.Tree(sess.Config().TaskID, 0)
+	tree := obs.BuildTree(col.Spans(), sess.cfg.TaskID, 0)
 	if tree.Orphans != 0 {
 		t.Fatalf("%d orphans", tree.Orphans)
 	}
@@ -154,54 +157,20 @@ func TestRoleSpansRootPerRole(t *testing.T) {
 	for _, r := range tree.Roots {
 		roots = append(roots, r.Span.Name)
 	}
-	wantRoots := len(sess.Config().Trainers) + sess.Config().Spec.Partitions + 1
+	wantRoots := len(sess.cfg.Trainers) + sess.cfg.Spec.Partitions + 1
 	if len(roots) != wantRoots {
 		t.Fatalf("roots = %v, want %d (uploads + aggregates + collect)", roots, wantRoots)
 	}
 	// Aggregates still link the uploads across the root boundary.
-	agg := tree.Find("aggregate")
-	if agg == nil || len(agg.Span.Links) != len(sess.Config().Trainers) {
+	first := map[string]*obs.SpanNode{} // first node of each name, pre-order
+	tree.Walk(func(n *obs.SpanNode, _ int) {
+		if first[n.Span.Name] == nil {
+			first[n.Span.Name] = n
+		}
+	})
+	agg := first["aggregate"]
+	if agg == nil || len(agg.Span.Links) != len(sess.cfg.Trainers) {
 		t.Fatalf("distributed aggregate links missing: %+v", agg)
-	}
-}
-
-// TestSessionSetClock pins span and span-event timestamps to an injected
-// clock, the hook sim.Simulate uses to stamp traces in virtual time.
-func TestSessionSetClock(t *testing.T) {
-	// Screening a poisoned gradient makes the run emit span events too.
-	sess, _, _ := testStack(t, func(ts *TaskSpec) { ts.ScreenNorm = 100 })
-	frozen := time.Date(2026, 2, 3, 4, 5, 6, 0, time.UTC)
-	sess.SetClock(func() time.Time { return frozen })
-
-	col := obs.NewSpanCollector(0)
-	sess.SetSpans(col)
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 9)
-	for i := range deltas["t3"] {
-		deltas["t3"][i] = 1e6
-	}
-	if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err != nil {
-		t.Fatal(err)
-	}
-	events := 0
-	for _, s := range col.Spans() {
-		if !s.Start.Equal(frozen) || !s.End.Equal(frozen) {
-			t.Fatalf("span %s stamped %v..%v, want frozen clock", s.Name, s.Start, s.End)
-		}
-		for _, e := range s.Events {
-			events++
-			if !e.Time.Equal(frozen) {
-				t.Fatalf("event %s stamped %v, want frozen clock", e.Name, e.Time)
-			}
-		}
-	}
-	if events == 0 {
-		t.Fatal("screening run emitted no span events")
-	}
-
-	// nil restores the wall clock.
-	sess.SetClock(nil)
-	if sess.now().Year() == 2026 && sess.now().Equal(frozen) {
-		t.Fatal("wall clock not restored")
 	}
 }
 

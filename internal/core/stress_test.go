@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"ipls/internal/cid"
 )
 
 // TestPaperScaleIterations runs the protocol at the paper's evaluation
@@ -84,7 +86,7 @@ func TestPaperScaleIterations(t *testing.T) {
 	// node, so each update has up to |A_i|·replicas holders:
 	// 4 partitions x 3 iters x (2 aggregators x 2 replicas).
 	blocks := 0
-	for _, id := range net.NodeIDs() {
+	for _, id := range nodes {
 		nd, _ := net.Node(id)
 		blocks += nd.StoredBlocks()
 	}
@@ -92,6 +94,8 @@ func TestPaperScaleIterations(t *testing.T) {
 		t.Fatalf("storage not bounded after cleanup: %d node entries", blocks)
 	}
 	// And every remaining block must be a recorded global update.
+	// The updates are distinct blocks, so the copies of them the nodes
+	// serve must account for every stored block.
 	updates := make(map[string]bool)
 	for iter := 0; iter < 3; iter++ {
 		for p := 0; p < 4; p++ {
@@ -102,13 +106,16 @@ func TestPaperScaleIterations(t *testing.T) {
 			updates[string(rec.CID)] = true
 		}
 	}
-	for _, id := range net.NodeIDs() {
-		nd, _ := net.Node(id)
-		for _, c := range nd.BlockCIDs() {
-			if !updates[string(c)] {
-				t.Fatalf("node %s holds a non-update block %s after cleanup", id, c.Short())
+	held := 0
+	for _, id := range nodes {
+		for c := range updates {
+			if _, err := net.Get(context.Background(), id, cid.CID(c)); err == nil {
+				held++
 			}
 		}
+	}
+	if held != blocks {
+		t.Fatalf("nodes hold %d blocks, only %d of them global updates, after cleanup", blocks, held)
 	}
 	if dir.Stats().Verifications == 0 {
 		t.Fatal("no verifications at paper scale")
@@ -120,7 +127,7 @@ func TestPaperScaleIterations(t *testing.T) {
 func TestManyIterationsSequential(t *testing.T) {
 	sess, _, _ := testStack(t, func(ts *TaskSpec) { ts.AggregatorsPerPartition = 2 })
 	for iter := 0; iter < 10; iter++ {
-		deltas, wantAvg := randomDeltas(sess.Config().Trainers, 24, int64(500+iter))
+		deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, int64(500+iter))
 		res, err := sess.RunIteration(context.Background(), iter, deltas, nil)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)

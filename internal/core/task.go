@@ -124,14 +124,8 @@ func (t *Task) Global() []float64 {
 // Round returns the number of completed rounds.
 func (t *Task) Round() int { return t.round }
 
-// LocalDeltas computes every trainer's deterministic local delta for the
-// given round from the current global model. Exposed so experiments can
-// compare against the centralized FedAvg reference.
-func (t *Task) LocalDeltas(round int) (map[string][]float64, float64, error) {
-	return t.localDeltas(round, nil)
-}
-
-// localDeltas is LocalDeltas minus the absent trainers. Seeds stay keyed
+// localDeltas computes every present trainer's deterministic local delta
+// for the given round from the current global model. Seeds stay keyed
 // by each trainer's configured index, so the trainers that do run produce
 // the same deltas they would in a full round.
 func (t *Task) localDeltas(round int, absent map[string]bool) (map[string][]float64, float64, error) {
@@ -158,40 +152,47 @@ func (t *Task) localDeltas(round int, absent map[string]bool) (map[string][]floa
 	return deltas, totalLoss / float64(trained), nil
 }
 
-// RoundOptions extends RunRound for churn and fault scenarios.
+// RoundOptions extends a round for churn and fault scenarios; the zero
+// value is an honest round with every trainer present.
 type RoundOptions struct {
 	// Behaviors injects per-aggregator deviations (nil for all-honest).
 	Behaviors map[string]Behavior
 	// Absent lists trainers crashed this round: they neither train nor
 	// upload, and aggregation proceeds on the partial set at t_train.
 	Absent map[string]bool
-	// Standbys maps partition -> standby aggregator (IterationOptions).
+	// Standbys maps partition -> a peer aggregator that watches the
+	// partition's aggregators for signs of life (pub/sub announcements or
+	// an accepted global update) and, when none appear before the
+	// failover deadline, executes the partition's aggregation itself —
+	// the §III-D takeover generalized across partitions.
 	Standbys map[int]string
 	// Late lists trainers that train this round but miss the upload
 	// window: their deltas are stashed and folded into the next applied
 	// round with an age-discounted weight (see lateDecay).
 	Late map[string]bool
-	// Corrupt lists trainers uploading Byzantine gradients this round
-	// (IterationOptions.Corrupt).
+	// Corrupt marks trainers that upload Byzantine gradients this round:
+	// the stored block is tampered while the published commitment stays
+	// honest, so only commitment verification (the BatchVerify fallback
+	// path) can catch it.
 	Corrupt map[string]bool
-	// Quorum and QuorumWait enable m-of-n rounds
-	// (IterationOptions.Quorum); invalid in verifiable mode.
+	// Quorum, in (0,1), lets aggregators close their gradient wait with
+	// ceil(Quorum·n) of the n expected gradients once QuorumWait has
+	// passed — a round degrades to m-of-n instead of idling out t_train
+	// on stragglers. Stragglers miss the round here; Task folds
+	// their deltas into the next round with an age-discounted weight.
+	// Quorum is invalid in verifiable mode: the directory's gradient-set
+	// closure gate holds global updates until every expected gradient
+	// arrived or t_train passed, which contradicts proceeding early.
 	Quorum     float64
 	QuorumWait time.Duration
 }
 
-// RunRound executes one FL round with the given per-aggregator behaviors
-// (nil for all-honest). If the protocol blocks a malicious round, the
-// global model is left unchanged and Applied is false.
-func (t *Task) RunRound(ctx context.Context, behaviors map[string]Behavior) (RoundMetrics, *IterationResult, error) {
-	return t.RunRoundOpts(ctx, RoundOptions{Behaviors: behaviors})
-}
-
-// RunRoundOpts is RunRound under churn and faults: absent trainers skip
-// the round entirely, late trainers train but miss the upload window
-// (their deltas fold into the next applied round), and standby
-// aggregators watch their assigned partitions.
-func (t *Task) RunRoundOpts(ctx context.Context, opts RoundOptions) (RoundMetrics, *IterationResult, error) {
+// RunRound executes one FL round. Absent trainers skip the round entirely,
+// late trainers train but miss the upload window (their deltas fold into
+// the next applied round), and standby aggregators watch their assigned
+// partitions. If the protocol blocks a malicious round, the global model
+// is left unchanged and Applied is false.
+func (t *Task) RunRound(ctx context.Context, opts RoundOptions) (RoundMetrics, *IterationResult, error) {
 	round := t.round
 	train := t.session.startSpan("train", "trainers", round, obs.SpanContext{})
 	deltas, loss, err := t.localDeltas(round, opts.Absent)
@@ -217,14 +218,7 @@ func (t *Task) RunRoundOpts(ctx context.Context, opts RoundOptions) (RoundMetric
 	if stashed > 0 && len(deltas) == 0 {
 		return RoundMetrics{}, nil, fmt.Errorf("core: every trainer is late in round %d", round)
 	}
-	res, err := t.session.runIteration(ctx, obs.SpanContext{}, round, deltas, opts.Behaviors,
-		IterationOptions{
-			AllowAbsent: len(opts.Absent) > 0 || stashed > 0,
-			Standbys:    opts.Standbys,
-			Quorum:      opts.Quorum,
-			QuorumWait:  opts.QuorumWait,
-			Corrupt:     opts.Corrupt,
-		})
+	res, err := t.session.runIteration(ctx, round, deltas, opts)
 	if err != nil {
 		return RoundMetrics{}, res, err
 	}

@@ -70,7 +70,7 @@ func TestTaskConvergesIID(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 8; round++ {
-		metrics, _, err := task.RunRound(context.Background(), nil)
+		metrics, _, err := task.RunRound(context.Background(), RoundOptions{})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -100,7 +100,7 @@ func TestDecentralizedMatchesCentralizedFedAvg(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := task.RunRound(context.Background(), nil); err != nil {
+		if _, _, err := task.RunRound(context.Background(), RoundOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		got := task.Global()
@@ -119,7 +119,7 @@ func TestTaskBlockedRoundDoesNotAdvanceModel(t *testing.T) {
 	before := task.Global()
 	evil := AggregatorID(0, 0)
 	metrics, res, err := task.RunRound(context.Background(),
-		map[string]Behavior{evil: BehaviorForgeUpdate})
+		RoundOptions{Behaviors: map[string]Behavior{evil: BehaviorForgeUpdate}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestTaskBlockedRoundDoesNotAdvanceModel(t *testing.T) {
 		}
 	}
 	// The next (honest) round proceeds normally.
-	metrics, _, err = task.RunRound(context.Background(), nil)
+	metrics, _, err = task.RunRound(context.Background(), RoundOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestTaskBlockedRoundDoesNotAdvanceModel(t *testing.T) {
 func TestTaskNonIIDConverges(t *testing.T) {
 	task, data := newMLTask(t, false, 2, true)
 	for round := 0; round < 10; round++ {
-		if _, _, err := task.RunRound(context.Background(), nil); err != nil {
+		if _, _, err := task.RunRound(context.Background(), RoundOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -43,7 +43,7 @@ func TestTracerRecordsHonestIteration(t *testing.T) {
 	})
 	col := obs.NewSpanCollector(0)
 	sess.SetSpans(col)
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 95)
+	deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 95)
 	if _, err := sess.RunIteration(context.Background(), 0, deltas, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTracerRecordsDetectionAndTakeover(t *testing.T) {
 	})
 	col := obs.NewSpanCollector(0)
 	sess.SetSpans(col)
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 96)
+	deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 96)
 	honest, evil := AggregatorID(0, 0), AggregatorID(0, 1)
 	res, err := sess.RunIteration(context.Background(), 0, deltas,
 		map[string]Behavior{evil: BehaviorAlterGradient})
@@ -152,7 +152,7 @@ func TestTracerRecordsScreenedOut(t *testing.T) {
 	sess, _, _ := testStack(t, func(ts *TaskSpec) { ts.ScreenNorm = 100 })
 	col := obs.NewSpanCollector(0)
 	sess.SetSpans(col)
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 97)
+	deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 97)
 	for i := range deltas["t3"] {
 		deltas["t3"][i] = 1e6 // way past the norm bound
 	}
@@ -181,7 +181,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := obs.NewSpanJSONLWriter(&buf)
 	sess.SetSpans(w)
-	deltas, _ := randomDeltas(sess.Config().Trainers, 24, 98)
+	deltas, _ := randomDeltas(sess.cfg.Trainers, 24, 98)
 	for i := range deltas["t3"] {
 		deltas["t3"][i] = 1e6
 	}

@@ -97,7 +97,7 @@ func TestUpdateRejectedWhileGradientSetOpen(t *testing.T) {
 	}
 	// Once the second gradient arrives, the (complete) update is accepted.
 	b1 := f.uploadGradient(t, "t1", 0, 0, 4)
-	sum, err := model.Sum(f.quant.Field(), b0, b1)
+	sum, err := model.Sum(f.field, b0, b1)
 	if err != nil {
 		t.Fatal(err)
 	}

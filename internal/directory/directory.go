@@ -355,9 +355,6 @@ func (s *Service) pastDeadline(iter int) bool {
 	return ok && s.now().After(deadline)
 }
 
-// Verifiable reports whether the directory enforces commitment checks.
-func (s *Service) Verifiable() bool { return s.params != nil }
-
 // SetAssignment registers that the trainer sends its gradients for the
 // given partition to the given aggregator (the T_ij sets of §II). The
 // bootstrapper configures this before the task starts. Registering a
@@ -385,14 +382,6 @@ func (pt *partition) assign(trainer, aggregator string) {
 	}
 	pt.assignment[trainer] = aggregator
 	pt.trainers[aggregator] = append(pt.trainers[aggregator], trainer)
-}
-
-// TrainersFor returns the trainers assigned to an aggregator for a
-// partition, in registration order.
-func (s *Service) TrainersFor(partition int, aggregator string) []string {
-	pt := s.lock(partition)
-	defer pt.mu.Unlock()
-	return append([]string(nil), pt.trainers[aggregator]...)
 }
 
 func (s *Service) countRequest() {

@@ -19,6 +19,7 @@ type fixture struct {
 	dir    *Service
 	store  *storage.Network
 	params *pedersen.Params
+	field  *scalar.Field
 	quant  *scalar.Quantizer
 	rng    *rand.Rand
 }
@@ -45,6 +46,7 @@ func newFixture(t *testing.T, verifiable bool) *fixture {
 		dir:    New(params, store),
 		store:  store,
 		params: params,
+		field:  field,
 		quant:  quant,
 		rng:    rand.New(rand.NewSource(42)),
 	}
@@ -182,7 +184,7 @@ func TestPartitionAccumulatorMatchesCombine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := model.Sum(f.quant.Field(), blocks...)
+	sum, err := model.Sum(f.field, blocks...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +203,7 @@ func TestHonestUpdateAccepted(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		blocks = append(blocks, f.uploadGradient(t, fmt.Sprintf("t%d", i), 2, 1, 6))
 	}
-	sum, _ := model.Sum(f.quant.Field(), blocks...)
+	sum, _ := model.Sum(f.field, blocks...)
 	if err := f.publishUpdate(t, "agg-0", 2, 1, sum); err != nil {
 		t.Fatalf("honest update rejected: %v", err)
 	}
@@ -224,7 +226,7 @@ func TestDroppedGradientDetected(t *testing.T) {
 		blocks = append(blocks, f.uploadGradient(t, fmt.Sprintf("t%d", i), 0, 0, 6))
 	}
 	// Malicious aggregator drops trainer t3's gradient.
-	sum, _ := model.Sum(f.quant.Field(), blocks[:3]...)
+	sum, _ := model.Sum(f.field, blocks[:3]...)
 	err := f.publishUpdate(t, "agg-evil", 0, 0, sum)
 	if !errors.Is(err, ErrVerificationFailed) {
 		t.Fatalf("expected ErrVerificationFailed, got %v", err)
@@ -243,9 +245,9 @@ func TestAlteredGradientDetected(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		blocks = append(blocks, f.uploadGradient(t, fmt.Sprintf("t%d", i), 0, 0, 6))
 	}
-	sum, _ := model.Sum(f.quant.Field(), blocks...)
+	sum, _ := model.Sum(f.field, blocks...)
 	// Alter one coordinate of the aggregate before publishing.
-	sum.Values[2] = f.quant.Field().Add(sum.Values[2], sum.Values[0])
+	sum.Values[2] = f.field.Add(sum.Values[2], sum.Values[0])
 	err := f.publishUpdate(t, "agg-evil", 0, 0, sum)
 	if !errors.Is(err, ErrVerificationFailed) {
 		t.Fatalf("expected ErrVerificationFailed, got %v", err)
@@ -260,7 +262,7 @@ func TestNonVerifiableModeAcceptsForgedUpdate(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		blocks = append(blocks, f.uploadGradient(t, fmt.Sprintf("t%d", i), 0, 0, 6))
 	}
-	sum, _ := model.Sum(f.quant.Field(), blocks[:2]...) // half the gradients dropped
+	sum, _ := model.Sum(f.field, blocks[:2]...) // half the gradients dropped
 	if err := f.publishUpdate(t, "agg-evil", 0, 0, sum); err != nil {
 		t.Fatalf("non-verifiable mode should accept anything: %v", err)
 	}
@@ -294,8 +296,11 @@ func TestGradientsForFiltersByAssignment(t *testing.T) {
 	if len(recsAll) != 3 {
 		t.Fatalf("expected 3 total gradients, got %d", len(recsAll))
 	}
-	if got := f.dir.TrainersFor(0, "agg-a"); len(got) != 2 || got[0] != "t0" || got[1] != "t1" {
-		t.Fatalf("TrainersFor = %v", got)
+	pt := f.dir.lock(0)
+	got := pt.trainers["agg-a"]
+	pt.mu.Unlock()
+	if len(got) != 2 || got[0] != "t0" || got[1] != "t1" {
+		t.Fatalf("agg-a trainers = %v", got)
 	}
 }
 
@@ -318,7 +323,7 @@ func TestAggregatorAccumulatorAndPartialVerify(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("agg-a count = %d, want 2", count)
 	}
-	sum, _ := model.Sum(f.quant.Field(), aBlocks...)
+	sum, _ := model.Sum(f.field, aBlocks...)
 	want, _ := f.params.Commit(sum.Values)
 	if !acc.Equal(want) {
 		t.Fatal("aggregator accumulator mismatch")
@@ -329,7 +334,7 @@ func TestAggregatorAccumulatorAndPartialVerify(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("honest partial update rejected: ok=%v err=%v", ok, err)
 	}
-	sum.Values[0] = f.quant.Field().Add(sum.Values[0], sum.Values[1])
+	sum.Values[0] = f.field.Add(sum.Values[0], sum.Values[1])
 	bad, _ := sum.Encode()
 	ok, err = f.dir.VerifyPartialUpdate(context.Background(), 0, 0, "agg-a", bad)
 	if err != nil || ok {
@@ -370,9 +375,6 @@ func TestNonVerifiableAccumulatorErrors(t *testing.T) {
 	}
 	if _, err := f.dir.VerifyPartialUpdate(context.Background(), 0, 0, "a", nil); err == nil {
 		t.Fatal("expected error in non-verifiable mode")
-	}
-	if f.dir.Verifiable() {
-		t.Fatal("Verifiable() should be false")
 	}
 }
 

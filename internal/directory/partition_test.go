@@ -92,11 +92,14 @@ func TestSetAssignmentIsIdempotent(t *testing.T) {
 		}
 	}
 	f.dir.SetAssignment(0, "t1", "agg-b")
-	if got := f.dir.TrainersFor(0, "agg-a"); len(got) != 2 || got[0] != "t0" || got[1] != "t2" {
-		t.Fatalf("TrainersFor(agg-a) = %v, want [t0 t2]", got)
+	pt := f.dir.lock(0)
+	a, b := pt.trainers["agg-a"], pt.trainers["agg-b"]
+	pt.mu.Unlock()
+	if len(a) != 2 || a[0] != "t0" || a[1] != "t2" {
+		t.Fatalf("agg-a trainers = %v, want [t0 t2]", a)
 	}
-	if got := f.dir.TrainersFor(0, "agg-b"); len(got) != 1 || got[0] != "t1" {
-		t.Fatalf("TrainersFor(agg-b) = %v, want [t1]", got)
+	if len(b) != 1 || b[0] != "t1" {
+		t.Fatalf("agg-b trainers = %v, want [t1]", b)
 	}
 	var blocks []model.Block
 	for _, tr := range []string{"t0", "t1", "t2"} {
@@ -107,7 +110,7 @@ func TestSetAssignmentIsIdempotent(t *testing.T) {
 	}
 	// Three trainers, three gradients: the set is closed before t_train.
 	f.dir.SetSchedule(0, time.Now().Add(time.Hour))
-	sum, _ := model.Sum(f.quant.Field(), blocks...)
+	sum, _ := model.Sum(f.field, blocks...)
 	if err := f.publishUpdate(t, "agg-a", 0, 0, sum); err != nil {
 		t.Fatalf("complete gradient set rejected: %v", err)
 	}

@@ -45,7 +45,7 @@ func goldenHistory(t *testing.T) *Service {
 			blocks[p] = append(blocks[p], f.uploadGradient(t, tr, 0, p, 4))
 		}
 	}
-	field := f.quant.Field()
+	field := f.field
 	partial, _ := model.Sum(field, blocks[0][:2]...)
 	data, _ := partial.Encode()
 	c, _ := f.store.Put(context.Background(), "ipfs-1", data)
@@ -152,7 +152,7 @@ func TestSnapshotCarriesQuarantineAndExpunge(t *testing.T) {
 	// Two honest gradients plus one tombstone close the three-trainer set
 	// before t_train.
 	f.dir = restored
-	sum, _ := model.Sum(f.quant.Field(), honest...)
+	sum, _ := model.Sum(f.field, honest...)
 	if err := f.publishUpdate(t, "agg-a", 0, 0, sum); err != nil {
 		t.Fatalf("honest update after restore: %v", err)
 	}

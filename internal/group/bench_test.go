@@ -19,7 +19,7 @@ func BenchmarkScalarMult(b *testing.B) {
 	for _, c := range allCurves() {
 		b.Run(c.Name, func(b *testing.B) {
 			k := benchScalar(b, c)
-			p := c.Generator()
+			p := c.generator()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.ScalarMult(p, k)
@@ -31,8 +31,8 @@ func BenchmarkScalarMult(b *testing.B) {
 func BenchmarkAdd(b *testing.B) {
 	for _, c := range allCurves() {
 		b.Run(c.Name, func(b *testing.B) {
-			p := c.ScalarBaseMult(benchScalar(b, c))
-			q := c.Double(p)
+			p := c.ScalarMult(c.generator(), benchScalar(b, c))
+			q := c.Add(p, p)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.Add(p, q)
@@ -94,7 +94,7 @@ func BenchmarkMultiExpFixed(b *testing.B) {
 
 func BenchmarkEncodeDecode(b *testing.B) {
 	c := Secp256k1()
-	p := c.ScalarBaseMult(benchScalar(b, c))
+	p := c.ScalarMult(c.generator(), benchScalar(b, c))
 	enc := c.Encode(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -108,7 +108,7 @@ func BenchmarkEncodeDecode(b *testing.B) {
 // strategy is built from.
 func BenchmarkJacobian(b *testing.B) {
 	for _, c := range []*Curve{Secp256k1(), Secp256r1()} {
-		p := c.toJacobian(c.ScalarBaseMult(benchScalar(b, c)))
+		p := c.toJacobian(c.ScalarMult(c.generator(), benchScalar(b, c)))
 		q := c.jacDouble(c.jacDouble(p))
 		b.Run("add/"+c.Name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -92,7 +92,7 @@ func TestMultiExpEdgeScalars(t *testing.T) {
 	for ci, scalars := range cases {
 		points := make([]Point, len(scalars))
 		for i := range points {
-			points[i] = c.ScalarBaseMult(randScalar(rng, c))
+			points[i] = c.ScalarMult(c.generator(), randScalar(rng, c))
 		}
 		want, err := c.MultiScalarMult(points, scalars, StrategyNaive)
 		if err != nil {
@@ -137,10 +137,10 @@ func TestMultiExpInfinityBases(t *testing.T) {
 // parallelism-dependent switch to StrategyParallel.
 func TestAutoStrategySelection(t *testing.T) {
 	c := Secp256k1()
-	prev := c.Parallelism()
-	defer c.SetParallelism(prev)
+	prev := c.par.Load()
+	defer c.par.Store(prev)
 
-	c.SetParallelism(4)
+	c.par.Store(4)
 	cases := []struct {
 		n    int
 		want MultiExpStrategy
@@ -161,7 +161,7 @@ func TestAutoStrategySelection(t *testing.T) {
 	}
 
 	// One worker: auto must never pick the parallel path.
-	c.SetParallelism(1)
+	c.par.Store(1)
 	for _, n := range []int{parallelMinPoints, 4096} {
 		if got := c.autoStrategy(n); got != StrategyPippenger {
 			t.Errorf("autoStrategy(%d) with 1 worker = %v, want pippenger", n, got)
@@ -211,18 +211,15 @@ func TestPippengerWindowSizes(t *testing.T) {
 	}
 }
 
-// TestParallelismKnob exercises SetParallelism bounds and checks the
-// parallel path agrees with sequential Pippenger at several worker counts,
-// including more workers than windows.
+// TestParallelismKnob checks the default worker count and that the
+// parallel path agrees with sequential Pippenger at several forced worker
+// counts, including more workers than windows.
 func TestParallelismKnob(t *testing.T) {
 	c := Secp256k1()
-	prev := c.Parallelism()
-	defer c.SetParallelism(prev)
+	prev := c.par.Load()
+	defer c.par.Store(prev)
 
-	c.SetParallelism(-5)
-	if got := c.Parallelism(); got != 0 {
-		t.Fatalf("negative parallelism should clamp to 0, got %d", got)
-	}
+	c.par.Store(0)
 	if got := c.workers(); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("default workers = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
@@ -234,7 +231,7 @@ func TestParallelismKnob(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 64} {
-		c.SetParallelism(workers)
+		c.par.Store(int32(workers))
 		got, err := c.MultiScalarMult(points, scalars, StrategyParallel)
 		if err != nil {
 			t.Fatal(err)
@@ -336,7 +333,7 @@ func TestMultiScalarMultFixedErrors(t *testing.T) {
 	if _, err := c.MultiScalarMultFixed(nil, nil); err == nil {
 		t.Fatal("expected error on empty input")
 	}
-	fb := c.NewFixedBase(c.Generator())
+	fb := c.NewFixedBase(c.generator())
 	if _, err := c.MultiScalarMultFixed([]*FixedBase{fb}, nil); err == nil {
 		t.Fatal("expected error on length mismatch")
 	}

@@ -10,7 +10,7 @@ import (
 // anything accepted is on the curve and re-encodes identically.
 func FuzzDecode(f *testing.F) {
 	c := Secp256k1()
-	f.Add(c.Encode(c.Generator()))
+	f.Add(c.Encode(c.generator()))
 	f.Add(c.Encode(Infinity()))
 	f.Add(make([]byte, EncodedSize))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -58,7 +58,7 @@ func FuzzMultiExpParallel(f *testing.F) {
 		}
 		points := make([]Point, len(scalars))
 		for i := range points {
-			points[i] = c.ScalarBaseMult(big.NewInt(int64(i)*7919 + 1))
+			points[i] = c.ScalarMult(c.generator(), big.NewInt(int64(i)*7919+1))
 		}
 		seq, err := c.MultiScalarMult(points, scalars, StrategyPippenger)
 		if err != nil {

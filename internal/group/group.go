@@ -60,9 +60,10 @@ type Curve struct {
 	fp *field    // GF(P) for the Jacobian layer
 	a  fieldElem // A in Montgomery form
 
-	// par bounds StrategyParallel worker goroutines (0 = GOMAXPROCS).
-	// Atomic because the constructors return shared singletons and the
-	// knob may be flipped while multiexps are in flight.
+	// par bounds StrategyParallel worker goroutines (0 = GOMAXPROCS);
+	// only tests set it, to force a worker count. Atomic because the
+	// constructors return shared singletons that multiexps read while a
+	// test changes it.
 	par atomic.Int32
 }
 
@@ -146,8 +147,8 @@ func mustHex(s string) *big.Int {
 	return v
 }
 
-// Generator returns the curve's base point.
-func (c *Curve) Generator() Point {
+// generator returns the curve's base point.
+func (c *Curve) generator() Point {
 	return Point{X: new(big.Int).Set(c.Gx), Y: new(big.Int).Set(c.Gy)}
 }
 
@@ -191,14 +192,6 @@ func (c *Curve) Neg(p Point) Point {
 	return Point{X: new(big.Int).Set(p.X), Y: new(big.Int).Sub(c.P, p.Y)}
 }
 
-// Double returns 2p.
-func (c *Curve) Double(p Point) Point {
-	if p.IsInfinity() {
-		return Point{}
-	}
-	return c.fromJacobian(c.jacDouble(c.toJacobian(p)))
-}
-
 // ScalarMult returns k·p. The scalar is reduced modulo the group order.
 func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 	kr := new(big.Int).Mod(k, c.N)
@@ -206,11 +199,6 @@ func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 		return Point{}
 	}
 	return c.fromJacobian(c.jacScalarMult(c.toJacobian(p), limbsOf(kr)))
-}
-
-// ScalarBaseMult returns k·G.
-func (c *Curve) ScalarBaseMult(k *big.Int) Point {
-	return c.ScalarMult(c.Generator(), k)
 }
 
 // Encode serializes a point as a 65-byte uncompressed encoding. The identity

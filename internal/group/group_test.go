@@ -19,7 +19,7 @@ func randScalar(rng *rand.Rand, c *Curve) *big.Int {
 
 func TestGeneratorOnCurve(t *testing.T) {
 	for _, c := range allCurves() {
-		if !c.IsOnCurve(c.Generator()) {
+		if !c.IsOnCurve(c.generator()) {
 			t.Errorf("%s: generator not on curve", c.Name)
 		}
 	}
@@ -27,7 +27,7 @@ func TestGeneratorOnCurve(t *testing.T) {
 
 func TestOrderTimesGeneratorIsInfinity(t *testing.T) {
 	for _, c := range allCurves() {
-		g := c.Generator()
+		g := c.generator()
 		// (N-1)·G + G must be the identity.
 		nm1 := new(big.Int).Sub(c.N, big.NewInt(1))
 		p := c.ScalarMult(g, nm1)
@@ -40,7 +40,7 @@ func TestOrderTimesGeneratorIsInfinity(t *testing.T) {
 
 func TestScalarMultMatchesRepeatedAdd(t *testing.T) {
 	for _, c := range allCurves() {
-		g := c.Generator()
+		g := c.generator()
 		acc := Infinity()
 		for k := 1; k <= 20; k++ {
 			acc = c.Add(acc, g)
@@ -59,8 +59,8 @@ func TestAddCommutative(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, c := range allCurves() {
 		for i := 0; i < 10; i++ {
-			p := c.ScalarBaseMult(randScalar(rng, c))
-			q := c.ScalarBaseMult(randScalar(rng, c))
+			p := c.ScalarMult(c.generator(), randScalar(rng, c))
+			q := c.ScalarMult(c.generator(), randScalar(rng, c))
 			if !c.Add(p, q).Equal(c.Add(q, p)) {
 				t.Fatalf("%s: addition not commutative", c.Name)
 			}
@@ -72,9 +72,9 @@ func TestAddAssociative(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, c := range allCurves() {
 		for i := 0; i < 5; i++ {
-			p := c.ScalarBaseMult(randScalar(rng, c))
-			q := c.ScalarBaseMult(randScalar(rng, c))
-			r := c.ScalarBaseMult(randScalar(rng, c))
+			p := c.ScalarMult(c.generator(), randScalar(rng, c))
+			q := c.ScalarMult(c.generator(), randScalar(rng, c))
+			r := c.ScalarMult(c.generator(), randScalar(rng, c))
 			lhs := c.Add(c.Add(p, q), r)
 			rhs := c.Add(p, c.Add(q, r))
 			if !lhs.Equal(rhs) {
@@ -87,7 +87,7 @@ func TestAddAssociative(t *testing.T) {
 func TestScalarMultDistributesOverScalarAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, c := range allCurves() {
-		g := c.Generator()
+		g := c.generator()
 		for i := 0; i < 5; i++ {
 			a := randScalar(rng, c)
 			b := randScalar(rng, c)
@@ -104,7 +104,7 @@ func TestScalarMultDistributesOverScalarAdd(t *testing.T) {
 func TestNegation(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, c := range allCurves() {
-		p := c.ScalarBaseMult(randScalar(rng, c))
+		p := c.ScalarMult(c.generator(), randScalar(rng, c))
 		if !c.Add(p, c.Neg(p)).IsInfinity() {
 			t.Errorf("%s: P + (-P) != infinity", c.Name)
 		}
@@ -118,12 +118,12 @@ func TestDoubleMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, c := range allCurves() {
 		for i := 0; i < 5; i++ {
-			p := c.ScalarBaseMult(randScalar(rng, c))
-			if !c.Double(p).Equal(c.Add(p, p)) {
+			p := c.ScalarMult(c.generator(), randScalar(rng, c))
+			if !c.ScalarMult(p, big.NewInt(2)).Equal(c.Add(p, p)) {
 				t.Fatalf("%s: 2P != P+P", c.Name)
 			}
 		}
-		if !c.Double(Infinity()).IsInfinity() {
+		if !c.Add(Infinity(), Infinity()).IsInfinity() {
 			t.Errorf("%s: 2·infinity != infinity", c.Name)
 		}
 	}
@@ -132,7 +132,7 @@ func TestDoubleMatchesAdd(t *testing.T) {
 func TestIdentityLaws(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, c := range allCurves() {
-		p := c.ScalarBaseMult(randScalar(rng, c))
+		p := c.ScalarMult(c.generator(), randScalar(rng, c))
 		if !c.Add(p, Infinity()).Equal(p) || !c.Add(Infinity(), p).Equal(p) {
 			t.Errorf("%s: identity not neutral", c.Name)
 		}
@@ -153,7 +153,7 @@ func TestGenericMatchesFastBackend(t *testing.T) {
 		rng := rand.New(rand.NewSource(16))
 		for i := 0; i < 10; i++ {
 			k := randScalar(rng, c)
-			p := c.ScalarBaseMult(k)
+			p := c.ScalarMult(c.generator(), k)
 			x, y := std.ScalarBaseMult(k.Bytes())
 			if !p.Equal(Point{X: x, Y: y}) {
 				t.Fatalf("%s: scalar base mult mismatch for k=%v", c.Name, k)
@@ -169,7 +169,7 @@ func TestGenericMatchesFastBackend(t *testing.T) {
 				t.Fatalf("%s: add mismatch", c.Name)
 			}
 			dx, dy := std.Double(x, y)
-			if !c.Double(p).Equal(Point{X: dx, Y: dy}) {
+			if !c.Add(p, p).Equal(Point{X: dx, Y: dy}) {
 				t.Fatalf("%s: double mismatch", c.Name)
 			}
 		}
@@ -183,7 +183,7 @@ func TestSecp256k1KnownVector(t *testing.T) {
 		X: mustHex("c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5"),
 		Y: mustHex("1ae168fea63dc339a3c58419466ceaeef7f632653266d0e1236431a950cfe52a"),
 	}
-	if got := c.Double(c.Generator()); !got.Equal(want) {
+	if got := c.Add(c.generator(), c.generator()); !got.Equal(want) {
 		t.Fatalf("2G mismatch: got (%x, %x)", got.X, got.Y)
 	}
 }
@@ -192,7 +192,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, c := range allCurves() {
 		for i := 0; i < 10; i++ {
-			p := c.ScalarBaseMult(randScalar(rng, c))
+			p := c.ScalarMult(c.generator(), randScalar(rng, c))
 			enc := c.Encode(p)
 			got, err := c.Decode(enc)
 			if err != nil {

@@ -28,7 +28,7 @@ const (
 	// StrategyPippenger uses the bucket method with signed-scalar recoding.
 	StrategyPippenger
 	// StrategyParallel is Pippenger with the window bucket sums computed
-	// concurrently by up to Curve.SetParallelism workers.
+	// concurrently by up to GOMAXPROCS workers.
 	StrategyParallel
 	// StrategyPrecomputed uses fixed-base window tables. Through
 	// MultiScalarMult the tables are built ad hoc (useful for differential

@@ -11,7 +11,7 @@ func randomInputs(rng *rand.Rand, c *Curve, n int) ([]Point, []*big.Int) {
 	points := make([]Point, n)
 	scalars := make([]*big.Int, n)
 	for i := 0; i < n; i++ {
-		points[i] = c.ScalarBaseMult(randScalar(rng, c))
+		points[i] = c.ScalarMult(c.generator(), randScalar(rng, c))
 		scalars[i] = randScalar(rng, c)
 	}
 	return points, scalars
@@ -48,7 +48,7 @@ func TestMultiExpSmallScalars(t *testing.T) {
 	points := make([]Point, n)
 	scalars := make([]*big.Int, n)
 	for i := 0; i < n; i++ {
-		points[i] = c.ScalarBaseMult(randScalar(rng, c))
+		points[i] = c.ScalarMult(c.generator(), randScalar(rng, c))
 		v := big.NewInt(int64(rng.Intn(1 << 20)))
 		if rng.Intn(2) == 0 { // negative-wrapped value near the order
 			v.Sub(c.N, v)
@@ -119,10 +119,10 @@ func TestMultiExpErrors(t *testing.T) {
 	if _, err := c.MultiScalarMult(nil, nil, StrategyNaive); err == nil {
 		t.Fatal("expected error on empty input")
 	}
-	if _, err := c.MultiScalarMult([]Point{c.Generator()}, nil, StrategyNaive); err == nil {
+	if _, err := c.MultiScalarMult([]Point{c.generator()}, nil, StrategyNaive); err == nil {
 		t.Fatal("expected error on length mismatch")
 	}
-	if _, err := c.MultiScalarMult([]Point{c.Generator()}, []*big.Int{big.NewInt(1)}, MultiExpStrategy(99)); err == nil {
+	if _, err := c.MultiScalarMult([]Point{c.generator()}, []*big.Int{big.NewInt(1)}, MultiExpStrategy(99)); err == nil {
 		t.Fatal("expected error on unknown strategy")
 	}
 }

@@ -13,26 +13,6 @@ import (
 // window carries enough bucket additions to amortize a worker.
 const parallelMinPoints = 128
 
-// SetParallelism bounds the number of worker goroutines StrategyParallel
-// uses for this curve. n ≤ 0 restores the default (runtime.GOMAXPROCS).
-// n = 1 forces the parallel strategy to run sequentially, which also stops
-// StrategyAuto from ever selecting it. Safe to call concurrently with
-// in-flight multiexps; they pick up the value at dispatch time.
-//
-// The knob is per-Curve and the curve constructors return shared
-// singletons, so a process-wide setting is one call; tests that lower it
-// should restore the previous value.
-func (c *Curve) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.par.Store(int32(n))
-}
-
-// Parallelism returns the currently configured worker bound (0 means the
-// GOMAXPROCS default).
-func (c *Curve) Parallelism() int { return int(c.par.Load()) }
-
 // workers resolves the effective worker count for a parallel multiexp.
 func (c *Curve) workers() int {
 	if n := int(c.par.Load()); n > 0 {

@@ -27,19 +27,11 @@ type KeyPair struct {
 	private ed25519.PrivateKey
 }
 
-// Generate creates a fresh random keypair for a participant.
-func Generate(id string) (*KeyPair, error) {
-	pub, priv, err := ed25519.GenerateKey(nil)
-	if err != nil {
-		return nil, fmt.Errorf("identity: %w", err)
-	}
-	return &KeyPair{ID: id, public: pub, private: priv}, nil
-}
-
 // Deterministic derives a keypair from (label, id) — for tests, demos and
 // the iplsd deployment where all parties derive the task wiring from
-// shared flags. Real deployments should use Generate and distribute public
-// keys out of band.
+// shared flags. Keys derived from public labels are not secret: a
+// deployment facing real adversaries needs random keys whose public halves
+// are distributed out of band.
 func Deterministic(label, id string) *KeyPair {
 	seed := sha256.Sum256([]byte("ipls/identity/" + label + "/" + id))
 	priv := ed25519.NewKeyFromSeed(seed[:])

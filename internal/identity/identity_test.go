@@ -5,11 +5,8 @@ import (
 	"testing"
 )
 
-func TestGenerateSignVerify(t *testing.T) {
-	kp, err := Generate("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestSignVerify(t *testing.T) {
+	kp := Deterministic("task", "alice")
 	msg := []byte("gradient record bytes")
 	sig := kp.Sign(msg)
 	if !Verify(kp.Public(), msg, sig) {
@@ -18,10 +15,7 @@ func TestGenerateSignVerify(t *testing.T) {
 	if Verify(kp.Public(), []byte("other message"), sig) {
 		t.Fatal("signature valid for a different message")
 	}
-	other, err := Generate("bob")
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := Deterministic("task", "bob")
 	if Verify(other.Public(), msg, sig) {
 		t.Fatal("signature valid under a different key")
 	}

@@ -23,14 +23,6 @@ type Dataset struct {
 // Len returns the number of examples.
 func (d *Dataset) Len() int { return len(d.X) }
 
-// Features returns the input dimensionality (0 for an empty dataset).
-func (d *Dataset) Features() int {
-	if len(d.X) == 0 {
-		return 0
-	}
-	return len(d.X[0])
-}
-
 // Blobs generates an isotropic-Gaussian-blobs dataset: one cluster per
 // class with centers spread on a seeded random layout. It is linearly
 // separable for small spread and increasingly hard as spread grows.
@@ -65,10 +57,10 @@ func Blobs(n, features, classes int, spread float64, seed int64) *Dataset {
 	return d
 }
 
-// Rings generates a non-linearly-separable dataset of concentric 2D rings,
+// rings generates a non-linearly-separable dataset of concentric 2D rings,
 // one radius band per class — a workload the MLP solves but softmax
-// regression cannot.
-func Rings(n, classes int, noise float64, seed int64) *Dataset {
+// regression cannot; the MLP and optimizer tests train on it.
+func rings(n, classes int, noise float64, seed int64) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	d := &Dataset{
 		X:       make([][]float64, n),

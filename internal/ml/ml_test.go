@@ -94,7 +94,7 @@ func TestLogisticLearnsBlobs(t *testing.T) {
 }
 
 func TestMLPSolvesRingsWhereLogisticCannot(t *testing.T) {
-	d := Rings(400, 2, 0.15, 7)
+	d := rings(400, 2, 0.15, 7)
 	cfg := SGDConfig{LearningRate: 0.3, Epochs: 120, BatchSize: 32, Seed: 8}
 
 	logistic := NewLogistic(2, 2)
@@ -242,7 +242,7 @@ func TestSetParamsValidation(t *testing.T) {
 }
 
 func TestMomentumAcceleratesConvergence(t *testing.T) {
-	d := Rings(400, 2, 0.15, 30)
+	d := rings(400, 2, 0.15, 30)
 	run := func(momentum float64) float64 {
 		m := NewMLP(2, 16, 2, 31)
 		_, loss, err := LocalDelta(m, d, m.Params(), SGDConfig{
@@ -334,12 +334,6 @@ func TestAccuracyAndLossEdgeCases(t *testing.T) {
 
 func TestDatasetHelpers(t *testing.T) {
 	d := Blobs(60, 3, 3, 1.0, 21)
-	if d.Features() != 3 {
-		t.Fatalf("Features() = %d", d.Features())
-	}
-	if (&Dataset{}).Features() != 0 {
-		t.Fatal("empty Features() should be 0")
-	}
 	sub := d.Subset([]int{0, 5, 10})
 	if sub.Len() != 3 || sub.Classes != 3 {
 		t.Fatal("Subset wrong shape")

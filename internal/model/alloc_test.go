@@ -14,7 +14,7 @@ func TestBlockPathAllocationBudgets(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	q := testQuantizer(t)
-	f := q.Field()
+	f := testField()
 	rng := rand.New(rand.NewSource(11))
 	for _, length := range []int{65, 8193} {
 		part := make([]float64, length-1)

@@ -103,14 +103,6 @@ type Block struct {
 	Values []*big.Int
 }
 
-// Counter returns the averaging counter (the trailing element).
-func (b Block) Counter() *big.Int {
-	if len(b.Values) == 0 {
-		return new(big.Int)
-	}
-	return b.Values[len(b.Values)-1]
-}
-
 // Dim returns the number of gradient values (excluding the counter).
 func (b Block) Dim() int {
 	if len(b.Values) == 0 {

@@ -14,10 +14,12 @@ import (
 	"ipls/internal/scalar"
 )
 
+// testField is the field testQuantizer encodes into.
+func testField() *scalar.Field { return scalar.NewField(group.Secp256k1().N) }
+
 func testQuantizer(t *testing.T) *scalar.Quantizer {
 	t.Helper()
-	f := scalar.NewField(group.Secp256k1().N)
-	q, err := scalar.NewQuantizer(f, scalar.DefaultShift)
+	q, err := scalar.NewQuantizer(testField(), scalar.DefaultShift)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +253,7 @@ func TestQuantizeAppendsCounter(t *testing.T) {
 	if b.Dim() != 2 {
 		t.Fatalf("Dim() = %d", b.Dim())
 	}
-	if got := q.Decode(b.Counter()); got != 1 {
+	if got := q.Decode(b.Values[len(b.Values)-1]); got != 1 {
 		t.Fatalf("counter decodes to %v, want 1", got)
 	}
 }
@@ -260,7 +262,7 @@ func TestSumAndDequantizeAverages(t *testing.T) {
 	// The core Algorithm 1 data path: N trainers quantize, blocks are
 	// field-summed, the trainer divides by the summed counter.
 	q := testQuantizer(t)
-	f := q.Field()
+	f := testField()
 	rng := rand.New(rand.NewSource(3))
 	const n = 16
 	const dim = 20
@@ -282,7 +284,7 @@ func TestSumAndDequantizeAverages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Decode(sum.Counter()); got != n {
+	if got := q.Decode(sum.Values[len(sum.Values)-1]); got != n {
 		t.Fatalf("summed counter = %v, want %d", got, n)
 	}
 	avg, err := Dequantize(q, sum)

@@ -20,7 +20,7 @@ import (
 // orders and must produce identical aggregates.
 func TestSumCommutativeAssociative(t *testing.T) {
 	q := testQuantizer(t)
-	f := q.Field()
+	f := testField()
 	rng := rand.New(rand.NewSource(7))
 	mkBlock := func(dim int) Block {
 		part := make([]float64, dim)
@@ -88,7 +88,7 @@ func TestBlockEncodeIsCanonical(t *testing.T) {
 			return false
 		}
 		// Mutate one element: encoding must change.
-		b2.Values[rng.Intn(len(b2.Values))] = q.Field().Add(b2.Values[0], b2.Values[len(b2.Values)-1])
+		b2.Values[rng.Intn(len(b2.Values))] = testField().Add(b2.Values[0], b2.Values[len(b2.Values)-1])
 		e3, err := b2.Encode()
 		if err != nil {
 			return false
@@ -104,7 +104,7 @@ func TestBlockEncodeIsCanonical(t *testing.T) {
 // trainer data path for random shapes and checks the end-to-end average.
 func TestSplitQuantizeSumJoinPipeline(t *testing.T) {
 	q := testQuantizer(t)
-	f := q.Field()
+	f := testField()
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 20; trial++ {
 		dim := 2 + rng.Intn(40)
@@ -165,27 +165,32 @@ func TestSplitQuantizeSumJoinPipeline(t *testing.T) {
 	}
 }
 
-// refDecode is Quantizer.Decode as the parent commit wrote it — reduce,
-// centre, convert through big.Float — kept here so the decode kernel, which
-// Decode and DecodeVec now share, is checked against something it is not.
-func refDecode(q *scalar.Quantizer, v *big.Int) float64 {
-	order := q.Field().Order()
+// refDecode is Quantizer.Decode at DefaultShift as the parent commit wrote
+// it — reduce, centre, convert through big.Float — kept here so the decode
+// kernel, which Decode and DecodeVec now share, is checked against
+// something it is not.
+func refDecode(order, v *big.Int) float64 {
 	r := new(big.Int).Mod(v, order)
 	if r.Cmp(new(big.Int).Rsh(order, 1)) > 0 {
 		r.Sub(r, order)
 	}
 	f, _ := new(big.Float).SetInt(r).Float64()
-	return f / math.Ldexp(1, int(q.Shift()))
+	return f / math.Ldexp(1, scalar.DefaultShift)
 }
 
 // checkVectorKernels holds the slab-backed vector kernels against a
 // reference built one element at a time from the scalar Field.Add,
 // Quantizer.Encode and refDecode: same elements, same floats bit for bit,
-// same bytes, and the same refusals, naming the offending element.
-// a and b are equal-length vectors of wire elements (any value below 2^256).
-func checkVectorKernels(t *testing.T, q *scalar.Quantizer, xs []float64, a, b []*big.Int) {
+// same bytes, and the same refusals, naming the offending element, over
+// the field of the given order at DefaultShift. a and b are equal-length
+// vectors of wire elements (any value below 2^256).
+func checkVectorKernels(t *testing.T, order *big.Int, xs []float64, a, b []*big.Int) {
 	t.Helper()
-	f := q.Field()
+	f := scalar.NewField(order)
+	q, err := scalar.NewQuantizer(f, scalar.DefaultShift)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	enc, err := q.EncodeVec(xs)
 	bad := -1
@@ -218,15 +223,11 @@ func checkVectorKernels(t *testing.T, q *scalar.Quantizer, xs []float64, a, b []
 	wantSum := make([]*big.Int, len(a))
 	for i := range a {
 		wantSum[i] = f.Add(a[i], b[i])
-		if wantSum[i].Sign() < 0 || wantSum[i].Cmp(f.Order()) >= 0 {
+		if wantSum[i].Sign() < 0 || wantSum[i].Cmp(order) >= 0 {
 			t.Fatalf("Field.Add(%x, %x) = %x is not reduced", a[i], b[i], wantSum[i])
 		}
 	}
 	sum, err := f.SumVecs(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	add, err := f.AddVec(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,18 +236,18 @@ func checkVectorKernels(t *testing.T, q *scalar.Quantizer, xs []float64, a, b []
 		t.Fatal(err)
 	}
 	for i := range wantSum {
-		if sum[i].Cmp(wantSum[i]) != 0 || add[i].Cmp(wantSum[i]) != 0 || blockSum.Values[i].Cmp(wantSum[i]) != 0 {
-			t.Fatalf("element %d: %x + %x: SumVecs %x, AddVec %x, Sum %x, Field.Add %x",
-				i, a[i], b[i], sum[i], add[i], blockSum.Values[i], wantSum[i])
+		if sum[i].Cmp(wantSum[i]) != 0 || blockSum.Values[i].Cmp(wantSum[i]) != 0 {
+			t.Fatalf("element %d: %x + %x: SumVecs %x, Sum %x, Field.Add %x",
+				i, a[i], b[i], sum[i], blockSum.Values[i], wantSum[i])
 		}
 	}
 
 	for _, vec := range [][]*big.Int{a, b, sum} {
 		dec := q.DecodeVec(vec)
 		for i, v := range vec {
-			want := math.Float64bits(refDecode(q, v))
+			want := math.Float64bits(refDecode(order, v))
 			if math.Float64bits(dec[i]) != want || math.Float64bits(q.Decode(v)) != want {
-				t.Fatalf("element %d (%x): DecodeVec %v, Decode %v, reference %v", i, v, dec[i], q.Decode(v), refDecode(q, v))
+				t.Fatalf("element %d (%x): DecodeVec %v, Decode %v, reference %v", i, v, dec[i], q.Decode(v), refDecode(order, v))
 			}
 		}
 	}
@@ -288,18 +289,13 @@ func checkVectorKernels(t *testing.T, q *scalar.Quantizer, xs []float64, a, b []
 func TestVectorKernelsMatchScalarReference(t *testing.T) {
 	pow := func(n uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), n) }
 	for _, curve := range []*group.Curve{group.Secp256k1(), group.Secp256r1()} {
-		f := scalar.NewField(curve.N)
-		q, err := scalar.NewQuantizer(f, scalar.DefaultShift)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ulp := math.Ldexp(1, -scalar.DefaultShift)
 		// The largest magnitudes the fixed-point range takes, and the
 		// first ones it refuses.
 		edge := math.Ldexp(1, 62-scalar.DefaultShift)
 		floats := []float64{0, math.Copysign(0, -1), ulp, -ulp, ulp / 2, -ulp / 2, 1.5 * ulp, -1.5 * ulp,
 			1, -1, 1 - ulp, -1 + ulp, math.Nextafter(edge, 0), -math.Nextafter(edge, 0), math.SmallestNonzeroFloat64}
-		order := f.Order()
+		order := curve.N
 		sub := func(x, y *big.Int) *big.Int { return new(big.Int).Sub(x, y) }
 		half := new(big.Int).Rsh(order, 1)
 		elems := []*big.Int{
@@ -315,11 +311,11 @@ func TestVectorKernelsMatchScalarReference(t *testing.T) {
 				a, b = append(a, x), append(b, y)
 			}
 		}
-		checkVectorKernels(t, q, floats, a, b)
+		checkVectorKernels(t, order, floats, a, b)
 
 		for i, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), edge, -edge, math.MaxFloat64} {
 			xs := append([]float64{1, -2, 3}, floats[:i]...)
-			checkVectorKernels(t, q, append(xs, x, 4), nil, nil)
+			checkVectorKernels(t, order, append(xs, x, 4), nil, nil)
 		}
 
 		rng := rand.New(rand.NewSource(12))
@@ -336,7 +332,7 @@ func TestVectorKernelsMatchScalarReference(t *testing.T) {
 				a[i] = new(big.Int).SetBytes(buf[:scalar.ElementSize])
 				b[i] = new(big.Int).SetBytes(buf[scalar.ElementSize:])
 			}
-			checkVectorKernels(t, q, xs, a, b)
+			checkVectorKernels(t, order, xs, a, b)
 		}
 	}
 }
@@ -348,7 +344,7 @@ func TestVectorKernelsMatchScalarReference(t *testing.T) {
 // this under the race detector.
 func TestBlocksAreSharedReadOnly(t *testing.T) {
 	q := testQuantizer(t)
-	f := q.Field()
+	f := testField()
 	rng := rand.New(rand.NewSource(13))
 	mk := func() Block {
 		part := make([]float64, 300)

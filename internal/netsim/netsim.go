@@ -70,9 +70,9 @@ func (e *Env) SetMetrics(reg *obs.Registry) {
 func (e *Env) Now() time.Duration { return e.now }
 
 // Clock returns a wall-clock view of the virtual time, anchored at base:
-// each call reports base plus the current virtual offset. Hand it to
-// consumers that stamp absolute timestamps (core.Session.SetClock, span
-// emitters) so their output lands on the simulation's timeline.
+// each call reports base plus the current virtual offset. Span emitters
+// that stamp absolute timestamps (core.Simulate's) use it so their output
+// lands on the simulation's timeline.
 func (e *Env) Clock(base time.Time) func() time.Time {
 	return func() time.Time { return base.Add(e.now) }
 }
@@ -502,9 +502,6 @@ func (s *Signal) Fire() {
 	}
 	s.waiters = nil
 }
-
-// Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
 
 // Counter is a countdown latch: processes wait until Add has been called a
 // target number of times.

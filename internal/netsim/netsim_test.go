@@ -211,7 +211,7 @@ func TestSignal(t *testing.T) {
 	if wokenAt != 7*time.Second {
 		t.Fatalf("waiter woke at %v", wokenAt)
 	}
-	if !sig.Fired() {
+	if !sig.fired {
 		t.Fatal("signal should report fired")
 	}
 }

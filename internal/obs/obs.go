@@ -75,20 +75,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add increments the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (zero for the nil Gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -120,26 +106,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i]++
 	h.sum += v
 	h.total++
-}
-
-// Count returns how many values were observed (zero for the nil Histogram).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Sum returns the sum of observed values (zero for the nil Histogram).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram.
@@ -205,11 +171,11 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 // empty registry stays small (a few KB of maps).
 const registryShards = 64
 
-// DefaultMaxCardinality is the default bound on the number of distinct
-// instruments (name + label combination) a Registry will create. A
-// misbehaving label (e.g. a per-request ID) otherwise grows the registry
-// without bound; past the limit new identities are dropped and counted in
-// DroppedMetricName instead. SetMaxCardinality overrides it.
+// DefaultMaxCardinality bounds the number of distinct instruments (name +
+// label combination) a Registry will create. A misbehaving label (e.g. a
+// per-request ID) otherwise grows the registry without bound; past the
+// limit new identities are dropped and counted in DroppedMetricName
+// instead.
 const DefaultMaxCardinality = 1 << 16
 
 // DroppedMetricName is the counter reporting instruments refused because
@@ -233,13 +199,13 @@ type registryShard struct {
 //
 // Storage is lock-striped: keys hash onto registryShards independent
 // mutex-guarded maps, so lookups from thousands of concurrent writers do
-// not serialize on one lock. Total cardinality is bounded (see
-// SetMaxCardinality); identities past the limit yield nil (no-op)
+// not serialize on one lock. Total cardinality is bounded at
+// DefaultMaxCardinality; identities past the limit yield nil (no-op)
 // instruments and are counted in DroppedMetricName.
 type Registry struct {
 	shards  [registryShards]registryShard
 	size    atomic.Int64 // live instruments across all shards
-	limit   atomic.Int64 // max instruments; <= 0 means unbounded
+	limit   int64        // max instruments; tests lower it
 	dropped atomic.Int64 // identities refused at the limit
 }
 
@@ -251,36 +217,8 @@ func NewRegistry() *Registry {
 		r.shards[i].gauges = make(map[string]*Gauge)
 		r.shards[i].histograms = make(map[string]*Histogram)
 	}
-	r.limit.Store(DefaultMaxCardinality)
+	r.limit = DefaultMaxCardinality
 	return r
-}
-
-// SetMaxCardinality bounds the number of distinct instruments the registry
-// will create (n <= 0 removes the bound). Existing instruments are kept
-// even if they exceed a newly lowered limit; only new identities are
-// refused, each refusal counted in DroppedMetricName.
-func (r *Registry) SetMaxCardinality(n int) {
-	if r == nil {
-		return
-	}
-	r.limit.Store(int64(n))
-}
-
-// Cardinality reports how many distinct instruments the registry holds.
-func (r *Registry) Cardinality() int {
-	if r == nil {
-		return 0
-	}
-	return int(r.size.Load())
-}
-
-// Dropped reports how many instrument identities were refused because the
-// registry was at its cardinality limit.
-func (r *Registry) Dropped() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped.Load()
 }
 
 // shardSeed randomizes the shard hash per process; shard choice only has
@@ -296,14 +234,10 @@ func (r *Registry) shardFor(key string) *registryShard {
 // when the registry is at its cardinality limit. The reserve-then-undo
 // scheme keeps the bound exact under concurrent creation across shards.
 func (r *Registry) admit() bool {
-	limit := r.limit.Load()
-	if limit > 0 && r.size.Add(1) > limit {
+	if r.size.Add(1) > r.limit {
 		r.size.Add(-1)
 		r.dropped.Add(1)
 		return false
-	}
-	if limit <= 0 {
-		r.size.Add(1)
 	}
 	return true
 }

@@ -42,9 +42,6 @@ func (s ResourceSample) Sub(old ResourceSample) ResourceSample {
 	return d
 }
 
-// IsZero reports whether the sample carries no readings.
-func (s ResourceSample) IsZero() bool { return s.CPUNanos == 0 && s.AllocBytes == 0 }
-
 // ResourceMeter samples cumulative resource counters. Implementations
 // must be safe for concurrent use; Sample is called on span open and
 // close, so it must be cheap (no stop-the-world).

@@ -15,11 +15,8 @@ func TestResourceSampleSub(t *testing.T) {
 	}
 	// Counter resets clamp to zero instead of going negative.
 	d = a.Sub(b)
-	if d.CPUNanos != 0 || d.AllocBytes != 0 {
+	if d != (ResourceSample{}) {
 		t.Fatalf("Sub after reset = %+v, want zeros", d)
-	}
-	if !d.IsZero() {
-		t.Fatal("clamped delta should be zero")
 	}
 }
 

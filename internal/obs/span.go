@@ -142,14 +142,12 @@ type SpanCollector struct {
 	spans    []Span
 	capacity int // <= 0: unbounded
 	start    int // ring head once a bounded collector is full
-	dropped  int
 }
 
 var _ SpanSink = (*SpanCollector)(nil)
 
 // NewSpanCollector creates a collector retaining at most capacity spans
-// (capacity <= 0 means unbounded). When full, the oldest span is evicted
-// and counted in Dropped.
+// (capacity <= 0 means unbounded). When full, the oldest span is evicted.
 func NewSpanCollector(capacity int) *SpanCollector {
 	return &SpanCollector{capacity: capacity}
 }
@@ -161,7 +159,6 @@ func (c *SpanCollector) EmitSpan(s Span) {
 	if c.capacity > 0 && len(c.spans) == c.capacity {
 		c.spans[c.start] = s
 		c.start = (c.start + 1) % c.capacity
-		c.dropped++
 		return
 	}
 	c.spans = append(c.spans, s)
@@ -175,18 +172,6 @@ func (c *SpanCollector) Spans() []Span {
 	out = append(out, c.spans[c.start:]...)
 	out = append(out, c.spans[:c.start]...)
 	return out
-}
-
-// Dropped reports how many spans were evicted to stay within capacity.
-func (c *SpanCollector) Dropped() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
-}
-
-// Tree assembles the retained spans of one trace into a forest.
-func (c *SpanCollector) Tree(session string, iter int) *SpanTree {
-	return BuildTree(c.Spans(), session, iter)
 }
 
 // SpanNode is one span with its resolved children.
@@ -250,24 +235,6 @@ func BuildTree(spans []Span, session string, iter int) *SpanTree {
 		sortNodes(n.Children)
 	}
 	return tree
-}
-
-// Find returns the first node (pre-order over the sorted forest) whose
-// span has the given name, or nil.
-func (t *SpanTree) Find(name string) *SpanNode {
-	var walk func(ns []*SpanNode) *SpanNode
-	walk = func(ns []*SpanNode) *SpanNode {
-		for _, n := range ns {
-			if n.Span.Name == name {
-				return n
-			}
-			if found := walk(n.Children); found != nil {
-				return found
-			}
-		}
-		return nil
-	}
-	return walk(t.Roots)
 }
 
 // Walk visits every node of the forest in pre-order.

@@ -77,13 +77,6 @@ func (w *SpanJSONLWriter) Dropped() int {
 	return w.failed
 }
 
-// Err returns the first write error, if any.
-func (w *SpanJSONLWriter) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
-
 // ReadSpanJSONL parses a span JSONL stream produced by SpanJSONLWriter.
 // Blank lines are skipped; a malformed line aborts with an error naming
 // it. Streams concatenated from several nodes parse fine — spans need no

@@ -195,7 +195,7 @@ func TestBatchVerifyPathsAgree(t *testing.T) {
 			points := make([]group.Point, len(cs))
 			for j, c := range cs {
 				var err error
-				if points[j], err = p.Curve().Decode(c); err != nil {
+				if points[j], err = p.curve.Decode(c); err != nil {
 					t.Fatal(err)
 				}
 			}

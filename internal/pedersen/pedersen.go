@@ -67,28 +67,14 @@ func Setup(curve *group.Curve, n int, label string) (*Params, error) {
 	return p, nil
 }
 
-// Curve returns the underlying curve.
-func (p *Params) Curve() *group.Curve { return p.curve }
-
 // Field returns the scalar field of the commitment group.
 func (p *Params) Field() *scalar.Field { return p.field }
-
-// Label returns the domain-separation label used to derive generators.
-func (p *Params) Label() string { return p.label }
 
 // Len returns the number of generators currently derived.
 func (p *Params) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.gens)
-}
-
-// PrecomputedLen returns how many generators currently have fixed-base
-// tables.
-func (p *Params) PrecomputedLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.fixed)
 }
 
 // Extend makes sure at least n generators are available, building the

@@ -50,7 +50,7 @@ func TestPrecomputeLimit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := p.PrecomputedLen(), min(n, commitFixedMax); got != want {
+			if got, want := len(p.fixed), min(n, commitFixedMax); got != want {
 				t.Fatalf("%s L=%d: %d precomputed tables after Setup, want %d", curve.Name, n, got, want)
 			}
 		}
@@ -64,7 +64,7 @@ func TestPrecomputeLimit(t *testing.T) {
 	if err := p.Extend(n); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.PrecomputedLen(); got != commitFixedMax {
+	if got := len(p.fixed); got != commitFixedMax {
 		t.Fatalf("expected tables capped at %d, got %d", commitFixedMax, got)
 	}
 
@@ -79,7 +79,7 @@ func TestPrecomputeLimit(t *testing.T) {
 	if ok, err := p.Verify(v, c); err != nil || !ok {
 		t.Fatalf("fallback commit failed verification: ok=%v err=%v", ok, err)
 	}
-	if got := p.PrecomputedLen(); got != commitFixedMax {
+	if got := len(p.fixed); got != commitFixedMax {
 		t.Fatalf("auto commit past the prefix built tables: %d, want %d", got, commitFixedMax)
 	}
 }

@@ -48,9 +48,6 @@ func NewField(order *big.Int) *Field {
 	return f
 }
 
-// Order returns a copy of the field order.
-func (f *Field) Order() *big.Int { return new(big.Int).Set(f.order) }
-
 // OrderLimbs returns the order as four 64-bit limbs, least significant
 // first, for kernels that work on encoded elements. ok is false when the
 // order does not fit in ElementSize bytes.
@@ -79,36 +76,10 @@ func (f *Field) reduced(x *big.Int) bool {
 	return x.Sign() >= 0 && x.Cmp(f.order) < 0
 }
 
-// Sub returns (a - b) mod order.
-func (f *Field) Sub(a, b *big.Int) *big.Int {
-	r := new(big.Int).Sub(a, b)
-	if r.Sign() < 0 {
-		r.Add(r, f.order)
-	}
-	return r
-}
-
 // Mul returns (a * b) mod order.
 func (f *Field) Mul(a, b *big.Int) *big.Int {
 	r := new(big.Int).Mul(a, b)
 	return r.Mod(r, f.order)
-}
-
-// Neg returns (-a) mod order.
-func (f *Field) Neg(a *big.Int) *big.Int {
-	if a.Sign() == 0 {
-		return new(big.Int)
-	}
-	return new(big.Int).Sub(f.order, a)
-}
-
-// Inv returns the multiplicative inverse of a mod order.
-// It returns an error if a ≡ 0.
-func (f *Field) Inv(a *big.Int) (*big.Int, error) {
-	if new(big.Int).Mod(a, f.order).Sign() == 0 {
-		return nil, errors.New("scalar: zero has no inverse")
-	}
-	return new(big.Int).ModInverse(a, f.order), nil
 }
 
 // vecWords is the window a slab-backed element owns: the words of an
@@ -127,11 +98,6 @@ func NewVec(n int) []*big.Int {
 		ptrs[i] = &ints[i]
 	}
 	return ptrs
-}
-
-// AddVec returns the element-wise field sum of two equal-length vectors.
-func (f *Field) AddVec(a, b []*big.Int) ([]*big.Int, error) {
-	return f.SumVecs(a, b)
 }
 
 // SumVecs returns the element-wise field sum of all vectors. All vectors must
@@ -194,12 +160,6 @@ func NewQuantizer(f *Field, shift uint) (*Quantizer, error) {
 		scale: math.Ldexp(1, int(shift)),
 	}, nil
 }
-
-// Field returns the quantizer's underlying field.
-func (q *Quantizer) Field() *Field { return q.field }
-
-// Shift returns the number of fractional bits.
-func (q *Quantizer) Shift() uint { return q.shift }
 
 // fixed returns round(x * 2^Shift); NaN and infinities are rejected.
 func (q *Quantizer) fixed(x float64) (int64, error) {

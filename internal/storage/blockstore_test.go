@@ -323,8 +323,8 @@ func TestCachedStoreHitMissMetricsAndEviction(t *testing.T) {
 	}
 	// Third block evicts the LRU entry (c1).
 	c3, _ := cs.Put(ctx, []byte("three"))
-	if cs.CacheLen() != 2 {
-		t.Fatalf("cache len = %d, want 2", cs.CacheLen())
+	if cs.lru.Len() != 2 {
+		t.Fatalf("cache len = %d, want 2", cs.lru.Len())
 	}
 	if _, err := cs.Get(ctx, c1); err != nil {
 		t.Fatal(err)
@@ -398,10 +398,10 @@ func TestNetworkGC(t *testing.T) {
 	if got, err := n.Fetch(ctx, keepCID); err != nil || string(got) != string(keepData) {
 		t.Fatalf("kept block lost: %v", err)
 	}
-	if len(n.Providers(dropCID)) != 0 {
+	if len(n.providerIDs(dropCID)) != 0 {
 		t.Fatal("collected block still has provider records")
 	}
-	if got := n.Metrics().Counter("storage_gc_blocks_total").Value(); got != 1 {
+	if got := n.reg.Counter("storage_gc_blocks_total").Value(); got != 1 {
 		t.Fatalf("storage_gc_blocks_total = %d, want 1", got)
 	}
 }
@@ -467,12 +467,12 @@ func TestNetworkRestartServesBlocksWithoutReReplication(t *testing.T) {
 		if !cid.Verify(data, c) {
 			t.Fatalf("post-restart block %s fails verification", c.Short())
 		}
-		provs := n2.Providers(c)
+		provs := n2.providerIDs(c)
 		if len(provs) != 1 || provs[0] != "node-00" {
 			t.Fatalf("provider records not restored for %s: %v", c.Short(), provs)
 		}
 	}
-	if got := n2.Metrics().Counter("repair_blocks_total").Value(); got != 0 {
+	if got := n2.reg.Counter("repair_blocks_total").Value(); got != 0 {
 		t.Fatalf("restart triggered re-replication: repair_blocks_total=%d", got)
 	}
 }
@@ -495,7 +495,7 @@ func TestAddNodeUnwritableDirFallsBackAndReportsBackend(t *testing.T) {
 	if _, err := n.Put(context.Background(), "node-00", []byte("still works")); err != nil {
 		t.Fatal(err)
 	}
-	if nd.Store() == nil {
+	if nd.store == nil {
 		t.Fatal("fallback store missing")
 	}
 }

@@ -57,10 +57,6 @@ func (cs *CachedStore) SetMetrics(hits, misses *obs.Counter) {
 	cs.misses = misses
 }
 
-// Backing returns the wrapped store (the cache is transparent to callers
-// that need backend-specific capabilities, e.g. FSStore.Dir).
-func (cs *CachedStore) Backing() BlockStore { return cs.backing }
-
 func (cs *CachedStore) admit(c cid.CID, data []byte) {
 	if cs.cap <= 0 {
 		return
@@ -169,13 +165,6 @@ func (cs *CachedStore) Corrupt(ctx context.Context, c cid.CID) error {
 	cs.evict(c)
 	cs.mu.Unlock()
 	return nil
-}
-
-// CacheLen returns how many blocks the cache currently holds.
-func (cs *CachedStore) CacheLen() int {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.lru.Len()
 }
 
 // Close drops the cache and closes the backing store.

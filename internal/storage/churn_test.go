@@ -31,10 +31,10 @@ func TestDepartLosesBlocksAndWithdrawsRecords(t *testing.T) {
 	if err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	if got := n.ReplicaCount(c); got != 2 {
+	if got := n.replicaCount(c); got != 2 {
 		t.Fatalf("replicas after put = %d, want 2", got)
 	}
-	providers := n.Providers(c)
+	providers := n.providerIDs(c)
 	if len(providers) != 2 {
 		t.Fatalf("providers = %v, want 2 entries", providers)
 	}
@@ -44,10 +44,10 @@ func TestDepartLosesBlocksAndWithdrawsRecords(t *testing.T) {
 		}
 	}
 	// Both holders gone: the block is lost, records withdrawn.
-	if got := n.ReplicaCount(c); got != 0 {
+	if got := n.replicaCount(c); got != 0 {
 		t.Fatalf("replicas after departures = %d, want 0", got)
 	}
-	if got := n.Providers(c); len(got) != 0 {
+	if got := n.providerIDs(c); len(got) != 0 {
 		t.Fatalf("providers after departures = %v, want none", got)
 	}
 	if _, err := n.Fetch(ctx, c); !errors.Is(err, ErrNotFound) {
@@ -72,7 +72,7 @@ func TestDepartLosesBlocksAndWithdrawsRecords(t *testing.T) {
 	if err != nil {
 		t.Fatalf("put after departures: %v", err)
 	}
-	for _, id := range n.Providers(c2) {
+	for _, id := range n.providerIDs(c2) {
 		for _, gone := range providers {
 			if id == gone {
 				t.Fatalf("replica placed on departed node %s", id)
@@ -84,7 +84,7 @@ func TestDepartLosesBlocksAndWithdrawsRecords(t *testing.T) {
 // liveNodeID returns a node currently able to serve Puts.
 func liveNodeID(t *testing.T, n *Network) string {
 	t.Helper()
-	for _, id := range n.NodeIDs() {
+	for _, id := range n.nodeIDs() {
 		nd, err := n.Node(id)
 		if err != nil {
 			continue
@@ -141,7 +141,7 @@ func TestRepairScanRestoresReplication(t *testing.T) {
 		t.Fatalf("still %d under-replicated after repair", got)
 	}
 	for _, b := range blocks {
-		if got := n.ReplicaCount(cidOf(b)); got != 2 {
+		if got := n.replicaCount(cidOf(b)); got != 2 {
 			t.Fatalf("replicas = %d after repair, want 2", got)
 		}
 	}
@@ -178,7 +178,7 @@ func TestRepairScanReportsLostBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	for _, id := range n.Providers(c) {
+	for _, id := range n.providerIDs(c) {
 		if err := n.Depart(id); err != nil {
 			t.Fatalf("depart: %v", err)
 		}
@@ -191,7 +191,7 @@ func TestRepairScanReportsLostBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	for _, id := range n.Providers(c2) {
+	for _, id := range n.providerIDs(c2) {
 		if err := n.Fail(id); err != nil {
 			t.Fatalf("fail: %v", err)
 		}
@@ -204,7 +204,7 @@ func TestRepairScanReportsLostBlocks(t *testing.T) {
 		t.Fatalf("report %+v, want Lost=1 Remaining=1", rep)
 	}
 	// The holders come back: Recover re-announces, repair restores.
-	for _, id := range n.NodeIDs() {
+	for _, id := range n.nodeIDs() {
 		if nd, _ := n.Node(id); nd != nil && nd.down && !nd.departed {
 			if err := n.Recover(id); err != nil {
 				t.Fatalf("recover %s: %v", id, err)
@@ -218,7 +218,7 @@ func TestRepairScanReportsLostBlocks(t *testing.T) {
 	if rep.Lost != 0 || rep.Remaining != 0 {
 		t.Fatalf("report after recover %+v", rep)
 	}
-	if got := n.ReplicaCount(c2); got < 2 {
+	if got := n.replicaCount(c2); got < 2 {
 		t.Fatalf("replicas after recover+repair = %d, want >= 2", got)
 	}
 }
@@ -231,7 +231,7 @@ func TestRecoverReannouncesBlocks(t *testing.T) {
 		t.Fatalf("put: %v", err)
 	}
 	replica := ""
-	for _, id := range n.Providers(c) {
+	for _, id := range n.providerIDs(c) {
 		if id != "ipfs-00" {
 			replica = id
 		}
@@ -244,12 +244,12 @@ func TestRecoverReannouncesBlocks(t *testing.T) {
 	if _, err := n.RepairScan(ctx); err != nil {
 		t.Fatalf("scan: %v", err)
 	}
-	for _, id := range n.Providers(c) {
+	for _, id := range n.providerIDs(c) {
 		if id == replica {
 			t.Fatalf("stale provider record for down node %s survived the scan", replica)
 		}
 	}
-	if got := n.ReplicaCount(c); got != 2 {
+	if got := n.replicaCount(c); got != 2 {
 		t.Fatalf("replicas after scan = %d, want 2", got)
 	}
 	// Recover re-announces: the node's datastore survived, so its record
@@ -258,15 +258,15 @@ func TestRecoverReannouncesBlocks(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	found := false
-	for _, id := range n.Providers(c) {
+	for _, id := range n.providerIDs(c) {
 		if id == replica {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("recovered node %s missing from providers %v", replica, n.Providers(c))
+		t.Fatalf("recovered node %s missing from providers %v", replica, n.providerIDs(c))
 	}
-	if got := n.ReplicaCount(c); got != 3 {
+	if got := n.replicaCount(c); got != 3 {
 		t.Fatalf("replicas after recover = %d, want 3", got)
 	}
 	if rep, err := n.RepairScan(ctx); err != nil || rep.Repaired != 0 {
@@ -301,7 +301,7 @@ func TestRejoinStorageNodeStartsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("put after rejoin: %v", err)
 	}
-	if got := n.ReplicaCount(c); got != 2 {
+	if got := n.replicaCount(c); got != 2 {
 		t.Fatalf("replicas = %d, want 2", got)
 	}
 }

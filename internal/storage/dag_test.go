@@ -65,7 +65,7 @@ func TestGetDAGDetectsCorruption(t *testing.T) {
 	}
 	// Corrupt one stored leaf.
 	nd, _ := n.Node("node-00")
-	cids := nd.BlockCIDs()
+	cids := nd.blockCIDs()
 	if err := n.Corrupt("node-00", cids[len(cids)/2]); err != nil {
 		t.Fatal(err)
 	}

@@ -94,9 +94,6 @@ func OpenFSStore(dir string) (*FSStore, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *FSStore) Dir() string { return s.root }
-
 func (s *FSStore) path(c cid.CID) string {
 	h := string(c)
 	return filepath.Join(s.root, h[:2], h)

@@ -33,7 +33,7 @@ func TestMergeGetConcurrent(t *testing.T) {
 	n, q := newTestNetwork(t, 4, 2)
 	reg := obs.NewRegistry()
 	n.SetMetrics(reg)
-	f := q.Field()
+	f := n.field
 	rng := rand.New(rand.NewSource(21))
 	encoded := func() []byte {
 		part := make([]float64, blockDim)
@@ -189,7 +189,7 @@ func TestMergeGetConcurrent(t *testing.T) {
 		t.Fatalf("no merge succeeded (%d failed): the test exercised nothing", failures.Load())
 	}
 	var nodeOps int
-	for _, id := range n.NodeIDs() {
+	for _, id := range n.nodeIDs() {
 		nd, err := n.Node(id)
 		if err != nil {
 			t.Fatal(err)

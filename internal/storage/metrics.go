@@ -67,10 +67,3 @@ func (n *Network) setMetricsLocked(reg *obs.Registry) {
 		}
 	}
 }
-
-// Metrics returns the registry the network currently reports into.
-func (n *Network) Metrics() *obs.Registry {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.reg
-}

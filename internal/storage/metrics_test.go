@@ -115,11 +115,11 @@ func TestDefaultRegistryWorksWithoutSetMetrics(t *testing.T) {
 	if _, err := net.Put(context.Background(), "s0", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if net.Metrics() == nil {
+	if net.reg == nil {
 		t.Fatal("network should own a default registry")
 	}
 	var sb strings.Builder
-	if err := net.Metrics().WriteProm(&sb); err != nil {
+	if err := net.reg.WriteProm(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `bytes_uploaded_total{node="s0"} 1`) {

@@ -70,8 +70,8 @@ func TestRendezvousPlacementDeterministic(t *testing.T) {
 		id := fmt.Sprintf("node-%02d", i)
 		a, _ := n1.Node(id)
 		b, _ := n2.Node(id)
-		hasA, _ := a.Store().Has(context.Background(), c1)
-		hasB, _ := b.Store().Has(context.Background(), c1)
+		hasA, _ := a.store.Has(context.Background(), c1)
+		hasB, _ := b.store.Has(context.Background(), c1)
 		if hasA != hasB {
 			t.Fatalf("placement differs on %s", id)
 		}

@@ -75,9 +75,6 @@ func TestNetworkPubSubIntegration(t *testing.T) {
 	if msgs, _ := n.Listen("t", 0); len(msgs) != 0 {
 		t.Fatal("ForgetTopic ineffective")
 	}
-	if n.PubSub() == nil {
-		t.Fatal("PubSub() accessor nil")
-	}
 }
 
 func TestPubSubDataIsolated(t *testing.T) {

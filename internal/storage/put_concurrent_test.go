@@ -240,7 +240,7 @@ func TestPutRacingMembership(t *testing.T) {
 				} else if r.err != nil || r.c != c {
 					t.Fatalf("put = %s, %v; want success", r.c.Short(), r.err)
 				}
-				if got := n.Providers(c); len(got) != 1 || got[0] != other {
+				if got := n.providerIDs(c); len(got) != 1 || got[0] != other {
 					t.Fatalf("providers %v, want only %s", got, other)
 				}
 				// Blocks survive a failure or a partition, not a departure.

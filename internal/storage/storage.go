@@ -192,9 +192,6 @@ func (n *Network) SetPlacement(p Placement) {
 	n.placement = p
 }
 
-// PubSub returns the network's pub/sub bus (the IPFS pub/sub stand-in).
-func (n *Network) PubSub() *PubSub { return n.pubsub }
-
 // Announce publishes a pub/sub message (IPFS pub/sub, used by aggregators
 // to announce partial-update hashes, §IV-B).
 func (n *Network) Announce(topic, from string, data []byte) {
@@ -240,12 +237,6 @@ type Node struct {
 	MergeOps     int
 	MergedBlocks int
 }
-
-// ID returns the node's identifier.
-func (nd *Node) ID() string { return nd.id }
-
-// Store returns the node's BlockStore backend.
-func (nd *Node) Store() BlockStore { return nd.store }
 
 // availErr reports why the node cannot serve requests (nil when it can).
 func (nd *Node) availErr() error {
@@ -293,8 +284,8 @@ func (nd *Node) StoredBlocks() int {
 	return len(keys)
 }
 
-// BlockCIDs returns the CIDs of all blocks the node holds, in sorted order.
-func (nd *Node) BlockCIDs() []cid.CID {
+// blockCIDs returns the CIDs of all blocks the node holds, in sorted order.
+func (nd *Node) blockCIDs() []cid.CID {
 	keys, err := nd.store.Keys(context.Background())
 	if err != nil {
 		return nil
@@ -438,8 +429,8 @@ func (n *Network) Health() error {
 	return nil
 }
 
-// NodeIDs returns all node identifiers in deterministic order.
-func (n *Network) NodeIDs() []string {
+// nodeIDs returns all node identifiers in deterministic order.
+func (n *Network) nodeIDs() []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	out := make([]string, len(n.order))
@@ -567,9 +558,9 @@ func (n *Network) withdrawLocked(id string, c cid.CID) {
 	}
 }
 
-// Providers returns the nodes currently advertising c, in sorted order
+// providerIDs returns the nodes currently advertising c, in sorted order
 // (records may be stale until the next RepairScan prunes them).
-func (n *Network) Providers(c cid.CID) []string {
+func (n *Network) providerIDs(c cid.CID) []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	out := make([]string, 0, len(n.providers[c]))
@@ -580,9 +571,9 @@ func (n *Network) Providers(c cid.CID) []string {
 	return out
 }
 
-// ReplicaCount returns how many live nodes actually hold c — the block's
+// replicaCount returns how many live nodes actually hold c — the block's
 // effective replication factor right now.
-func (n *Network) ReplicaCount(c cid.CID) int {
+func (n *Network) replicaCount(c cid.CID) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.liveReplicasLocked(c)

@@ -144,7 +144,7 @@ func TestMergeGetEqualsSequentialSum(t *testing.T) {
 	// Merge-and-download must be indistinguishable (in content) from
 	// downloading every gradient and summing locally (§III-E).
 	n, q := newTestNetwork(t, 2, 1)
-	f := q.Field()
+	f := n.field
 	rng := rand.New(rand.NewSource(1))
 	const trainers = 8
 	const dim = 12
@@ -210,7 +210,7 @@ func TestMergeGetFetchesMissingFromPeers(t *testing.T) {
 	if _, err := n.MergeGet(context.Background(), "node-00", []cid.CID{c1, c2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Metrics().Counter("remote_fetches_total").Value(); got != 1 {
+	if got := n.reg.Counter("remote_fetches_total").Value(); got != 1 {
 		t.Fatalf("expected 1 remote fetch, got %d", got)
 	}
 }
@@ -312,10 +312,10 @@ func TestAccounting(t *testing.T) {
 	if nd.StoredBlocks() != 1 || nd.StoredBytes() != 10 {
 		t.Fatalf("node accounting wrong: blocks=%d bytes=%d", nd.StoredBlocks(), nd.StoredBytes())
 	}
-	if nd.ID() != "node-00" {
+	if nd.id != "node-00" {
 		t.Fatal("ID mismatch")
 	}
-	ids := n.NodeIDs()
+	ids := n.nodeIDs()
 	if len(ids) != 2 || ids[0] != "node-00" || ids[1] != "node-01" {
 		t.Fatalf("NodeIDs = %v", ids)
 	}

@@ -14,12 +14,12 @@ import (
 // store lacks the block, or whose copy does not hash to c.
 func assertProvidersHold(t *testing.T, n *Network, c cid.CID) {
 	t.Helper()
-	for _, id := range n.Providers(c) {
+	for _, id := range n.providerIDs(c) {
 		nd, err := n.Node(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if has, _ := nd.Store().Has(context.Background(), c); !has {
+		if has, _ := nd.store.Has(context.Background(), c); !has {
 			t.Errorf("%s is announced for %s but does not hold it", id, c.Short())
 		}
 	}
@@ -107,7 +107,7 @@ func TestMergeFetchSkipsCorruptHolder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := model.Merge(q.Field(), data)
+	want, err := model.Merge(n.field, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestMergeFetchSkipsCorruptHolder(t *testing.T) {
 		t.Fatal("the merging node kept the tampered bytes")
 	}
 	found := false
-	for _, id := range n.Providers(c) {
+	for _, id := range n.providerIDs(c) {
 		found = found || id == "node-02"
 	}
 	if !found {

@@ -2,6 +2,7 @@ package ipls
 
 import (
 	"ipls/internal/core"
+	"ipls/internal/dag"
 	"ipls/internal/directory"
 	"ipls/internal/group"
 	"ipls/internal/ml"
@@ -60,6 +61,10 @@ const (
 
 // Task drives a complete FL job (local SGD → protocol → global model).
 type Task = core.Task
+
+// RoundOptions configures one Task.RunRound; the zero value is an honest
+// round with every trainer present.
+type RoundOptions = core.RoundOptions
 
 // NewTask builds a task over a session.
 func NewTask(s *Session, m Model, locals map[string]*Dataset, sgd SGDConfig, initial []float64) (*Task, error) {
@@ -123,6 +128,10 @@ func NewStorageNetworkOpts(opts StorageNetworkOptions) (*StorageNetwork, error) 
 	}
 	return storage.NewNetworkWithStore(scalar.NewField(curve.N), opts.Replicas, opts.Store), nil
 }
+
+// DAGBlocks returns how many blocks (leaves plus internal nodes) a payload
+// of size bytes makes when StorageNetwork.PutDAG chunks it at chunkSize.
+func DAGBlocks(size int64, chunkSize int) int { return dag.Blocks(size, chunkSize) }
 
 // StoreConfig selects a network's per-node block-store backend.
 type StoreConfig = storage.StoreConfig

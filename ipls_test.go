@@ -58,7 +58,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 4; r++ {
-		metrics, _, err := task.RunRound(context.Background(), nil)
+		metrics, _, err := task.RunRound(context.Background(), ipls.RoundOptions{})
 		if err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}
