@@ -32,7 +32,8 @@ race:
 # (the differential harness's randomized arm), the Montgomery field ops
 # against math/big mod p on both curve primes, the scenario-plan parser
 # (never panics; String∘Parse is a fixpoint), the slab-backed vector
-# kernels against their one-element-at-a-time reference, the limb merge
+# kernels against their one-element-at-a-time reference and the byte
+# kernels against the Block path they replace, the limb merge
 # kernel against decode → SumVecs → Encode, directory snapshot loading
 # (never panics; Snapshot∘Restore is a fixpoint), and the three parsers of
 # bytes that arrive from untrusted storage nodes: block decoding, DAG

@@ -49,50 +49,57 @@ func (b Behavior) String() string {
 	}
 }
 
-// applyBehavior corrupts (or not) the collected gradient blocks and returns
-// the aggregate the aggregator will claim as its partial update.
-func applyBehavior(f *scalar.Field, blocks []model.Block, b Behavior) (model.Block, error) {
+// applyBehavior folds the collected gradient blocks, encoded, with
+// model.Merge and returns the aggregate the aggregator will claim as its
+// partial update, corrupted (or not) in the merge's fresh output.
+func applyBehavior(f *scalar.Field, blocks [][]byte, b Behavior) ([]byte, error) {
 	switch b {
 	case BehaviorHonest, BehaviorDropout, 0:
-		return model.Sum(f, blocks...)
+		return model.Merge(f, blocks...)
 	case BehaviorDropGradient:
 		if len(blocks) > 1 {
-			return model.Sum(f, blocks[:len(blocks)-1]...)
+			return model.Merge(f, blocks[:len(blocks)-1]...)
 		}
 		// With a single gradient, "dropping" means claiming a zero
 		// contribution but keeping the counter so averaging still
 		// divides by the full count.
-		sum, err := model.Sum(f, blocks...)
+		sum, err := model.Merge(f, blocks...)
 		if err != nil {
-			return model.Block{}, err
+			return nil, err
 		}
-		for i := 0; i < len(sum.Values)-1; i++ {
-			sum.Values[i] = new(big.Int)
+		if counter := len(sum) - scalar.ElementSize; counter > 4 {
+			clear(sum[4:counter])
 		}
 		return sum, nil
 	case BehaviorAlterGradient:
-		sum, err := model.Sum(f, blocks...)
+		sum, err := model.Merge(f, blocks...)
 		if err != nil {
-			return model.Block{}, err
+			return nil, err
 		}
 		// Shift the first coordinate by a large constant: a targeted
 		// poisoning of one model weight.
-		sum.Values[0] = f.Add(sum.Values[0], new(big.Int).Lsh(big.NewInt(1), 40))
+		addToElement(f, sum[4:], new(big.Int).Lsh(big.NewInt(1), 40))
 		return sum, nil
 	case BehaviorForgeUpdate:
-		sum, err := model.Sum(f, blocks...)
+		sum, err := model.Merge(f, blocks...)
 		if err != nil {
-			return model.Block{}, err
+			return nil, err
 		}
-		forged := make([]*big.Int, len(sum.Values))
-		for i := range forged {
-			forged[i] = f.Reduce(big.NewInt(int64(1_000_003*i + 7)))
+		// Keep the counter, the last element, plausible so the forgery is
+		// only detectable cryptographically, not by sanity-checking the
+		// divisor.
+		for i, off := 0, 4; off < len(sum)-scalar.ElementSize; i, off = i+1, off+scalar.ElementSize {
+			f.Reduce(big.NewInt(int64(1_000_003*i + 7))).FillBytes(sum[off : off+scalar.ElementSize])
 		}
-		// Keep the counter plausible so the forgery is only detectable
-		// cryptographically, not by sanity-checking the divisor.
-		forged[len(forged)-1] = sum.Values[len(sum.Values)-1]
-		return model.Block{Values: forged}, nil
+		return sum, nil
 	default:
-		return model.Block{}, fmt.Errorf("core: unknown behavior %v", b)
+		return nil, fmt.Errorf("core: unknown behavior %v", b)
 	}
+}
+
+// addToElement adds d, modulo the field order, to the wire element at the
+// front of b.
+func addToElement(f *scalar.Field, b []byte, d *big.Int) {
+	el := b[:scalar.ElementSize]
+	f.Add(new(big.Int).SetBytes(el), d).FillBytes(el)
 }

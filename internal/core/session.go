@@ -214,23 +214,25 @@ func (s *Session) trainerUpload(ctx context.Context, parent obs.SpanContext, tra
 	}
 	recs := make([]directory.Record, 0, len(parts))
 	for i, part := range parts {
-		block, err := model.Quantize(s.quant, part)
+		data, err := model.QuantizeEncode(s.quant, part)
 		if err != nil {
 			return fmt.Errorf("core: trainer %s partition %d: %w", trainer, i, err)
 		}
-		stored := block
+		// The commitment's pre-image is the honest gradient, decoded
+		// before a corrupt trainer touches the bytes.
+		var values []*big.Int
+		if s.params != nil {
+			block, err := model.DecodeBlock(data)
+			if err != nil {
+				return fmt.Errorf("core: trainer %s partition %d: %w", trainer, i, err)
+			}
+			values = block.Values
+		}
 		if corrupt {
 			// Byzantine injection: commit to the honest gradient but
 			// store a tampered block, so the CID matches the stored bytes
 			// and only commitment verification can catch the lie.
-			tampered := make([]*big.Int, len(block.Values))
-			copy(tampered, block.Values)
-			tampered[0] = s.field.Add(tampered[0], big.NewInt(1))
-			stored = model.Block{Values: tampered}
-		}
-		data, err := stored.Encode()
-		if err != nil {
-			return fmt.Errorf("core: trainer %s partition %d: %w", trainer, i, err)
+			addToElement(s.field, data[4:], big.NewInt(1))
 		}
 		put := sc.child("store_put")
 		put.attr("partition", fmt.Sprint(i))
@@ -254,7 +256,7 @@ func (s *Session) trainerUpload(ctx context.Context, parent obs.SpanContext, tra
 		if s.params != nil {
 			commit := sc.child("commit")
 			commit.attr("partition", fmt.Sprint(i))
-			com, err := s.params.Commit(block.Values)
+			com, err := s.params.Commit(values)
 			commit.endErr(err)
 			if err != nil {
 				return fmt.Errorf("core: trainer %s commit partition %d: %w", trainer, i, err)
@@ -338,11 +340,7 @@ func (s *Session) trainerCollect(ctx context.Context, parent obs.SpanContext, it
 		if err != nil {
 			return nil, fmt.Errorf("core: download update partition %d: %w", i, err)
 		}
-		block, err := model.DecodeBlock(data)
-		if err != nil {
-			return nil, fmt.Errorf("core: decode update partition %d: %w", i, err)
-		}
-		avg, err := model.Dequantize(s.quant, block)
+		avg, err := model.DecodeDequantize(s.quant, data)
 		if err != nil {
 			return nil, fmt.Errorf("core: dequantize update partition %d: %w", i, err)
 		}
@@ -460,13 +458,8 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 	}
 
 	pp := sc.child("partial_publish")
-	partialData, err := partial.Encode()
-	if err != nil {
-		pp.endErr(err)
-		return report, err
-	}
-	pp.bytes(int64(len(partialData)))
-	partialCID, partialNode, err := s.putWithFallback(ctx, pp, home, partialData)
+	pp.bytes(int64(len(partial)))
+	partialCID, partialNode, err := s.putWithFallback(ctx, pp, home, partial)
 	if err != nil {
 		pp.endErr(err)
 		return report, fmt.Errorf("core: %s upload partial: %w", agg, err)
@@ -498,7 +491,7 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 	// Peer partials are discovered via pub/sub when available, with the
 	// directory as fallback; verification is always against the
 	// directory's accumulated commitments.
-	partials := map[string]model.Block{agg: partial}
+	partials := map[string][]byte{agg: partial}
 	cursor := 0
 	discoverPartials := func() []directory.Record {
 		if !hasPubSub {
@@ -561,12 +554,11 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 				}
 				s.metrics.verifyPass.Inc()
 			}
-			block, err := model.DecodeBlock(data)
-			if err != nil {
+			if _, err := model.ElementCount(data); err != nil {
 				markInvalid(peer, "malformed", vs)
 				continue
 			}
-			partials[peer] = block
+			partials[peer] = data
 			vs.attr("verdict", "accepted")
 			vs.end()
 		}
@@ -620,7 +612,7 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 			to.endErr(err)
 			return report, fmt.Errorf("core: %s take over %s: %w", agg, peer, err)
 		}
-		redo, err := model.Sum(s.field, peerBlocks...)
+		redo, err := model.Merge(s.field, peerBlocks...)
 		if err != nil {
 			to.endErr(err)
 			return report, err
@@ -633,13 +625,13 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 	}
 
 	// Phase 5: fold all partials into the global update (Algorithm 1, 43-44).
-	ordered := make([]model.Block, 0, len(partials))
+	ordered := make([][]byte, 0, len(partials))
 	for _, peer := range peers {
 		if b, ok := partials[peer]; ok {
 			ordered = append(ordered, b)
 		}
 	}
-	global, err := model.Sum(s.field, ordered...)
+	global, err := model.Merge(s.field, ordered...)
 	if err != nil {
 		return report, err
 	}
@@ -747,11 +739,11 @@ func (s *Session) awaitGradients(ctx context.Context, sc *spanScope, iter, parti
 // and a rejected merge is re-fetched record by record. A record that
 // fails its own commitment goes to reportByzantine and is left out, while
 // honest blocks stay. Norm screening, when configured, then runs on the
-// verified blocks. It returns the blocks in group order and the number of
-// accepted merges.
-func (s *Session) collectBlocks(ctx context.Context, sc *spanScope, recs []directory.Record, report *AggregatorReport) ([]model.Block, int, error) {
+// verified blocks. It returns the blocks, encoded, in group order and the
+// number of accepted merges.
+func (s *Session) collectBlocks(ctx context.Context, sc *spanScope, recs []directory.Record, report *AggregatorReport) ([][]byte, int, error) {
 	groups := s.downloadGroups(recs)
-	fetched := make([]model.Block, 0, len(groups))
+	fetched := make([][]byte, 0, len(groups))
 	for i := 0; i < len(groups); i++ {
 		if grp := groups[i]; len(grp) > 1 {
 			b, err := s.mergeDownload(ctx, sc, grp)
@@ -770,13 +762,13 @@ func (s *Session) collectBlocks(ctx context.Context, sc *spanScope, recs []direc
 		}
 		fetched = append(fetched, b)
 	}
-	batchOK, wants, err := s.batchVerify(groups, fetched)
+	batchOK, vecs, wants, err := s.batchVerify(groups, fetched)
 	if err != nil {
 		return nil, 0, err
 	}
 	merges := 0
-	blocks := make([]model.Block, 0, len(groups))
-	accept := func(rec directory.Record, b model.Block) {
+	blocks := make([][]byte, 0, len(groups))
+	accept := func(rec directory.Record, b []byte) {
 		// Screening implies one record per group, so rec is b's uploader.
 		if s.cfg.ScreenNorm > 0 && s.blockNorm(b) > s.cfg.ScreenNorm {
 			before := len(report.ScreenedOut)
@@ -792,7 +784,7 @@ func (s *Session) collectBlocks(ctx context.Context, sc *spanScope, recs []direc
 	for i, grp := range groups {
 		ok := batchOK
 		if !ok {
-			if ok, err = s.params.Verify(fetched[i].Values, wants[i]); err != nil {
+			if ok, err = s.params.Verify(vecs[i], wants[i]); err != nil {
 				return nil, merges, err
 			}
 		}
@@ -813,7 +805,11 @@ func (s *Session) collectBlocks(ctx context.Context, sc *spanScope, recs []direc
 				if err != nil {
 					return nil, merges, err
 				}
-				ok, err := s.params.Verify(b.Values, rec.Commitment)
+				vec, err := model.DecodeBlock(b)
+				if err != nil {
+					return nil, merges, err
+				}
+				ok, err := s.params.Verify(vec.Values, rec.Commitment)
 				if err != nil {
 					return nil, merges, err
 				}
@@ -864,8 +860,9 @@ func singletons(recs []directory.Record) [][]directory.Record {
 // mergeDownload fetches the sum of a provider group's blocks in one
 // merge-and-download request (§III-E). The merge_download span's context
 // rides the request to the storage node, which parents its own "merge"
-// span under it — the cross-node half of the causal trace.
-func (s *Session) mergeDownload(ctx context.Context, sc *spanScope, grp []directory.Record) (model.Block, error) {
+// span under it — the cross-node half of the causal trace. A sum that is
+// not framed as a block fails the request.
+func (s *Session) mergeDownload(ctx context.Context, sc *spanScope, grp []directory.Record) ([]byte, error) {
 	node := grp[0].Node
 	cids := make([]cid.CID, len(grp))
 	for i, rec := range grp {
@@ -886,23 +883,31 @@ func (s *Session) mergeDownload(ctx context.Context, sc *spanScope, grp []direct
 	md.bytes(int64(len(data)))
 	md.endErr(err)
 	if err != nil {
-		return model.Block{}, err
+		return nil, err
 	}
-	return model.DecodeBlock(data)
+	if _, err := model.ElementCount(data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
-// batchVerify checks every group's block against the product of the
-// group's published commitments with one BatchVerify. It returns the
-// verdict and those products, against which a failed batch is checked
-// group by group. In plain mode there is nothing to check.
-func (s *Session) batchVerify(groups [][]directory.Record, blocks []model.Block) (bool, []pedersen.Commitment, error) {
+// batchVerify decodes every group's block and checks it against the
+// product of the group's published commitments with one BatchVerify. It
+// returns the verdict, the decoded blocks and those products, against
+// which a failed batch is checked group by group. In plain mode there is
+// nothing to check and nothing is decoded.
+func (s *Session) batchVerify(groups [][]directory.Record, blocks [][]byte) (bool, [][]*big.Int, []pedersen.Commitment, error) {
 	if s.params == nil {
-		return true, nil, nil
+		return true, nil, nil, nil
 	}
 	vecs := make([][]*big.Int, len(groups))
 	wants := make([]pedersen.Commitment, len(groups))
 	for i, grp := range groups {
-		vecs[i] = blocks[i].Values
+		b, err := model.DecodeBlock(blocks[i])
+		if err != nil {
+			return false, nil, nil, err
+		}
+		vecs[i] = b.Values
 		if len(grp) == 1 {
 			wants[i] = grp[0].Commitment
 			continue
@@ -911,26 +916,28 @@ func (s *Session) batchVerify(groups [][]directory.Record, blocks []model.Block)
 		for j, rec := range grp {
 			coms[j] = rec.Commitment
 		}
-		var err error
 		if wants[i], err = s.params.Combine(coms...); err != nil {
-			return false, nil, err
+			return false, nil, nil, err
 		}
 	}
 	s.metrics.batchVerifies.Inc()
 	ok, err := s.params.BatchVerify(vecs, wants)
 	if err != nil || !ok {
 		s.metrics.batchVerifyFail.Inc() // attributed group by group
-		return false, wants, nil
+		return false, vecs, wants, nil
 	}
-	return true, wants, nil
+	return true, vecs, wants, nil
 }
 
 // blockNorm returns the L2 norm of a single trainer's dequantized gradient
-// partition (excluding the averaging counter).
-func (s *Session) blockNorm(b model.Block) float64 {
+// partition (excluding the averaging counter), read from its encoded
+// block, whose framing the download checked.
+func (s *Session) blockNorm(data []byte) float64 {
+	n, _ := model.ElementCount(data)
+	vals := make([]float64, max(n-1, 0))
+	s.quant.DecodeBytes(vals, data[4:])
 	var sum float64
-	for i := 0; i < len(b.Values)-1; i++ {
-		v := s.quant.Decode(b.Values[i])
+	for _, v := range vals {
 		sum += v * v
 	}
 	return math.Sqrt(sum)
@@ -1053,26 +1060,26 @@ func (s *Session) failover(sc *spanScope, c *obs.Counter, op, node string, cause
 	sc.event("failover", 0, op+" "+node+": "+cause.Error())
 }
 
-// fetchGradient reads and decodes one gradient block.
-func (s *Session) fetchGradient(ctx context.Context, sc *spanScope, rec directory.Record) (model.Block, error) {
+// fetchGradient reads one gradient block; bytes that are not framed as a
+// block fail the read.
+func (s *Session) fetchGradient(ctx context.Context, sc *spanScope, rec directory.Record) ([]byte, error) {
 	data, err := s.readBlock(ctx, sc, rec.Node, rec.CID)
 	if err != nil {
-		return model.Block{}, err
+		return nil, err
 	}
-	return model.DecodeBlock(data)
+	if _, err := model.ElementCount(data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // publishGlobal uploads and publishes the global update for a partition.
 // In verifiable mode the directory may reject it (caught cheating); only
 // the first valid update wins.
-func (s *Session) publishGlobal(ctx context.Context, parent *spanScope, report *AggregatorReport, agg string, partition, iter int, home string, global model.Block) (err error) {
+func (s *Session) publishGlobal(ctx context.Context, parent *spanScope, report *AggregatorReport, agg string, partition, iter int, home string, data []byte) (err error) {
 	defer observeSince(s.metrics.phasePublish, time.Now())
 	gp := parent.child("global_publish")
 	defer func() { gp.endErr(err) }()
-	data, err := global.Encode()
-	if err != nil {
-		return err
-	}
 	gp.bytes(int64(len(data)))
 	c, node, err := s.putWithFallback(ctx, gp, home, data)
 	if err != nil {

@@ -6,7 +6,8 @@ import (
 )
 
 // TestBlockPathAllocationBudgets: a block costs O(1) allocations — the
-// slabs, the output buffer, a scratch value — whatever its length. Each
+// slabs, the output buffer, a scratch value — whatever its length, and the
+// byte kernels a round runs allocate only their result. Each
 // budget is asserted at the verifiable workloads' block length and at the
 // plain workloads', three orders of magnitude apart in bytes.
 func TestBlockPathAllocationBudgets(t *testing.T) {
@@ -69,6 +70,14 @@ func TestBlockPathAllocationBudgets(t *testing.T) {
 					return err
 				}
 				_, err = Dequantize(q, blk)
+				return err
+			}},
+			{"QuantizeEncode", 1, func() error {
+				_, err := QuantizeEncode(q, part)
+				return err
+			}},
+			{"DecodeDequantize", 1, func() error {
+				_, err := DecodeDequantize(q, data)
 				return err
 			}},
 		}

@@ -145,7 +145,7 @@ func (b Block) Encode() ([]byte, error) {
 // DecodeBlock parses a serialized block into a slab-backed vector. Any
 // 32-byte value is accepted; the sum kernels reduce one at or above the order.
 func DecodeBlock(data []byte) (Block, error) {
-	n, err := elementCount(data)
+	n, err := ElementCount(data)
 	if err != nil {
 		return Block{}, err
 	}
@@ -157,9 +157,10 @@ func DecodeBlock(data []byte) (Block, error) {
 	return Block{Values: values}, nil
 }
 
-// elementCount checks a serialized block's framing and returns how many
-// elements it holds.
-func elementCount(data []byte) (int, error) {
+// ElementCount checks a serialized block's framing and returns how many
+// elements it holds, counter included. A block it accepts is one
+// DecodeBlock accepts.
+func ElementCount(data []byte) (int, error) {
 	if len(data) < 4 {
 		return 0, errors.New("model: block too short")
 	}
@@ -184,14 +185,54 @@ func Quantize(q *scalar.Quantizer, part []float64) (Block, error) {
 	return Block{Values: values}, nil
 }
 
+// QuantizeEncode is Quantize followed by Block.Encode in one pass and one
+// allocation: each value is rounded straight into its wire element. The
+// bytes are the same, and so are the refusals of values outside the
+// fixed-point range.
+func QuantizeEncode(q *scalar.Quantizer, part []float64) ([]byte, error) {
+	buf := make([]byte, BlockSize(len(part)))
+	binary.BigEndian.PutUint32(buf, uint32(len(part)+1))
+	counter := len(buf) - scalar.ElementSize
+	if err := q.EncodeBytes(buf[4:counter], part); err != nil {
+		return nil, err
+	}
+	if err := q.EncodeBytes(buf[counter:], []float64{1}); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
 // Dequantize recovers the averaged float partition from an aggregated
 // update block by dividing the decoded sum by the decoded counter
 // (Algorithm 1 lines 20-21).
 func Dequantize(q *scalar.Quantizer, b Block) ([]float64, error) {
 	if len(b.Values) < 2 {
-		return nil, errors.New("model: update block must hold at least one value and the counter")
+		return nil, errShortUpdate
 	}
-	vals := q.DecodeVec(b.Values)
+	return average(q.DecodeVec(b.Values))
+}
+
+// DecodeDequantize is Dequantize of DecodeBlock(data), float for float and
+// error for error, read straight from the wire elements. It allocates only
+// its result.
+func DecodeDequantize(q *scalar.Quantizer, data []byte) ([]float64, error) {
+	n, err := ElementCount(data)
+	if err != nil {
+		return nil, err
+	}
+	if n < 2 {
+		return nil, errShortUpdate
+	}
+	vals := make([]float64, n)
+	q.DecodeBytes(vals, data[4:])
+	return average(vals)
+}
+
+var errShortUpdate = errors.New("model: update block must hold at least one value and the counter")
+
+// average divides the decoded sums by the decoded counter, the last of
+// vals, in place and returns the sums.
+func average(vals []float64) ([]float64, error) {
 	count := vals[len(vals)-1]
 	if count <= 0 || math.Abs(count-math.Round(count)) > 1e-6 {
 		return nil, fmt.Errorf("model: invalid averaging counter %v", count)
@@ -234,7 +275,7 @@ func Merge(f *scalar.Field, datas ...[]byte) ([]byte, error) {
 		return nil, errors.New("model: no blocks to sum")
 	}
 	for i, data := range datas {
-		if _, err := elementCount(data); err != nil {
+		if _, err := ElementCount(data); err != nil {
 			return nil, fmt.Errorf("model: merge input %d: %w", i, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
@@ -188,8 +189,9 @@ func TestEncodeRejectsUnencodableElements(t *testing.T) {
 }
 
 // Wire goldens, recorded on the commit before blocks became slab-backed
-// (7fe8238): the SHA-256 of Quantize(seeded vector).Encode() and of the
-// fan-in-2 merge of two such blocks, per curve order. A CID is the SHA-256
+// (7fe8238): the SHA-256 of Quantize(seeded vector).Encode(), which
+// QuantizeEncode must also produce, and of the fan-in-2 merge of two such
+// blocks, per curve order. A CID is the SHA-256
 // of these bytes, so equal digests mean no CID moved.
 var wireGoldens = []struct {
 	curve        *group.Curve
@@ -218,7 +220,14 @@ func TestWireGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return data
+		direct, err := QuantizeEncode(q, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(direct, data) {
+			t.Errorf("seed %d: QuantizeEncode bytes differ from Quantize+Encode", seed)
+		}
+		return direct
 	}
 	digest := func(data []byte) string {
 		sum := sha256.Sum256(data)

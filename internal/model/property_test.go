@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -182,8 +183,10 @@ func refDecode(order, v *big.Int) float64 {
 // reference built one element at a time from the scalar Field.Add,
 // Quantizer.Encode and refDecode: same elements, same floats bit for bit,
 // same bytes, and the same refusals, naming the offending element, over
-// the field of the given order at DefaultShift. a and b are equal-length
-// vectors of wire elements (any value below 2^256).
+// the field of the given order at DefaultShift. The byte kernels are held
+// against the Block path they replace: QuantizeEncode against Quantize and
+// Encode, DecodeDequantize against DecodeBlock and Dequantize. a and b are
+// equal-length vectors of wire elements (any value below 2^256).
 func checkVectorKernels(t *testing.T, order *big.Int, xs []float64, a, b []*big.Int) {
 	t.Helper()
 	f := scalar.NewField(order)
@@ -201,6 +204,7 @@ func checkVectorKernels(t *testing.T, order *big.Int, xs []float64, a, b []*big.
 			break
 		}
 	}
+	checkQuantizeEncode(t, q, xs)
 	if bad >= 0 {
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("element %d:", bad)) {
 			t.Fatalf("EncodeVec(%v): error %v, want one naming element %d", xs, err, bad)
@@ -281,6 +285,80 @@ func checkVectorKernels(t *testing.T, order *big.Int, xs []float64, a, b []*big.
 	}
 	if !bytes.Equal(merged, want) {
 		t.Fatal("Merge bytes differ from the encoding of the reference sum")
+	}
+
+	// DecodeBytes reads each wire element as refDecode does, and
+	// DecodeDequantize is Dequantize∘DecodeBlock under every counter: each
+	// vector's own last element, honest counts, and refused ones.
+	counters := []*big.Int{big.NewInt(0)}
+	for _, x := range []float64{1, 3, 8, -1, 0.5, 0} {
+		c, err := q.Encode(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters = append(counters, c)
+	}
+	for _, vec := range [][]*big.Int{a, b, sum} {
+		data, err := Block{Values: vec}.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float64, len(vec))
+		q.DecodeBytes(got, data[4:])
+		for i, v := range vec {
+			if want := refDecode(order, v); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("element %d (%x): DecodeBytes %v, reference %v", i, v, got[i], want)
+			}
+		}
+		checkDecodeDequantize(t, q, data)
+		for _, c := range counters {
+			data, err := Block{Values: append(slices.Clone(vec), c)}.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDecodeDequantize(t, q, data)
+		}
+	}
+}
+
+// checkQuantizeEncode: QuantizeEncode gives the bytes of Quantize and
+// Encode, or the same error.
+func checkQuantizeEncode(t *testing.T, q *scalar.Quantizer, xs []float64) {
+	t.Helper()
+	got, err := QuantizeEncode(q, xs)
+	var want []byte
+	b, werr := Quantize(q, xs)
+	if werr == nil {
+		want, werr = b.Encode()
+	}
+	switch {
+	case (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error():
+		t.Fatalf("QuantizeEncode(%v): error %v, Quantize+Encode: %v", xs, err, werr)
+	case !bytes.Equal(got, want):
+		t.Fatalf("QuantizeEncode(%v) bytes differ from Quantize+Encode", xs)
+	}
+}
+
+// checkDecodeDequantize: DecodeDequantize gives the floats of DecodeBlock
+// and Dequantize bit for bit, or the same error.
+func checkDecodeDequantize(t *testing.T, q *scalar.Quantizer, data []byte) {
+	t.Helper()
+	got, err := DecodeDequantize(q, data)
+	var want []float64
+	b, werr := DecodeBlock(data)
+	if werr == nil {
+		want, werr = Dequantize(q, b)
+	}
+	if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+		t.Fatalf("DecodeDequantize: error %v, DecodeBlock+Dequantize: %v", err, werr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("DecodeDequantize: %d floats, DecodeBlock+Dequantize %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("element %d: DecodeDequantize %v, DecodeBlock+Dequantize %v", i, got[i], want[i])
+		}
 	}
 }
 

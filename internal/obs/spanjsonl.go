@@ -10,9 +10,9 @@ import (
 )
 
 // SpanJSONLWriter streams completed spans to a writer as JSON Lines, one
-// span per line, in bounded memory. It mirrors the event JSONL sink in
-// internal/core: write errors are retained and subsequent spans dropped
-// rather than blocking the protocol. Safe for concurrent emitters.
+// span per line, in bounded memory. The first write error is retained and
+// every later span is dropped and counted, so a failing writer never
+// blocks the protocol. Safe for concurrent emitters.
 type SpanJSONLWriter struct {
 	mu      sync.Mutex
 	buf     *bufio.Writer

@@ -236,6 +236,80 @@ func (q *Quantizer) EncodeInto(dst []*big.Int, xs []float64) error {
 	return nil
 }
 
+// EncodeBytes writes the encoding of each xs[i] to dst as a big-endian
+// ElementSize-byte element: EncodeInto in its wire form, without a big.Int.
+// A non-negative round(x·2^Shift) is written as it is and a negative one as
+// order − |n|, subtracted in limbs. dst must hold len(xs) elements. The
+// fixed-point refusals are EncodeInto's; on error dst is left partly
+// written.
+func (q *Quantizer) EncodeBytes(dst []byte, xs []float64) error {
+	if len(dst) != len(xs)*ElementSize {
+		return fmt.Errorf("scalar: %d bytes cannot hold %d elements", len(dst), len(xs))
+	}
+	m := &q.field.limbs
+	for i, x := range xs {
+		n, err := q.fixed(x)
+		if err != nil {
+			return fmt.Errorf("scalar: element %d: %w", i, err)
+		}
+		w0, w1, w2, w3 := uint64(n), uint64(0), uint64(0), uint64(0)
+		if n < 0 {
+			var b uint64
+			w0, b = bits.Sub64(m[0], uint64(-n), 0)
+			w1, b = bits.Sub64(m[1], 0, b)
+			w2, b = bits.Sub64(m[2], 0, b)
+			w3, b = bits.Sub64(m[3], 0, b)
+			if b != 0 || q.field.wide {
+				return fmt.Errorf("scalar: element %d: %d has no %d-byte encoding", i, n, ElementSize)
+			}
+		}
+		el := dst[i*ElementSize : (i+1)*ElementSize]
+		binary.BigEndian.PutUint64(el, w3)
+		binary.BigEndian.PutUint64(el[8:], w2)
+		binary.BigEndian.PutUint64(el[16:], w1)
+		binary.BigEndian.PutUint64(el[24:], w0)
+	}
+	return nil
+}
+
+// DecodeBytes sets each dst[i] to Decode of the i-th big-endian
+// ElementSize-byte element of src, which must hold at least len(dst). An
+// element within 2⁶³ of zero or of the order, as every honest sum is, is
+// read in limbs and converted through int64; any other takes Decode's own
+// path, so the floats are Decode's bit for bit.
+func (q *Quantizer) DecodeBytes(dst []float64, src []byte) {
+	if len(src) < len(dst)*ElementSize {
+		panic(fmt.Sprintf("scalar: %d bytes hold fewer than %d elements", len(src), len(dst)))
+	}
+	m := &q.field.limbs
+	// An element within 2⁶³ of zero or of the order lies on that side of
+	// order/2 for any order of at least 2¹²⁸.
+	limbed := !q.field.wide && m[3]|m[2] != 0
+	for i := range dst {
+		el := src[i*ElementSize : (i+1)*ElementSize]
+		w3 := binary.BigEndian.Uint64(el)
+		w2 := binary.BigEndian.Uint64(el[8:])
+		w1 := binary.BigEndian.Uint64(el[16:])
+		w0 := binary.BigEndian.Uint64(el[24:])
+		if limbed {
+			if w3|w2|w1 == 0 && w0 < 1<<63 {
+				dst[i] = float64(int64(w0)) / q.scale
+				continue
+			}
+			// order − x ≤ 2⁶³ without a borrow: x is the negative −(order − x).
+			d0, b := bits.Sub64(m[0], w0, 0)
+			d1, b := bits.Sub64(m[1], w1, b)
+			d2, b := bits.Sub64(m[2], w2, b)
+			d3, b := bits.Sub64(m[3], w3, b)
+			if b == 0 && d3|d2|d1 == 0 && d0 <= 1<<63 {
+				dst[i] = float64(int64(-d0)) / q.scale
+				continue
+			}
+		}
+		dst[i] = q.decode(new(big.Int).SetBytes(el), new(big.Int))
+	}
+}
+
 // DecodeVec decodes every element of vs through one scratch value.
 func (q *Quantizer) DecodeVec(vs []*big.Int) []float64 {
 	out := make([]float64, len(vs))

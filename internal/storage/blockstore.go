@@ -29,9 +29,9 @@ type BlockStore interface {
 	// cid.Sum(data): the network hashes a block once and hands the CID to
 	// the primary and every replica.
 	PutKnown(ctx context.Context, c cid.CID, data []byte) error
-	// Get returns the block's bytes. A missing block is ErrNotFound;
-	// backends that re-verify on read report tampered bytes as
-	// ErrIntegrity.
+	// Get returns the block's bytes, which may be the stored slice itself
+	// and so are read-only. A missing block is ErrNotFound; backends that
+	// re-verify on read report tampered bytes as ErrIntegrity.
 	Get(ctx context.Context, c cid.CID) ([]byte, error)
 	// Has reports whether the store holds the block, without reading it.
 	Has(ctx context.Context, c cid.CID) (bool, error)
@@ -99,9 +99,9 @@ func (m *MemStore) Put(ctx context.Context, data []byte) (cid.CID, error) {
 	return putSum(ctx, m, data)
 }
 
-// PutKnown stores data under c. The slice is retained (callers that mutate
-// their buffer afterwards must copy first); Get returns copies, so stored
-// bytes cannot be mutated through reads.
+// PutKnown stores data under c. The slice is retained, and Get returns it:
+// stored bytes are write-once, and neither the caller nor a reader may
+// write to them.
 func (m *MemStore) PutKnown(ctx context.Context, c cid.CID, data []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -118,7 +118,7 @@ func (m *MemStore) PutKnown(ctx context.Context, c cid.CID, data []byte) error {
 	return nil
 }
 
-// Get returns a copy of the block's bytes.
+// Get returns the stored slice itself; it is read-only.
 func (m *MemStore) Get(ctx context.Context, c cid.CID) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -132,7 +132,7 @@ func (m *MemStore) Get(ctx context.Context, c cid.CID) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, c.Short())
 	}
-	return append([]byte(nil), data...), nil
+	return data, nil
 }
 
 // Has reports whether the block is present.

@@ -98,7 +98,8 @@ func (cs *CachedStore) PutKnown(ctx context.Context, c cid.CID, data []byte) err
 
 // Get serves from the cache when possible, falling back to the backing
 // store and admitting what it returns. Cached bytes were verified when
-// first read (or written by us), so cache hits skip re-hashing.
+// first read (or written by us), so cache hits skip re-hashing; a hit
+// returns the cached slice itself, which is read-only.
 func (cs *CachedStore) Get(ctx context.Context, c cid.CID) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -110,7 +111,7 @@ func (cs *CachedStore) Get(ctx context.Context, c cid.CID) ([]byte, error) {
 		hits := cs.hits
 		cs.mu.Unlock()
 		hits.Inc()
-		return append([]byte(nil), data...), nil
+		return data, nil
 	}
 	misses := cs.misses
 	cs.mu.Unlock()
@@ -146,8 +147,8 @@ func (cs *CachedStore) Keys(ctx context.Context) ([]cid.CID, error) {
 	return cs.backing.Keys(ctx)
 }
 
-// StoredBytes reports the backing store's total (the cache holds copies,
-// not extra payload).
+// StoredBytes reports the backing store's total (the cache holds no
+// payload the backing store lacks).
 func (cs *CachedStore) StoredBytes() int64 { return storeBytes(cs.backing) }
 
 // Corrupt forwards to the backing store's corruption hook and evicts any

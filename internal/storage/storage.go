@@ -58,11 +58,17 @@ var (
 // Every method takes a context first: cancellation and deadlines flow from
 // the caller down to the serving node (and, for the TCP backend, across
 // the wire).
+//
+// Stored blocks are write-once and shared: Put hands data over to the
+// network, which may keep the slice itself, so the caller must not write to
+// it afterwards; the bytes Get returns may be the stored slice itself, so
+// the caller must not write to them either.
 type Client interface {
 	// Put stores data on the addressed node (plus replicas) and returns
-	// its content ID.
+	// its content ID. It takes ownership of data.
 	Put(ctx context.Context, nodeID string, data []byte) (cid.CID, error)
-	// Get retrieves a block from the addressed node.
+	// Get retrieves a block from the addressed node. The bytes are
+	// read-only.
 	Get(ctx context.Context, nodeID string, c cid.CID) ([]byte, error)
 	// MergeGet asks the addressed node to pre-aggregate the gradient
 	// blocks with the given CIDs and returns the serialized sum block.
@@ -714,10 +720,6 @@ func (n *Network) Put(ctx context.Context, nodeID string, data []byte) (cid.CID,
 		return "", err
 	}
 	c := cid.Sum(data)
-	// One defensive copy shared by every replica's store: the memory
-	// backend retains the slice (replicas share payload, as before the
-	// backend split), the disk backend writes its own file from it.
-	stored := append([]byte(nil), data...)
 	var buf [4]write
 	n.mu.Lock()
 	nd, fault, err := n.admitLocked(nodeID)
@@ -732,13 +734,16 @@ func (n *Network) Put(ctx context.Context, nodeID string, data []byte) (cid.CID,
 	if err != nil {
 		return "", err
 	}
-	n.storeKnown(ctx, c, stored, ws)
+	// Every replica's store gets data itself: the memory backend keeps the
+	// slice (replicas share payload), the disk backend writes its own file
+	// from it.
+	n.storeKnown(ctx, c, data, ws)
 	if ws[0].err != nil {
 		return "", ws[0].err
 	}
 	m := nd.metrics.Load()
 	m.blocksStored.Inc()
-	m.bytesUploaded.Add(int64(len(stored)))
+	m.bytesUploaded.Add(int64(len(data)))
 	for _, w := range ws[1:] {
 		if w.err == nil {
 			w.nd.metrics.Load().blocksReplicated.Inc()
@@ -873,7 +878,8 @@ func (n *Network) Get(ctx context.Context, nodeID string, c cid.CID) ([]byte, er
 	return data, nil
 }
 
-// Fetch retrieves a block from any live node (content routing).
+// Fetch retrieves a block from any live node (content routing). Like Get's,
+// its bytes are read-only.
 func (n *Network) Fetch(ctx context.Context, c cid.CID) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -886,7 +892,7 @@ func (n *Network) Fetch(ctx context.Context, c cid.CID) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, c.Short())
 	}
 	holder.metrics.Load().bytesDownloaded.Add(int64(len(data)))
-	return append([]byte(nil), data...), nil
+	return data, nil
 }
 
 // fetch finds the first live node, in ID order, holding a copy of c that
