@@ -119,12 +119,6 @@ func (d *DurableStack) Close() error {
 	return closeErr
 }
 
-// collector is the optional storage capability of keep-set garbage
-// collection (storage.Network implements it).
-type collector interface {
-	GC(ctx context.Context, keep map[cid.CID]bool) (storage.GCReport, error)
-}
-
 // GCOptions pins blocks that must survive a collection sweep.
 type GCOptions struct {
 	// KeepIters lists iterations whose directory-recorded blocks
@@ -146,7 +140,10 @@ type GCOptions struct {
 // reclaimed too, which is what keeps a durable disk store's footprint
 // proportional to the working set rather than to history.
 func (s *Session) GCSuperseded(ctx context.Context, opts GCOptions) (storage.GCReport, error) {
-	col, ok := s.store.(collector)
+	// A probe, not the contract: transport.Client has no GC.
+	col, ok := s.store.(interface {
+		GC(ctx context.Context, keep map[cid.CID]bool) (storage.GCReport, error)
+	})
 	if !ok {
 		return storage.GCReport{}, errors.New("core: storage does not support garbage collection")
 	}
@@ -159,14 +156,9 @@ func (s *Session) GCSuperseded(ctx context.Context, opts GCOptions) (storage.GCR
 
 func (s *Session) gcKeepSet(ctx context.Context, opts GCOptions) (map[cid.CID]bool, error) {
 	keep := make(map[cid.CID]bool)
-	lister, ok := s.dir.(interface {
-		RecordsForIter(iter int) []directory.Record
-	})
 	for _, iter := range opts.KeepIters {
-		if ok {
-			for _, rec := range lister.RecordsForIter(iter) {
-				keep[rec.CID] = true
-			}
+		for _, rec := range s.dir.RecordsForIter(iter) {
+			keep[rec.CID] = true
 		}
 	}
 	// The finals trail is always pinned, beyond KeepIters: the published
@@ -191,14 +183,10 @@ func (s *Session) gcKeepSet(ctx context.Context, opts GCOptions) (map[cid.CID]bo
 	// Expand checkpoint DAGs through a CID-recording fetcher: Assemble
 	// walks exactly the blocks the DAG references, so whatever it asks
 	// for is what must survive.
-	f, isFetcher := s.store.(fetcher)
 	for _, root := range opts.KeepRoots {
-		if !isFetcher {
-			return nil, errors.New("core: storage does not support content routing; cannot pin checkpoint DAGs")
-		}
 		_, err := dag.Assemble(root, func(c cid.CID) ([]byte, error) {
 			keep[c] = true
-			return f.Fetch(ctx, c)
+			return s.store.Fetch(ctx, c)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: pin checkpoint %s: %w", root.CID.Short(), err)

@@ -2,10 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
-	"ipls/internal/cid"
 	"ipls/internal/storage"
 )
 
@@ -36,64 +37,55 @@ func TestSyncUsesPubSub(t *testing.T) {
 	}
 }
 
-// noPubSubStore hides the Announcer capability of a storage network so the
-// directory-polling fallback is exercised.
-type noPubSubStore struct {
-	net *storage.Network
-}
+// deafStore is a storage network whose pub/sub bus loses every
+// announcement.
+type deafStore struct{ *storage.Network }
 
-func (s *noPubSubStore) Put(ctx context.Context, nodeID string, data []byte) (cid.CID, error) {
-	return s.net.Put(ctx, nodeID, data)
-}
-func (s *noPubSubStore) Get(ctx context.Context, nodeID string, c cid.CID) ([]byte, error) {
-	return s.net.Get(ctx, nodeID, c)
-}
-func (s *noPubSubStore) MergeGet(ctx context.Context, nodeID string, cs []cid.CID) ([]byte, error) {
-	return s.net.MergeGet(ctx, nodeID, cs)
-}
+func (deafStore) Announce(topic, from string, data []byte) {}
 
-// TestSyncFallsBackToDirectoryWithoutPubSub: a store without pub/sub still
-// synchronizes through directory polling.
-func TestSyncFallsBackToDirectoryWithoutPubSub(t *testing.T) {
-	ts := TaskSpec{
-		TaskID:                  "no-pubsub",
-		ModelDim:                24,
-		Partitions:              2,
-		Trainers:                []string{"t0", "t1", "t2", "t3"},
-		AggregatorsPerPartition: 2,
-		StorageNodes:            []string{"s0", "s1"},
-		TTrain:                  2 * time.Second,
-		TSync:                   2 * time.Second,
-		PollInterval:            time.Millisecond,
-	}
-	cfg, err := NewConfig(ts)
+// TestSyncReadsDirectoryAfterLostAnnouncements: when no announcement
+// arrives, each aggregator finds its peer's partial in the directory once
+// t_sync passes, so the round applies the exact average without declaring
+// the peer missing or redoing its work.
+func TestSyncReadsDirectoryAfterLostAnnouncements(t *testing.T) {
+	base, net, dir := testStack(t, func(ts *TaskSpec) {
+		ts.AggregatorsPerPartition = 2
+		ts.TSync = 50 * time.Millisecond
+	})
+	sess, err := NewSession(base.cfg, deafStore{net}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build a local stack, then wrap its store to hide pub/sub.
-	_, net, dir, err := NewLocalStack(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewSession(cfg, &noPubSubStore{net: net}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deltas, wantAvg := randomDeltas(cfg.Trainers, 24, 31)
+	deltas, wantAvg := randomDeltas(sess.cfg.Trainers, 24, 31)
 	res, err := sess.RunIteration(context.Background(), 0, deltas, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Incomplete) > 0 {
-		t.Fatalf("incomplete without pub/sub: %v", res.Incomplete)
+		t.Fatalf("incomplete with every announcement lost: %v", res.Incomplete)
 	}
 	if diff := maxAbsDiff(res.AvgDelta, wantAvg); diff > 1e-6 {
-		t.Fatalf("fallback average off by %v", diff)
+		t.Fatalf("average off by %v", diff)
 	}
-	for _, rep := range res.Reports {
-		if rep.PubSubDiscoveries != 0 {
-			t.Fatal("pub/sub discoveries reported without pub/sub")
+	for id, rep := range res.Reports {
+		if rep.PubSubDiscoveries != 0 || len(rep.MissingPeers) > 0 || len(rep.TookOverFor) > 0 {
+			t.Fatalf("%s: %d pub/sub discoveries, missing %v, took over for %v; want the peer's partial from the directory",
+				id, rep.PubSubDiscoveries, rep.MissingPeers, rep.TookOverFor)
 		}
+	}
+}
+
+// TestNewSessionRefusesIncompleteBackends: a backend that lacks part of the
+// session contract is refused at construction, naming its type.
+func TestNewSessionRefusesIncompleteBackends(t *testing.T) {
+	base, net, dir := testStack(t, nil)
+	store := struct{ storage.Client }{net}
+	if _, err := NewSession(base.cfg, store, dir); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%T", store)) {
+		t.Errorf("bare storage.Client: got %v, want an error naming %T", err, store)
+	}
+	d := struct{ Directory }{dir}
+	if _, err := NewSession(base.cfg, net, d); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%T", d)) {
+		t.Errorf("bare Directory: got %v, want an error naming %T", err, d)
 	}
 }
 

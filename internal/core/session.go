@@ -25,7 +25,8 @@ import (
 
 // Directory is the client view of the directory service used by trainers
 // and aggregators. *directory.Service implements it in-process; the
-// transport package provides a TCP-backed implementation.
+// transport package provides a TCP-backed implementation. Both also
+// implement the rest of sessionDirectory, which NewSession requires.
 type Directory interface {
 	Publish(ctx context.Context, rec directory.Record) error
 	Lookup(ctx context.Context, addr directory.Addr) (directory.Record, error)
@@ -37,27 +38,50 @@ type Directory interface {
 	VerifyPartialUpdate(ctx context.Context, iter, partition int, aggregator string, data []byte) (bool, error)
 }
 
-var _ Directory = (*directory.Service)(nil)
-
-// Announcer is the optional storage capability of IPFS-style pub/sub
-// (§IV-B: "aggregators use the IPFS pub/sub functionality to publish their
-// IPFS hashes for their partial updates"). Discovery through pub/sub is a
-// hint — partial updates are still verified against the directory's
-// accumulated commitments, so a forged announcement can at worst waste a
-// download.
+// Announcer is storage's IPFS-style pub/sub (§IV-B: "aggregators use the
+// IPFS pub/sub functionality to publish their IPFS hashes for their partial
+// updates"), part of the store every Session requires. Discovery through
+// pub/sub is a hint — partial updates are still verified against the
+// directory's accumulated commitments, so a forged announcement can at
+// worst waste a download.
 type Announcer interface {
 	Announce(topic, from string, data []byte)
 	Listen(topic string, since int) ([]storage.Announcement, int)
 	ForgetTopic(topic string)
 }
 
-// Scheduler is the optional directory capability of enforcing per-iteration
-// t_train deadlines (§III-D). When the session's directory supports it,
+// Scheduler is the directory's enforcement of per-iteration t_train
+// deadlines (§III-D), part of the directory every Session requires:
 // RunIteration announces the schedule at the start of every iteration and
 // the directory rejects gradients that arrive late.
 type Scheduler interface {
 	SetSchedule(iter int, tTrain time.Time)
 }
+
+// sessionStore is everything a Session relies on from storage: blocks,
+// pub/sub, reads by content from any replica, merges that carry a span
+// context, and deletion.
+type sessionStore interface {
+	storage.Client
+	Announcer
+	Fetch(ctx context.Context, c cid.CID) ([]byte, error)
+	MergeGetSpan(ctx context.Context, nodeID string, cs []cid.CID, parent obs.SpanContext) ([]byte, error)
+	DeleteAll(c cid.CID)
+}
+
+// sessionDirectory is everything a Session relies on from the directory:
+// records, schedules, batched publishes and listing by iteration.
+type sessionDirectory interface {
+	Directory
+	Scheduler
+	PublishBatch(ctx context.Context, recs []directory.Record) error
+	RecordsForIter(iter int) []directory.Record
+}
+
+var (
+	_ sessionStore     = (*storage.Network)(nil)
+	_ sessionDirectory = (*directory.Service)(nil)
+)
 
 // ErrTimeout indicates a protocol phase exceeded its schedule deadline
 // (t_train or t_sync, §III-D).
@@ -71,8 +95,8 @@ var ErrTimeout = errors.New("core: schedule deadline exceeded")
 // actor runs the protocol exactly as one shared Session does.
 type Session struct {
 	cfg     *Config
-	store   storage.Client
-	dir     Directory
+	store   sessionStore
+	dir     sessionDirectory
 	params  *pedersen.Params
 	quant   *scalar.Quantizer
 	field   *scalar.Field
@@ -126,8 +150,19 @@ func (c *Config) ApplyAssignments(s *directory.Service) {
 	}
 }
 
-// NewSession creates a protocol session.
+// NewSession creates a protocol session. Both backends must implement the
+// whole contract a Session relies on (storage.Network, directory.Service
+// and transport.Client do); a backend that lacks part of it is refused here
+// rather than degrading a round.
 func NewSession(cfg *Config, store storage.Client, dir Directory) (*Session, error) {
+	st, ok := store.(sessionStore)
+	if !ok {
+		return nil, fmt.Errorf("core: storage backend %T lacks pub/sub, Fetch, MergeGetSpan or DeleteAll", store)
+	}
+	d, ok := dir.(sessionDirectory)
+	if !ok {
+		return nil, fmt.Errorf("core: directory backend %T lacks SetSchedule, PublishBatch or RecordsForIter", dir)
+	}
 	field := scalar.NewField(cfg.Curve.N)
 	quant, err := scalar.NewQuantizer(field, cfg.QuantShift)
 	if err != nil {
@@ -139,8 +174,8 @@ func NewSession(cfg *Config, store storage.Client, dir Directory) (*Session, err
 	}
 	return &Session{
 		cfg:    cfg,
-		store:  store,
-		dir:    dir,
+		store:  st,
+		dir:    d,
 		params: params,
 		quant:  quant,
 		field:  field,
@@ -266,33 +301,18 @@ func (s *Session) trainerUpload(ctx context.Context, parent obs.SpanContext, tra
 		s.signRecord(&rec)
 		recs = append(recs, rec)
 	}
-	// Announce all partitions in one directory round trip when the
-	// backend supports batching (§VI's load-reduction optimization).
+	// Announce all partitions in one directory round trip (§VI's
+	// load-reduction optimization).
 	pub := sc.child("dir_publish")
-	if batcher, ok := s.dir.(interface {
-		PublishBatch(ctx context.Context, recs []directory.Record) error
-	}); ok {
-		err := batcher.PublishBatch(ctx, recs)
-		pub.endErr(err)
-		if errors.Is(err, directory.ErrQuarantined) {
-			// The directory banned this trainer after proven-Byzantine
-			// uploads; it sits the task out rather than failing the round.
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("core: trainer %s publish: %w", trainer, err)
-		}
-	} else {
-		for _, rec := range recs {
-			if err := s.dir.Publish(ctx, rec); err != nil {
-				pub.endErr(err)
-				if errors.Is(err, directory.ErrQuarantined) {
-					return nil
-				}
-				return fmt.Errorf("core: trainer %s publish partition %d: %w", trainer, rec.Addr.Partition, err)
-			}
-		}
-		pub.end()
+	err = s.dir.PublishBatch(ctx, recs)
+	pub.endErr(err)
+	if errors.Is(err, directory.ErrQuarantined) {
+		// The directory banned this trainer after proven-Byzantine
+		// uploads; it sits the task out rather than failing the round.
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("core: trainer %s publish: %w", trainer, err)
 	}
 	s.metrics.gradientsUploaded.Add(int64(len(recs)))
 	return nil
@@ -477,27 +497,21 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 	}
 	// Announce the partial's hash over pub/sub so peers discover it
 	// without polling the directory (§IV-B).
-	announcer, hasPubSub := s.store.(Announcer)
 	topic := storage.Topic(s.cfg.TaskID, iter, partition)
-	if hasPubSub {
-		if data, err := json.Marshal(partialRec); err == nil {
-			announcer.Announce(topic, agg, data)
-		}
+	if data, err := json.Marshal(partialRec); err == nil {
+		s.store.Announce(topic, agg, data)
 	}
 	pp.end()
 
 	// Phase 3: synchronize with the other aggregators of this partition
 	// (Algorithm 1, 37-42), verifying partials in verifiable mode (§IV-B).
-	// Peer partials are discovered via pub/sub when available, with the
-	// directory as fallback; verification is always against the
+	// Peer partials are discovered via pub/sub, with the directory
+	// consulted once after t_sync; verification is always against the
 	// directory's accumulated commitments.
 	partials := map[string][]byte{agg: partial}
 	cursor := 0
 	discoverPartials := func() []directory.Record {
-		if !hasPubSub {
-			return s.dir.PartialUpdates(ctx, iter, partition)
-		}
-		msgs, next := announcer.Listen(topic, cursor)
+		msgs, next := s.store.Listen(topic, cursor)
 		cursor = next
 		var recs []directory.Record
 		for _, msg := range msgs {
@@ -574,7 +588,7 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 	// A peer may have published to the directory without a (delivered)
 	// announcement; consult the directory once before declaring anyone
 	// missing.
-	if hasPubSub && len(partials)+len(report.InvalidPartials) < len(peers) {
+	if len(partials)+len(report.InvalidPartials) < len(peers) {
 		if err := processRecs(s.dir.PartialUpdates(ctx, iter, partition)); err != nil {
 			sync.end()
 			return report, err
@@ -650,7 +664,6 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 func (s *Session) standbyWatch(ctx context.Context, parent obs.SpanContext, standby string, partition, iter int, opts RoundOptions) (*AggregatorReport, error) {
 	deadline := time.Now().Add(s.cfg.TTrain)
 	topic := storage.Topic(s.cfg.TaskID, iter, partition)
-	announcer, hasPubSub := s.store.(Announcer)
 	cursor := 0
 	alive := false
 	err := s.poll(ctx, deadline, func() (bool, error) {
@@ -658,13 +671,11 @@ func (s *Session) standbyWatch(ctx context.Context, parent obs.SpanContext, stan
 			alive = true
 			return true, nil
 		}
-		if hasPubSub {
-			msgs, next := announcer.Listen(topic, cursor)
-			cursor = next
-			if len(msgs) > 0 {
-				alive = true
-				return true, nil
-			}
+		msgs, next := s.store.Listen(topic, cursor)
+		cursor = next
+		if len(msgs) > 0 {
+			alive = true
+			return true, nil
 		}
 		return false, nil
 	})
@@ -872,13 +883,7 @@ func (s *Session) mergeDownload(ctx context.Context, sc *spanScope, grp []direct
 	md.attr("node", node)
 	md.attr("blocks", fmt.Sprint(len(grp)))
 	mStart := time.Now()
-	var data []byte
-	var err error
-	if spanner, ok := s.store.(mergeSpanner); ok && md.ctx().Valid() {
-		data, err = spanner.MergeGetSpan(ctx, node, cids, md.ctx())
-	} else {
-		data, err = s.store.MergeGet(ctx, node, cids)
-	}
+	data, err := s.store.MergeGetSpan(ctx, node, cids, md.ctx())
 	observeSince(s.metrics.phaseMerge, mStart)
 	md.bytes(int64(len(data)))
 	md.endErr(err)
@@ -954,6 +959,8 @@ func (s *Session) blockNorm(data []byte) float64 {
 // counted here, also when the directory cannot expunge (over TCP today).
 func (s *Session) reportByzantine(ctx context.Context, sc *spanScope, rec directory.Record) {
 	var err error
+	// A probe, not the contract: transport.Client has no ExpungeGradient,
+	// and benchmark/bench_test.go pins that (ROADMAP 13(h)).
 	if expunger, ok := s.dir.(interface {
 		ExpungeGradient(ctx context.Context, addr directory.Addr) error
 	}); ok {
@@ -973,6 +980,9 @@ func (s *Session) reportByzantine(ctx context.Context, sc *spanScope, rec direct
 // iteration each is excluded from, or nil when the directory keeps no
 // such list.
 func (s *Session) quarantined() map[string]int {
+	// A probe, not the contract: transport.Client has no Quarantined, and
+	// the benchmark's directory decorators, whose method sets
+	// benchmark/bench_test.go pins, do not forward it (ROADMAP 13(h)).
 	if q, ok := s.dir.(interface{ Quarantined() map[string]int }); ok {
 		return q.Quarantined()
 	}
@@ -1018,13 +1028,6 @@ func (s *Session) putWithFallback(ctx context.Context, sc *spanScope, preferred 
 	return "", "", err
 }
 
-// fetcher is the optional storage capability of content routing: any live
-// replica serves a block by its CID (storage.Network and transport.Client
-// both implement it).
-type fetcher interface {
-	Fetch(ctx context.Context, c cid.CID) ([]byte, error)
-}
-
 // readBlock is the session's one block read: from the recorded holder,
 // else by content from any live replica (§III: a block stays retrievable
 // while one replica lives). Bytes that do not hash to the CID count as a
@@ -1037,11 +1040,7 @@ func (s *Session) readBlock(ctx context.Context, sc *spanScope, node string, id 
 	if err == nil {
 		return data, nil
 	}
-	f, ok := s.store.(fetcher)
-	if !ok {
-		return nil, fmt.Errorf("core: read %s from %s: %w", id.Short(), node, err)
-	}
-	data, ferr := f.Fetch(ctx, id)
+	data, ferr := s.store.Fetch(ctx, id)
 	if ferr == nil && !cid.Verify(data, id) {
 		ferr = storage.ErrIntegrity
 	}
@@ -1129,33 +1128,16 @@ func (s *Session) publishGlobal(ctx context.Context, parent *spanScope, report *
 // keeps the system's storage footprint constant per round (in contrast to
 // the blockchain baseline). Global updates are kept so slow trainers can
 // still catch up. It returns the number of blocks removed.
-//
-// It requires backends that support enumeration and deletion (the
-// in-memory and TCP backends both do); otherwise it reports an error.
 func (s *Session) CleanupIteration(ctx context.Context, iter int) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	lister, ok := s.dir.(interface {
-		RecordsForIter(iter int) []directory.Record
-	})
-	if !ok {
-		return 0, errors.New("core: directory does not support record enumeration")
-	}
-	deleter, ok := s.store.(interface {
-		DeleteAll(c cid.CID)
-	})
-	if !ok {
-		return 0, errors.New("core: storage does not support deletion")
-	}
-	recs := lister.RecordsForIter(iter)
+	recs := s.dir.RecordsForIter(iter)
 	for _, rec := range recs {
-		deleter.DeleteAll(rec.CID)
+		s.store.DeleteAll(rec.CID)
 	}
-	if announcer, ok := s.store.(Announcer); ok {
-		for p := 0; p < s.cfg.Spec.Partitions; p++ {
-			announcer.ForgetTopic(storage.Topic(s.cfg.TaskID, iter, p))
-		}
+	for p := 0; p < s.cfg.Spec.Partitions; p++ {
+		s.store.ForgetTopic(storage.Topic(s.cfg.TaskID, iter, p))
 	}
 	return len(recs), nil
 }
@@ -1214,9 +1196,7 @@ func (s *Session) runIteration(ctx context.Context, iter int, deltas map[string]
 	// child, so the critical path tiles the whole iteration.
 	it := s.startSpan("iteration", "session", iter, obs.SpanContext{})
 	defer func() { it.endErr(err) }()
-	if sched, ok := s.dir.(Scheduler); ok {
-		sched.SetSchedule(iter, time.Now().Add(s.cfg.TTrain))
-	}
+	s.dir.SetSchedule(iter, time.Now().Add(s.cfg.TTrain))
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex

@@ -6,7 +6,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"ipls/internal/cid"
 	"ipls/internal/obs"
 )
 
@@ -170,11 +169,4 @@ func (sc *spanScope) endErr(err error) {
 		sc.attr("error", err.Error())
 	}
 	sc.end()
-}
-
-// mergeSpanner is the optional storage capability of carrying a span
-// context with a merge-and-download request (storage.Network and
-// transport.Client both implement it).
-type mergeSpanner interface {
-	MergeGetSpan(ctx context.Context, nodeID string, cs []cid.CID, parent obs.SpanContext) ([]byte, error)
 }

@@ -262,7 +262,7 @@ func TestQuantizeAppendsCounter(t *testing.T) {
 	if b.Dim() != 2 {
 		t.Fatalf("Dim() = %d", b.Dim())
 	}
-	if got := q.Decode(b.Values[len(b.Values)-1]); got != 1 {
+	if got := q.DecodeVec(b.Values[len(b.Values)-1:])[0]; got != 1 {
 		t.Fatalf("counter decodes to %v, want 1", got)
 	}
 }
@@ -293,7 +293,7 @@ func TestSumAndDequantizeAverages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Decode(sum.Values[len(sum.Values)-1]); got != n {
+	if got := q.DecodeVec(sum.Values[len(sum.Values)-1:])[0]; got != n {
 		t.Fatalf("summed counter = %v, want %d", got, n)
 	}
 	avg, err := Dequantize(q, sum)

@@ -188,13 +188,10 @@ func (q *Quantizer) Encode(x float64) (*big.Int, error) {
 	return v, nil
 }
 
-// Decode maps a field element back to float64, interpreting elements above
-// order/2 as negative.
-func (q *Quantizer) Decode(v *big.Int) float64 { return q.decode(v, new(big.Int)) }
-
-// decode centres v around zero through scratch. Sums of gradients are small
-// fixed-point values and convert through int64; anything larger goes through
-// big.Float. Both round to nearest even.
+// decode maps a field element back to float64, interpreting elements above
+// order/2 as negative; it centres v around zero through scratch. Sums of
+// gradients are small fixed-point values and convert through int64;
+// anything larger goes through big.Float. Both round to nearest even.
 func (q *Quantizer) decode(v, scratch *big.Int) float64 {
 	if !q.field.reduced(v) {
 		v = scratch.Mod(v, q.field.order)

@@ -112,7 +112,7 @@ func TestQuantizerRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := q.Decode(v)
+		got := q.DecodeVec([]*big.Int{v})[0]
 		if math.Abs(got-x) > eps {
 			t.Fatalf("round trip error too large: x=%v got=%v", x, got)
 		}
@@ -130,7 +130,7 @@ func TestQuantizerNegativeValues(t *testing.T) {
 	if v.Cmp(f.half) <= 0 {
 		t.Fatalf("expected encoding above order/2, got %v", v)
 	}
-	if got := q.Decode(v); got != -1.5 {
+	if got := q.DecodeVec([]*big.Int{v})[0]; got != -1.5 {
 		t.Fatalf("decode: got %v want -1.5", got)
 	}
 }

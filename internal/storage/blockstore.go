@@ -40,6 +40,13 @@ type BlockStore interface {
 	Delete(ctx context.Context, c cid.CID) error
 	// Keys lists every stored CID in sorted order.
 	Keys(ctx context.Context) ([]cid.CID, error)
+	// StoredBytes returns the total payload bytes held, without reading
+	// every block.
+	StoredBytes() int64
+	// Corrupt flips a byte of a stored block in place — the test hook
+	// behind the paper's "we do not assume correctness of retrieved data"
+	// adversary (§III-A). A missing block is ErrNotFound.
+	Corrupt(ctx context.Context, c cid.CID) error
 	// Close releases backend resources. The store must not be used after.
 	Close() error
 }
@@ -59,19 +66,6 @@ var (
 	ErrStoreClosed = errors.New("storage: block store is closed")
 )
 
-// Sizer is the optional BlockStore capability of reporting its stored byte
-// total cheaply (without reading every block).
-type Sizer interface {
-	StoredBytes() int64
-}
-
-// Corrupter is the optional BlockStore capability of flipping a byte of a
-// stored block in place — the test hook behind the paper's "we do not assume
-// correctness of retrieved data" adversary (§III-A).
-type Corrupter interface {
-	Corrupt(ctx context.Context, c cid.CID) error
-}
-
 // MemStore is the in-memory BlockStore: the mutex-guarded map the network's
 // nodes always used, extracted behind the backend interface. It does not
 // re-verify on read — corrupted bytes are served as-is, preserving the
@@ -83,11 +77,7 @@ type MemStore struct {
 	closed bool
 }
 
-var (
-	_ BlockStore = (*MemStore)(nil)
-	_ Sizer      = (*MemStore)(nil)
-	_ Corrupter  = (*MemStore)(nil)
-)
+var _ BlockStore = (*MemStore)(nil)
 
 // NewMemStore creates an empty in-memory block store.
 func NewMemStore() *MemStore {
@@ -184,13 +174,6 @@ func (m *MemStore) Keys(ctx context.Context) ([]cid.CID, error) {
 	return out, nil
 }
 
-// Len returns how many blocks the store holds.
-func (m *MemStore) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.blocks)
-}
-
 // StoredBytes returns the total payload bytes held.
 func (m *MemStore) StoredBytes() int64 {
 	m.mu.Lock()
@@ -254,23 +237,4 @@ func (l *cidLocks) of(c cid.CID) *sync.Mutex {
 		h = (h ^ uint32(c[i])) * 16777619
 	}
 	return &l[h%uint32(len(l))]
-}
-
-// storeBytes returns a store's byte total: the Sizer fast path when the
-// backend has one, a Keys+Get walk otherwise.
-func storeBytes(bs BlockStore) int64 {
-	if s, ok := bs.(Sizer); ok {
-		return s.StoredBytes()
-	}
-	keys, err := bs.Keys(context.Background())
-	if err != nil {
-		return 0
-	}
-	var total int64
-	for _, c := range keys {
-		if data, err := bs.Get(context.Background(), c); err == nil {
-			total += int64(len(data))
-		}
-	}
-	return total
 }

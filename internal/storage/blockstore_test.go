@@ -147,16 +147,13 @@ func runStoreContract(t *testing.T, open func(t *testing.T) BlockStore) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sz, ok := s.(Sizer); !ok {
-			t.Fatal("backend should implement Sizer")
-		} else if got := sz.StoredBytes(); got != int64(len(data)) {
+		if got := s.StoredBytes(); got != int64(len(data)) {
 			t.Fatalf("StoredBytes = %d, want %d", got, len(data))
 		}
-		corr, ok := s.(Corrupter)
-		if !ok {
-			t.Fatal("backend should implement Corrupter")
+		if err := s.Corrupt(ctx, cid.Sum([]byte("absent"))); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Corrupt of an absent block: got %v, want ErrNotFound", err)
 		}
-		if err := corr.Corrupt(ctx, c); err != nil {
+		if err := s.Corrupt(ctx, c); err != nil {
 			t.Fatal(err)
 		}
 		got, err := s.Get(ctx, c)

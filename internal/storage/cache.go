@@ -149,17 +149,13 @@ func (cs *CachedStore) Keys(ctx context.Context) ([]cid.CID, error) {
 
 // StoredBytes reports the backing store's total (the cache holds no
 // payload the backing store lacks).
-func (cs *CachedStore) StoredBytes() int64 { return storeBytes(cs.backing) }
+func (cs *CachedStore) StoredBytes() int64 { return cs.backing.StoredBytes() }
 
 // Corrupt forwards to the backing store's corruption hook and evicts any
 // cached copy — otherwise the cache would keep serving the clean bytes and
 // mask the on-disk rot the test injected.
 func (cs *CachedStore) Corrupt(ctx context.Context, c cid.CID) error {
-	corrupter, ok := cs.backing.(Corrupter)
-	if !ok {
-		return ErrNotFound
-	}
-	if err := corrupter.Corrupt(ctx, c); err != nil {
+	if err := cs.backing.Corrupt(ctx, c); err != nil {
 		return err
 	}
 	cs.mu.Lock()
@@ -176,8 +172,3 @@ func (cs *CachedStore) Close() error {
 	cs.mu.Unlock()
 	return cs.backing.Close()
 }
-
-var (
-	_ Sizer     = (*CachedStore)(nil)
-	_ Corrupter = (*CachedStore)(nil)
-)

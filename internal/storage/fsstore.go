@@ -41,11 +41,7 @@ type FSStore struct {
 	closed bool
 }
 
-var (
-	_ BlockStore = (*FSStore)(nil)
-	_ Sizer      = (*FSStore)(nil)
-	_ Corrupter  = (*FSStore)(nil)
-)
+var _ BlockStore = (*FSStore)(nil)
 
 // OpenFSStore opens (creating if needed) a disk-backed block store rooted at
 // dir, rebuilding its index from the blocks already on disk — this is the

@@ -62,8 +62,8 @@ func (n *Network) setMetricsLocked(reg *obs.Registry) {
 	n.gcBytes = reg.Counter("storage_gc_bytes_total")
 	for _, nd := range n.nodes {
 		nd.metrics.Store(resolveNodeMetrics(reg, nd.id))
-		if cs, ok := nd.store.(*CachedStore); ok {
-			cs.SetMetrics(n.cacheHits, n.cacheMisses)
+		if nd.cache != nil {
+			nd.cache.SetMetrics(n.cacheHits, n.cacheMisses)
 		}
 	}
 }

@@ -63,6 +63,10 @@ var (
 // network, which may keep the slice itself, so the caller must not write to
 // it afterwards; the bytes Get returns may be the stored slice itself, so
 // the caller must not write to them either.
+//
+// A protocol session needs more than this: core.NewSession also requires
+// pub/sub, Fetch, MergeGetSpan and DeleteAll, which Network and the TCP
+// client both implement.
 type Client interface {
 	// Put stores data on the addressed node (plus replicas) and returns
 	// its content ID. It takes ownership of data.
@@ -222,6 +226,7 @@ func (n *Network) ForgetTopic(topic string) {
 type Node struct {
 	id          string
 	store       BlockStore
+	cache       *CachedStore // store's LRU layer, when the network gave it one
 	down        bool
 	departed    bool
 	partitioned bool
@@ -279,16 +284,7 @@ func (nd *Node) noteStoreErr(err error) {
 }
 
 // StoredBlocks returns how many distinct blocks the node holds.
-func (nd *Node) StoredBlocks() int {
-	if l, ok := nd.store.(interface{ Len() int }); ok {
-		return l.Len()
-	}
-	keys, err := nd.store.Keys(context.Background())
-	if err != nil {
-		return 0
-	}
-	return len(keys)
-}
+func (nd *Node) StoredBlocks() int { return len(nd.blockCIDs()) }
 
 // blockCIDs returns the CIDs of all blocks the node holds, in sorted order.
 func (nd *Node) blockCIDs() []cid.CID {
@@ -300,26 +296,27 @@ func (nd *Node) blockCIDs() []cid.CID {
 }
 
 // StoredBytes returns the total bytes the node holds.
-func (nd *Node) StoredBytes() int64 { return storeBytes(nd.store) }
+func (nd *Node) StoredBytes() int64 { return nd.store.StoredBytes() }
 
-// newStoreLocked builds a node's BlockStore per the network's StoreConfig.
-func (n *Network) newStoreLocked(id string) (BlockStore, error) {
+// newStoreLocked builds a node's BlockStore per the network's StoreConfig,
+// and returns its cache layer too when it has one.
+func (n *Network) newStoreLocked(id string) (BlockStore, *CachedStore, error) {
 	switch n.storeCfg.Backend {
 	case "", BackendMem:
-		return NewMemStore(), nil
+		return NewMemStore(), nil, nil
 	case BackendFS:
 		fs, err := OpenFSStore(filepath.Join(n.storeCfg.Dir, id))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if n.storeCfg.CacheBlocks > 0 {
 			cs := NewCachedStore(fs, n.storeCfg.CacheBlocks)
 			cs.SetMetrics(n.cacheHits, n.cacheMisses)
-			return cs, nil
+			return cs, cs, nil
 		}
-		return fs, nil
+		return fs, nil, nil
 	default:
-		return nil, fmt.Errorf("%w: unknown backend %q", ErrBackend, n.storeCfg.Backend)
+		return nil, nil, fmt.Errorf("%w: unknown backend %q", ErrBackend, n.storeCfg.Backend)
 	}
 }
 
@@ -336,11 +333,11 @@ func (n *Network) AddNode(id string) *Node {
 	if _, dup := n.nodes[id]; dup {
 		panic(fmt.Sprintf("storage: duplicate node %q", id))
 	}
-	st, err := n.newStoreLocked(id)
+	st, cache, err := n.newStoreLocked(id)
 	if err != nil {
 		st = NewMemStore()
 	}
-	nd := &Node{id: id, store: st, openErr: err}
+	nd := &Node{id: id, store: st, cache: cache, openErr: err}
 	nd.metrics.Store(resolveNodeMetrics(n.reg, id))
 	n.nodes[id] = nd
 	n.order = append(n.order, id)
@@ -610,11 +607,7 @@ func (n *Network) Corrupt(id string, c cid.CID) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
 	}
-	corrupter, ok := nd.store.(Corrupter)
-	if !ok {
-		return fmt.Errorf("%w: store on %q has no corruption hook", ErrBackend, id)
-	}
-	return corrupter.Corrupt(context.Background(), c)
+	return nd.store.Corrupt(context.Background(), c)
 }
 
 // CheatMerges makes a node return subtly corrupted merge-and-download

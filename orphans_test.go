@@ -1,9 +1,11 @@
 package ipls_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
@@ -20,10 +22,12 @@ type sourceFile struct {
 	file *ast.File
 }
 
+// moduleFset holds the positions of moduleFiles.
+var moduleFset = token.NewFileSet()
+
 // moduleFiles parses every non-test .go file under the module root once;
 // the guards below share the result.
 var moduleFiles = sync.OnceValues(func() ([]sourceFile, error) {
-	fset := token.NewFileSet()
 	var files []sourceFile
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -38,7 +42,7 @@ var moduleFiles = sync.OnceValues(func() ([]sourceFile, error) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(moduleFset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
@@ -249,4 +253,101 @@ func recvName(x ast.Expr) string {
 		return x.Name
 	}
 	return "?"
+}
+
+// probedCapabilities are the methods a Session may still find by type
+// assertion, because transport.Client lacks them: each is a one-method
+// interface literal at its probe.
+var probedCapabilities = map[string]bool{"GC": true, "ExpungeGradient": true, "Quarantined": true}
+
+// TestNoBackendProbes fails, naming file and line, for each type assertion
+// in internal/core or internal/storage whose operand is a backend field —
+// a Session's store or dir, a Node's store, a CachedStore's backing — unless
+// it sits in NewSession, which checks the session contract once, or asks
+// for one of probedCapabilities. Everything else a backend offers is part
+// of the interface its holder's field is typed by.
+func TestNoBackendProbes(t *testing.T) {
+	for _, probe := range backendProbes(moduleFset, parsedModule(t)) {
+		t.Errorf("%s: widen the backend's interface instead, or check it in NewSession", probe)
+	}
+}
+
+// TestBackendProbesFixture runs the probe scan over sources held in
+// memory: it must flag a named-interface assertion, a type switch and a
+// two-method literal on backend fields, and pass over the assertions in
+// NewSession, a probed capability and an assertion on any other operand.
+func TestBackendProbesFixture(t *testing.T) {
+	const src = `package core
+
+func NewSession(store Client) { _ = s.store.(full) }
+
+func (s *Session) ok(x any) {
+	_ = s.dir.(interface{ Quarantined() map[string]int })
+	_ = x.(fmt.Stringer)
+	_ = s.cfg.(fmt.Stringer)
+}
+
+func (s *Session) bad() {
+	_ = s.store.(fetcher)
+	switch s.dir.(type) {
+	}
+	_ = cs.backing.(interface {
+		GC()
+		Corrupt()
+	})
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "internal/core/x.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := backendProbes(fset, []sourceFile{{dir: "internal/core", file: f}})
+	want := []string{
+		"internal/core/x.go:12: s.store.(...)",
+		"internal/core/x.go:13: s.dir.(...)",
+		"internal/core/x.go:15: cs.backing.(...)",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("probes = %q, want %q", got, want)
+	}
+}
+
+// backendProbes lists, as "file:line: x.field.(...)", the type
+// assertions TestNoBackendProbes forbids, in file order.
+func backendProbes(fset *token.FileSet, files []sourceFile) []string {
+	var probes []string
+	for _, sf := range files {
+		if sf.dir != "internal/core" && sf.dir != "internal/storage" {
+			continue
+		}
+		for _, d := range sf.file.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "NewSession" {
+				continue
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				ta, ok := n.(*ast.TypeAssertExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := ta.X.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				switch sel.Sel.Name {
+				case "store", "dir", "backing":
+				default:
+					return true
+				}
+				if it, ok := ta.Type.(*ast.InterfaceType); ok && len(it.Methods.List) == 1 &&
+					len(it.Methods.List[0].Names) == 1 && probedCapabilities[it.Methods.List[0].Names[0].Name] {
+					return true
+				}
+				pos := fset.Position(ta.Pos())
+				probes = append(probes, fmt.Sprintf("%s:%d: %s.(...)", filepath.ToSlash(pos.Filename), pos.Line, types.ExprString(sel)))
+				return true
+			})
+		}
+	}
+	return probes
 }
