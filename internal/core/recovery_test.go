@@ -111,7 +111,9 @@ func TestReadBlockSkipsCorruptHolder(t *testing.T) {
 	if err := netw.Corrupt("s0", id); err != nil {
 		t.Fatal(err)
 	}
-	got, err := sess.readBlock(ctx, nil, "s0", id)
+	sc := sess.startSpan("read", "test", 0, obs.SpanContext{})
+	got, err := sess.readBlock(ctx, sc, "s0", id)
+	sc.end()
 	if err != nil || string(got) != string(want) {
 		t.Fatalf("read %q, %v; want %q from the replica", got, err, want)
 	}

@@ -101,8 +101,8 @@ type Session struct {
 	quant   *scalar.Quantizer
 	field   *scalar.Field
 	spans   obs.SpanSink
+	fold    *obs.MetricFold
 	meter   obs.ResourceMeter
-	metrics sessionMetrics
 	keyring *identity.Keyring
 }
 
@@ -240,7 +240,6 @@ func (s *Session) TrainerUpload(ctx context.Context, trainer string, iter int, d
 }
 
 func (s *Session) trainerUpload(ctx context.Context, parent obs.SpanContext, trainer string, iter int, delta []float64, corrupt bool) (err error) {
-	defer observeSince(s.metrics.phaseUpload, time.Now())
 	sc := s.startSpan("upload", trainer, iter, parent)
 	defer func() { sc.endErr(err) }()
 	parts, err := model.Split(s.cfg.Spec, delta)
@@ -314,7 +313,9 @@ func (s *Session) trainerUpload(ctx context.Context, parent obs.SpanContext, tra
 	if err != nil {
 		return fmt.Errorf("core: trainer %s publish: %w", trainer, err)
 	}
-	s.metrics.gradientsUploaded.Add(int64(len(recs)))
+	for range recs {
+		sc.event("gradient_uploaded", 0, "")
+	}
 	return nil
 }
 
@@ -327,7 +328,6 @@ func (s *Session) TrainerCollect(ctx context.Context, iter int) ([]float64, erro
 }
 
 func (s *Session) trainerCollect(ctx context.Context, parent obs.SpanContext, iter int) (_ []float64, err error) {
-	defer observeSince(s.metrics.phaseCollect, time.Now())
 	sc := s.startSpan("collect", "trainer", iter, parent)
 	defer func() { sc.endErr(err) }()
 	deadline := time.Now().Add(s.cfg.TSync)
@@ -365,7 +365,7 @@ func (s *Session) trainerCollect(ctx context.Context, parent obs.SpanContext, it
 			return nil, fmt.Errorf("core: dequantize update partition %d: %w", i, err)
 		}
 		parts[i] = avg
-		s.metrics.updatesCollected.Inc()
+		sc.event("update_collected", 0, "")
 	}
 	return model.Join(s.cfg.Spec, parts)
 }
@@ -429,25 +429,21 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 		sc.event("standby_takeover", 0, executedBy)
 	}
 	defer func() { sc.endErr(err) }()
-	start := time.Now()
-	defer func() {
-		// Aggregation latency per iteration: run start to accepted global.
-		if report.PublishedGlobal {
-			observeSince(s.metrics.aggregationLatency, start)
-		}
-	}()
 	expected := s.cfg.TrainersOf(partition, agg)
 	if len(expected) == 0 {
 		return report, fmt.Errorf("core: aggregator %s has no trainers for partition %d", agg, partition)
 	}
 	want := s.expectedGradients(iter, expected)
 
-	// Phase 1: collect gradients from my trainers (Algorithm 1, 28-34).
-	wait := sc.child("gradient_wait")
+	// Phase 1: collect gradients from my trainers (Algorithm 1, 28-34):
+	// wait for their records, then fetch the blocks.
+	fetch := sc.child("fetch_gradients")
+	wait := fetch.child("gradient_wait")
 	recs, err := s.awaitGradients(ctx, wait, iter, partition, agg, want, time.Now().Add(s.cfg.TTrain), opts)
 	wait.attr("gradients", fmt.Sprint(len(recs)))
 	wait.endErr(err)
 	if err != nil {
+		fetch.endErr(err)
 		return report, err
 	}
 	// Link the uploads this aggregation depends on: the records carry the
@@ -455,13 +451,11 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 	for _, rec := range recs {
 		sc.link(rec.Span)
 	}
-	fetch := sc.child("fetch_gradients")
 	blocks, merges, err := s.collectBlocks(ctx, fetch, recs, report)
 	fetch.endErr(err)
 	if err != nil {
 		return report, err
 	}
-	observeSince(s.metrics.phaseGradients, start)
 	report.GradientsAggregated = len(recs) - len(report.ScreenedOut)
 	report.MergeDownloads = merges
 
@@ -554,19 +548,17 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 			}
 			vs.bytes(int64(len(data)))
 			if s.params != nil {
-				vStart := time.Now()
 				ok, err := s.dir.VerifyPartialUpdate(ctx, iter, partition, peer, data)
-				observeSince(s.metrics.phaseVerify, vStart)
 				if err != nil {
 					vs.endErr(err)
 					return err
 				}
 				if !ok {
-					s.metrics.verifyFail.Inc()
+					vs.event("verification_fail", 0, "")
 					markInvalid(peer, "rejected", vs)
 					continue
 				}
-				s.metrics.verifyPass.Inc()
+				vs.event("verification_pass", 0, "")
 			}
 			if _, err := model.ElementCount(data); err != nil {
 				markInvalid(peer, "malformed", vs)
@@ -635,7 +627,7 @@ func (s *Session) aggregatorRun(ctx context.Context, parent obs.SpanContext, agg
 		partials[peer] = redo
 		report.TookOverFor = append(report.TookOverFor, peer)
 		report.GradientsAggregated += len(peerRecs)
-		s.metrics.takeovers.Inc()
+		sc.event("peer_takeover", 0, peer)
 	}
 
 	// Phase 5: fold all partials into the global update (Algorithm 1, 43-44).
@@ -686,7 +678,6 @@ func (s *Session) standbyWatch(ctx context.Context, parent obs.SpanContext, stan
 		return nil, err
 	}
 	lead := s.cfg.Aggregators[partition][0]
-	s.metrics.standbyTakeovers.Inc()
 	rep, err := s.aggregatorRun(ctx, parent, lead, partition, iter, BehaviorHonest, opts, standby)
 	if err != nil {
 		// The watch can race a slow-but-alive aggregator; if the partition
@@ -722,7 +713,6 @@ func (s *Session) awaitGradients(ctx context.Context, sc *spanScope, iter, parti
 			return true, nil
 		}
 		if need < want && len(recs) >= need && !time.Now().Before(quorumAt) {
-			s.metrics.quorumProceeds.Inc()
 			sc.event("quorum_proceed", 0, strconv.Itoa(len(recs))+" of "+strconv.Itoa(want))
 			return true, nil
 		}
@@ -764,7 +754,7 @@ func (s *Session) collectBlocks(ctx context.Context, sc *spanScope, recs []direc
 			}
 			// The provider cannot merge: read each record from any replica,
 			// giving up §III-E's bandwidth saving rather than the round.
-			s.failover(sc, s.metrics.failoverMerge, "merge_get", grp[0].Node, err)
+			sc.event("failover_merge_get", 0, grp[0].Node+": "+err.Error())
 			groups = slices.Replace(groups, i, i+1, singletons(grp)...)
 		}
 		b, err := s.fetchGradient(ctx, sc, groups[i][0])
@@ -773,7 +763,7 @@ func (s *Session) collectBlocks(ctx context.Context, sc *spanScope, recs []direc
 		}
 		fetched = append(fetched, b)
 	}
-	batchOK, vecs, wants, err := s.batchVerify(groups, fetched)
+	batchOK, vecs, wants, err := s.batchVerify(sc, groups, fetched)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -785,7 +775,6 @@ func (s *Session) collectBlocks(ctx context.Context, sc *spanScope, recs []direc
 			before := len(report.ScreenedOut)
 			report.ScreenedOut = appendUnique(report.ScreenedOut, rec.Addr.Uploader)
 			if len(report.ScreenedOut) > before {
-				s.metrics.screenedOut.Inc()
 				sc.event("screened_out", 0, rec.Addr.Uploader)
 			}
 			return
@@ -803,7 +792,7 @@ func (s *Session) collectBlocks(ctx context.Context, sc *spanScope, recs []direc
 		case ok:
 			if len(grp) > 1 {
 				merges++
-				s.metrics.mergeDownloads.Inc()
+				sc.event("merge_accepted", 0, grp[0].Node)
 			}
 			accept(grp[0], fetched[i])
 		case len(grp) == 1:
@@ -882,9 +871,7 @@ func (s *Session) mergeDownload(ctx context.Context, sc *spanScope, grp []direct
 	md := sc.child("merge_download")
 	md.attr("node", node)
 	md.attr("blocks", fmt.Sprint(len(grp)))
-	mStart := time.Now()
 	data, err := s.store.MergeGetSpan(ctx, node, cids, md.ctx())
-	observeSince(s.metrics.phaseMerge, mStart)
 	md.bytes(int64(len(data)))
 	md.endErr(err)
 	if err != nil {
@@ -897,11 +884,12 @@ func (s *Session) mergeDownload(ctx context.Context, sc *spanScope, grp []direct
 }
 
 // batchVerify decodes every group's block and checks it against the
-// product of the group's published commitments with one BatchVerify. It
+// product of the group's published commitments with one BatchVerify,
+// a batch_verify event on sc (and batch_verify_fail when it fails). It
 // returns the verdict, the decoded blocks and those products, against
 // which a failed batch is checked group by group. In plain mode there is
 // nothing to check and nothing is decoded.
-func (s *Session) batchVerify(groups [][]directory.Record, blocks [][]byte) (bool, [][]*big.Int, []pedersen.Commitment, error) {
+func (s *Session) batchVerify(sc *spanScope, groups [][]directory.Record, blocks [][]byte) (bool, [][]*big.Int, []pedersen.Commitment, error) {
 	if s.params == nil {
 		return true, nil, nil, nil
 	}
@@ -925,10 +913,10 @@ func (s *Session) batchVerify(groups [][]directory.Record, blocks [][]byte) (boo
 			return false, nil, nil, err
 		}
 	}
-	s.metrics.batchVerifies.Inc()
+	sc.event("batch_verify", 0, "")
 	ok, err := s.params.BatchVerify(vecs, wants)
 	if err != nil || !ok {
-		s.metrics.batchVerifyFail.Inc() // attributed group by group
+		sc.event("batch_verify_fail", 0, "") // attributed group by group
 		return false, vecs, wants, nil
 	}
 	return true, vecs, wants, nil
@@ -969,7 +957,6 @@ func (s *Session) reportByzantine(ctx context.Context, sc *spanScope, rec direct
 			return
 		}
 	}
-	s.metrics.byzantineRejects.Inc()
 	sc.event("byzantine_reject", 0, rec.Addr.Uploader+" "+rec.CID.Short())
 	if err != nil {
 		sc.event("expunge_failed", 0, err.Error())
@@ -1021,7 +1008,7 @@ func (s *Session) putWithFallback(ctx context.Context, sc *spanScope, preferred 
 			continue
 		}
 		if c, err2 := s.store.Put(ctx, node, data); err2 == nil {
-			s.failover(sc, s.metrics.failoverPut, "put", preferred, err)
+			sc.event("failover_put", 0, preferred+": "+err.Error())
 			return c, node, nil
 		}
 	}
@@ -1047,16 +1034,8 @@ func (s *Session) readBlock(ctx context.Context, sc *spanScope, node string, id 
 	if ferr != nil {
 		return nil, fmt.Errorf("core: read %s from %s: %w (by content: %v)", id.Short(), node, err, ferr)
 	}
-	s.failover(sc, s.metrics.failoverGet, "get", node, err)
+	sc.event("failover_get", 0, node+": "+err.Error())
 	return data, nil
-}
-
-// failover records one taken fallback: a failover event on sc naming the
-// operation, the node that failed it and its error, and one
-// failovers_total{op}.
-func (s *Session) failover(sc *spanScope, c *obs.Counter, op, node string, cause error) {
-	c.Inc()
-	sc.event("failover", 0, op+" "+node+": "+cause.Error())
 }
 
 // fetchGradient reads one gradient block; bytes that are not framed as a
@@ -1074,9 +1053,9 @@ func (s *Session) fetchGradient(ctx context.Context, sc *spanScope, rec director
 
 // publishGlobal uploads and publishes the global update for a partition.
 // In verifiable mode the directory may reject it (caught cheating); only
-// the first valid update wins.
+// the first valid update wins. The verdict is a global_published or
+// global_rejected event on parent, the aggregator's run.
 func (s *Session) publishGlobal(ctx context.Context, parent *spanScope, report *AggregatorReport, agg string, partition, iter int, home string, data []byte) (err error) {
-	defer observeSince(s.metrics.phasePublish, time.Now())
 	gp := parent.child("global_publish")
 	defer func() { gp.endErr(err) }()
 	gp.bytes(int64(len(data)))
@@ -1107,12 +1086,12 @@ func (s *Session) publishGlobal(ctx context.Context, parent *spanScope, report *
 	case err == nil:
 		report.PublishedGlobal = true
 		gp.attr("outcome", "accepted")
-		s.metrics.globalsPublished.Inc()
+		parent.event("global_published", 0, node)
 		return nil
 	case errors.Is(err, directory.ErrVerificationFailed):
 		report.GlobalRejected = true
 		gp.attr("outcome", "rejected")
-		s.metrics.globalsRejected.Inc()
+		parent.event("global_rejected", 0, node)
 		return nil
 	case errors.Is(err, directory.ErrAlreadyFinal):
 		gp.attr("outcome", "peer-won")
@@ -1216,7 +1195,6 @@ func (s *Session) runIteration(ctx context.Context, iter int, deltas map[string]
 	for _, tr := range s.cfg.Trainers {
 		if from, ok := banned[tr]; ok && iter >= from {
 			if iter == from {
-				s.metrics.byzantineQuarantines.Inc()
 				it.event("byzantine_quarantine", 0, tr)
 			}
 			continue

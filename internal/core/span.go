@@ -66,18 +66,22 @@ func (sc *spanScope) open(parent context.Context) *spanScope {
 
 // startSpan opens a span. With a valid parent the span joins the
 // parent's trace; otherwise it roots a new tree in the (task, iter)
-// trace. Returns nil when the session has no span sink.
+// trace. Returns nil when the session has neither a span sink nor a
+// metrics fold. With the fold alone the span gets no context, labels,
+// attributes or links: the fold reads only names, events and durations.
 func (s *Session) startSpan(name, actor string, iter int, parent obs.SpanContext) *spanScope {
-	if s.spans == nil {
+	if s.spans == nil && s.fold == nil {
 		return nil
 	}
-	var ctx obs.SpanContext
-	if parent.Valid() {
-		ctx = parent.Child()
-	} else {
-		ctx = obs.SpanContext{Session: s.cfg.TaskID, Iter: iter, SpanID: obs.NewSpanID()}
+	sc := &spanScope{s: s, span: obs.Span{Name: name, Actor: actor, Start: time.Now()}}
+	if s.spans == nil {
+		return sc
 	}
-	sc := &spanScope{s: s, span: obs.Span{Name: name, Actor: actor, Context: ctx, Start: time.Now()}}
+	if parent.Valid() {
+		sc.span.Context = parent.Child()
+	} else {
+		sc.span.Context = obs.SpanContext{Session: s.cfg.TaskID, Iter: iter, SpanID: obs.NewSpanID()}
+	}
 	return sc.open(context.Background())
 }
 
@@ -87,9 +91,11 @@ func (sc *spanScope) child(name string) *spanScope {
 	if sc == nil {
 		return nil
 	}
-	c := &spanScope{s: sc.s, span: obs.Span{
-		Name: name, Actor: sc.span.Actor, Context: sc.span.Context.Child(), Start: time.Now(),
-	}}
+	c := &spanScope{s: sc.s, span: obs.Span{Name: name, Actor: sc.span.Actor, Start: time.Now()}}
+	if sc.s.spans == nil {
+		return c
+	}
+	c.span.Context = sc.span.Context.Child()
 	return c.open(sc.labelCtx)
 }
 
@@ -102,9 +108,9 @@ func (sc *spanScope) ctx() obs.SpanContext {
 }
 
 // ctxRef returns a pointer to the scope's context for embedding in a
-// directory record, or nil when spans are disabled.
+// directory record, or nil when no span sink is attached.
 func (sc *spanScope) ctxRef() *obs.SpanContext {
-	if sc == nil {
+	if sc == nil || sc.s.spans == nil {
 		return nil
 	}
 	c := sc.span.Context
@@ -120,7 +126,7 @@ func (sc *spanScope) bytes(n int64) {
 
 // attr sets a span attribute.
 func (sc *spanScope) attr(k, v string) {
-	if sc == nil {
+	if sc == nil || sc.s.spans == nil {
 		return
 	}
 	if sc.span.Attrs == nil {
@@ -141,26 +147,32 @@ func (sc *spanScope) event(name string, bytes int64, detail string) {
 
 // link records a causal reference to a span in another role's tree.
 func (sc *spanScope) link(c *obs.SpanContext) {
-	if sc == nil || c == nil || !c.Valid() {
+	if sc == nil || sc.s.spans == nil || c == nil || !c.Valid() {
 		return
 	}
 	sc.span.Links = append(sc.span.Links, *c)
 }
 
-// end closes the span and emits it, charging the metered resource
-// delta and restoring the enclosing pprof labels.
+// end closes the span and emits it to the span sink and the metrics
+// fold, charging the metered resource delta and restoring the enclosing
+// pprof labels.
 func (sc *spanScope) end() {
 	if sc == nil {
 		return
 	}
 	sc.span.End = time.Now()
-	if sc.s.meter != nil {
-		d := sc.s.meter.Sample().Sub(sc.res)
-		sc.span.CPUNanos += d.CPUNanos
-		sc.span.AllocBytes += d.AllocBytes
+	if sc.s.spans != nil {
+		if sc.s.meter != nil {
+			d := sc.s.meter.Sample().Sub(sc.res)
+			sc.span.CPUNanos += d.CPUNanos
+			sc.span.AllocBytes += d.AllocBytes
+		}
+		pprof.SetGoroutineLabels(sc.parentCtx)
+		sc.s.spans.EmitSpan(sc.span)
 	}
-	pprof.SetGoroutineLabels(sc.parentCtx)
-	sc.s.spans.EmitSpan(sc.span)
+	if sc.s.fold != nil {
+		sc.s.fold.EmitSpan(sc.span)
+	}
 }
 
 // endErr closes the span, recording the error as an attribute first.

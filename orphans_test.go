@@ -351,3 +351,202 @@ func backendProbes(fset *token.FileSet, files []sourceFile) []string {
 	}
 	return probes
 }
+
+// TestEveryEventHasOneCounter fails, naming file and line, when a span
+// event internal/core emits has no counter in the Session's fold table
+// (sessionFold), when the table holds more than one rule for an event or
+// for a span, when an emitted event or span name is not a string literal,
+// or when a table entry names a span or an event core never emits. The table is
+// the one source of the Session's metrics, so this is the audit that
+// every degradation path leaves one record and one counter.
+func TestEveryEventHasOneCounter(t *testing.T) {
+	for _, gap := range foldGaps(moduleFset, parsedModule(t)) {
+		t.Error(gap)
+	}
+}
+
+// TestFoldGapsFixture runs the fold audit over sources held in memory: it
+// must flag an event without a counter, an event and a span with two
+// rules each, a computed event name and table entries naming a span and
+// an event nothing emits, and pass over the rest.
+func TestFoldGapsFixture(t *testing.T) {
+	const src = `package core
+
+var sessionFold = []obs.FoldRule{
+	{Span: "upload", Series: "phase_seconds"},
+	{Span: "ghost", Series: "phase_seconds"},
+	{Span: "store_put", Event: "counted", Series: "latency"},
+	{Span: "upload", Series: "again_seconds"},
+	{Event: "counted", Series: "counted_total"},
+	{Event: "failover_put", Series: "failovers_total", Labels: []string{"op", "put"}},
+	{Event: "twice", Series: "a_total", Labels: []string{"op", "a"}},
+	{Event: "twice", Series: "a_total", Labels: []string{"op", "b"}},
+	{Event: "stale", Series: "stale_total"},
+}
+
+func (s *Session) run(name string) {
+	sc := s.startSpan("upload", "t", 0, obs.SpanContext{})
+	sc.child("store_put").event("counted", 0, "")
+	sc.event("failover_put", 0, "x")
+	sc.event("twice", 0, "")
+	sc.event("uncounted", 0, "")
+	sc.event(name, 0, "")
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "internal/core/x.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := foldGaps(fset, []sourceFile{{dir: "internal/core", file: f}})
+	want := []string{
+		"internal/core/x.go:5: fold table names span \"ghost\", which core never starts",
+		"internal/core/x.go:7: span \"upload\" has 2 rules in sessionFold",
+		"internal/core/x.go:12: fold table names event \"stale\", which core never emits",
+		"internal/core/x.go:19: event \"twice\" has 2 counters in sessionFold",
+		"internal/core/x.go:20: event \"uncounted\" has no counter in sessionFold",
+		"internal/core/x.go:21: event name is not a string literal",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("gaps:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// foldGaps lists, as "file:line: problem", what TestEveryEventHasOneCounter
+// forbids, sorted by file and line.
+func foldGaps(fset *token.FileSet, files []sourceFile) []string {
+	type site struct {
+		name string
+		pos  token.Position
+	}
+	type rule struct {
+		span, event string
+		pos         token.Position
+	}
+	var events, spans []site
+	var rules []rule
+	var gaps []site // name holds the message
+	for _, sf := range files {
+		if sf.dir != "internal/core" {
+			continue
+		}
+		ast.Inspect(sf.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				var fn string
+				switch f := n.Fun.(type) {
+				case *ast.SelectorExpr:
+					fn = f.Sel.Name
+				case *ast.Ident:
+					fn = f.Name
+				}
+				if (fn != "event" && fn != "child" && fn != "startSpan") || len(n.Args) == 0 {
+					return true
+				}
+				kind := "span"
+				if fn == "event" {
+					kind = "event"
+				}
+				pos := fset.Position(n.Pos())
+				lit, ok := n.Args[0].(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					gaps = append(gaps, site{kind + " name is not a string literal", pos})
+					return true
+				}
+				name, _ := strconv.Unquote(lit.Value)
+				if kind == "event" {
+					events = append(events, site{name, pos})
+				} else {
+					spans = append(spans, site{name, pos})
+				}
+			case *ast.ValueSpec:
+				if len(n.Names) != 1 || n.Names[0].Name != "sessionFold" || len(n.Values) != 1 {
+					return true
+				}
+				table, ok := n.Values[0].(*ast.CompositeLit)
+				if !ok {
+					return true
+				}
+				for _, elt := range table.Elts {
+					entry, ok := elt.(*ast.CompositeLit)
+					if !ok {
+						continue
+					}
+					r := rule{pos: fset.Position(entry.Pos())}
+					for _, kv := range entry.Elts {
+						kv, ok := kv.(*ast.KeyValueExpr)
+						if !ok {
+							continue
+						}
+						key, _ := kv.Key.(*ast.Ident)
+						lit, _ := kv.Value.(*ast.BasicLit)
+						if key == nil || lit == nil {
+							continue
+						}
+						v, _ := strconv.Unquote(lit.Value)
+						switch key.Name {
+						case "Span":
+							r.span = v
+						case "Event":
+							r.event = v
+						}
+					}
+					rules = append(rules, r)
+				}
+			}
+			return true
+		})
+	}
+	emitted := func(sites []site, name string) bool {
+		for _, s := range sites {
+			if s.name == name {
+				return true
+			}
+		}
+		return false
+	}
+	counters := make(map[string]int) // event → counter rules
+	timers := make(map[string]int)   // span → timer rules
+	for _, r := range rules {
+		if r.span != "" && !emitted(spans, r.span) {
+			gaps = append(gaps, site{fmt.Sprintf("fold table names span %q, which core never starts", r.span), r.pos})
+		}
+		if r.event != "" && !emitted(events, r.event) {
+			gaps = append(gaps, site{fmt.Sprintf("fold table names event %q, which core never emits", r.event), r.pos})
+		}
+		switch {
+		case r.span != "":
+			if timers[r.span]++; timers[r.span] == 2 {
+				gaps = append(gaps, site{fmt.Sprintf("span %q has 2 rules in sessionFold", r.span), r.pos})
+			}
+		case r.event != "":
+			counters[r.event]++
+		}
+	}
+	reported := make(map[string]bool)
+	for _, e := range events {
+		if reported[e.name] {
+			continue
+		}
+		reported[e.name] = true
+		switch n := counters[e.name]; n {
+		case 0:
+			gaps = append(gaps, site{fmt.Sprintf("event %q has no counter in sessionFold", e.name), e.pos})
+		case 1:
+		default:
+			gaps = append(gaps, site{fmt.Sprintf("event %q has %d counters in sessionFold", e.name, n), e.pos})
+		}
+	}
+	sort.Slice(gaps, func(i, j int) bool {
+		a, b := gaps[i].pos, gaps[j].pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		return a.Line < b.Line
+	})
+	out := make([]string, len(gaps))
+	for i, g := range gaps {
+		out[i] = fmt.Sprintf("%s:%d: %s", filepath.ToSlash(g.pos.Filename), g.pos.Line, g.name)
+	}
+	return out
+}
